@@ -2,7 +2,8 @@
 // single-pass multi-component archive driver vs one scan per component.
 //
 //   ./bench_cpa_kernel [traces] [--json out.jsonl]
-//   (default: 20000 traces for the fold shapes, 240 for the archive)
+//   (default: 20000 traces for the fold shapes, 240 for the archive;
+//   the product scan's shape is fixed)
 //
 // Fold shapes: g49/s1 is the default attack shape (the exponent phase's
 // 49-guess scan over one sample column); g49/s17 folds a full fpr_mul
@@ -11,17 +12,25 @@
 // always produced), batch=64 the blocked kernel -- the speedup column
 // is the tentpole acceptance number (>= 2x at the default shape).
 //
+// The product-scan comparison scores extend25's cell shape (24 traces x
+// 4 partial-product columns) over a 2^16-guess window of the low
+// mantissa space three ways: the per-cell model callback the extend
+// phases used to pass, the ProductModel kernel forced scalar, and the
+// dispatched lane-parallel kernel. All three must rank identically.
+//
 // The archive comparison attacks all 2N exponent components of a
 // FALCON-16 campaign twice: per-component streaming (2N archive scans,
 // run_cpa_streaming_many) vs the single-pass demux
 // (run_cpa_streaming_multi, ONE scan). Rankings are cross-checked:
 // the speedup must come with bit-identical results.
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "attack/cpa.h"
 #include "attack/cpa_kernel.h"
 #include "attack/parallel_attack.h"
 #include "attack/streaming_cpa.h"
@@ -77,6 +86,45 @@ double fold_ms(const FoldData& d, const attack::CpaKernelConfig& cfg, int reps,
       engine.add_trace(d.hyps[t], d.traces[t]);
     }
     sink += engine.correlation(0, 0);
+    best = std::min(best, timer.ms());
+  }
+  return best;
+}
+
+// Sample columns leaking popcount(truth * y) for per-trace known
+// multipliers y: 25-bit (a y0 half) on even columns, 28-bit with the top
+// bit set (a y1 half) on odd ones.
+struct ProductData {
+  std::vector<std::vector<float>> cols;
+  attack::ProductModel model;
+};
+
+ProductData make_products(std::size_t traces, std::size_t cols, std::uint32_t truth,
+                          std::uint64_t seed) {
+  ChaCha20Prng rng(seed);
+  ProductData d;
+  d.cols.assign(cols, std::vector<float>(traces));
+  d.model.multipliers.resize(cols * traces);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t t = 0; t < traces; ++t) {
+      const auto y = static_cast<std::uint32_t>(c % 2 == 0 ? rng.uniform(1U << 25)
+                                                           : (1U << 27) | rng.uniform(1U << 27));
+      d.model.multipliers[c * traces + t] = y;
+      const double hw = std::popcount(static_cast<std::uint64_t>(truth) * y);
+      d.cols[c][t] = static_cast<float>(hw + 0.5 * rng.gaussian());
+    }
+  }
+  return d;
+}
+
+// Best-of-reps wall time of one top-16 scan of [begin, end).
+template <typename Model>
+double scan_ms(const attack::StreamingScan& scan, std::uint64_t begin, std::uint64_t end,
+               const Model& model, int reps, std::vector<attack::StreamingScan::Scored>& top) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    bench::WallTimer timer;
+    top = scan.top_k(begin, end, model, 16);
     best = std::min(best, timer.ms());
   }
   return best;
@@ -150,6 +198,61 @@ int main(int argc, char** argv) {
                    "x_vs_naive");
   }
   attack::cpa_reset_simd();
+
+  // --- product-hypothesis scan: callback vs lane-parallel kernel ----------
+  {
+    const std::size_t traces = 24;
+    const std::size_t cols = 4;
+    const std::uint32_t truth = 0x036B580;  // the Fig. 4 coefficient's low half
+    const std::uint64_t begin = truth & ~std::uint64_t{0xFFFF};
+    const std::uint64_t end = begin + (std::uint64_t{1} << 16);
+    const ProductData d = make_products(traces, cols, truth, 0x9E55);
+    const attack::StreamingScan scan(d.cols);
+    const auto callback = [&d](std::uint32_t g, std::size_t t, std::size_t c) {
+      return static_cast<double>(
+          std::popcount(static_cast<std::uint64_t>(g) * d.model.multipliers[c * traces + t]));
+    };
+    std::vector<attack::StreamingScan::Scored> cb_top, scalar_top, top;
+    const double callback_ms = scan_ms(scan, begin, end, callback, 3, cb_top);
+    const attack::CpaSimd dispatched = attack::cpa_active_simd();
+    attack::cpa_force_simd(attack::CpaSimd::kScalar);
+    const double scalar_ms = scan_ms(scan, begin, end, d.model, 3, scalar_top);
+    attack::cpa_force_simd(dispatched);
+    const double product_ms = scan_ms(scan, begin, end, d.model, reps, top);
+    attack::cpa_reset_simd();
+    const auto same = [&cb_top](const std::vector<attack::StreamingScan::Scored>& v) {
+      if (v.size() != cb_top.size()) return false;
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (v[i].guess != cb_top[i].guess ||
+            std::bit_cast<std::uint64_t>(v[i].score) !=
+                std::bit_cast<std::uint64_t>(cb_top[i].score)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    if (!same(scalar_top) || !same(top)) {
+      std::fprintf(stderr, "product scan ranking differs from the callback scan\n");
+      return 2;
+    }
+    const double cells = static_cast<double>((end - begin) * traces * cols);
+    std::printf("\nproduct-hypothesis scan, 2^16 guesses x %zu traces x %zu columns "
+                "(dispatch %s):\n",
+                traces, cols, active);
+    std::printf("%-22s %10.2f ms  %6.3f ns/cell\n", "callback", callback_ms,
+                callback_ms * 1e6 / cells);
+    std::printf("%-22s %10.2f ms  %6.3f ns/cell  %5.2fx\n", "product_scalar", scalar_ms,
+                scalar_ms * 1e6 / cells, callback_ms / scalar_ms);
+    std::printf("%-22s %10.2f ms  %6.3f ns/cell  %5.2fx  (rankings identical)\n", "product",
+                product_ms, product_ms * 1e6 / cells, callback_ms / product_ms);
+    const std::string params = "guesses=65536 traces=" + std::to_string(traces) +
+                               " cols=" + std::to_string(cols);
+    harness.report("extend_callback", params, callback_ms);
+    harness.report("extend_product_scalar", params, scalar_ms, callback_ms / scalar_ms,
+                   "x_vs_callback");
+    harness.report("extend_product", params + " simd=" + active, product_ms,
+                   callback_ms / product_ms, "x_vs_callback");
+  }
 
   // --- single-pass demux vs one archive scan per component ----------------
   const unsigned logn = 4;

@@ -11,8 +11,8 @@
 //      guess wins alone.
 //
 // Set FALCONDOWN_FULL=1 to run the extend phase over the full 2^25
-// hypothesis space instead of the adversarial candidate set (minutes of
-// CPU; result: the same tie set at the top).
+// hypothesis space instead of the adversarial candidate set (seconds of
+// CPU with a vector product kernel; result: the same tie set at the top).
 
 #include <cstdio>
 #include <cstdlib>
@@ -108,25 +108,28 @@ int main(int argc, char** argv) {
               full ? "the full 2^25 space" : "the adversarial candidate set");
   timer.reset();
   std::vector<attack::StreamingScan::Scored> extend_top;
+  // The x0*y0 partial product: hyp_low_mul_ll as a ProductModel, one
+  // multiplier column (the known y0 halves) per view scanned.
+  const auto y0_model = [](const attack::ComponentDataset& d, unsigned views) {
+    attack::ProductModel m;
+    for (unsigned v = 0; v < views; ++v) {
+      for (const auto& k : d.views[v].known) m.multipliers.push_back(k.y0);
+    }
+    return m;
+  };
   if (full) {
     // Exhaustive 2^25 enumeration: single view/column and a reduced
-    // trace count keep this in the minutes range on one core (the tie
+    // trace count keep this in the seconds range on one core (the tie
     // structure is identical; more traces only sharpen the correlations).
     const std::size_t d_full = 1500;
     const auto ds_full = attack::build_component_dataset(set, false, d_full);
     attack::StreamingScan scan({ds_full.views[0].samples[sca::window::kOffProdLL]});
-    const auto model = [&](std::uint32_t g, std::size_t t, std::size_t) {
-      return attack::hyp_low_mul_ll(g, ds_full.views[0].known[t]);
-    };
     std::printf("  [exhaustive mode: scanning all 2^25 low-mantissa guesses over %zu traces]\n",
                 d_full);
-    extend_top = scan.top_k(0, std::uint64_t{1} << 25, model, 8);
+    extend_top = scan.top_k(0, std::uint64_t{1} << 25, y0_model(ds_full, 1), 8);
   } else {
     attack::StreamingScan scan(ds.columns(sca::window::kOffProdLL));
-    const auto model = [&](std::uint32_t g, std::size_t t, std::size_t c) {
-      return attack::hyp_low_mul_ll(g, ds.views[c].known[t]);
-    };
-    extend_top = scan.top_k_list(low_cands, model, 8);
+    extend_top = scan.top_k_list(low_cands, y0_model(ds, 2), 8);
   }
   for (std::size_t i = 0; i < 5 && i < extend_top.size(); ++i) {
     char label[64];

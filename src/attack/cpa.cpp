@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace fd::attack {
 
@@ -80,7 +82,7 @@ StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,
     : kernel_(kernel) {
   assert(!sample_columns.empty());
   d_ = sample_columns[0].size();
-  cols_.resize(sample_columns.size());
+  cols_.resize(sample_columns.size() * d_);
   col_sum_.resize(sample_columns.size());
   col_var_.resize(sample_columns.size());
   const double dn = static_cast<double>(d_);
@@ -91,15 +93,32 @@ StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,
     // shift-invariant, and the dn*st2 - st*st form below no longer
     // cancels catastrophically when the raw samples carry a large DC
     // offset (the old float-column code silently zeroed r there).
-    auto& col = cols_[c];
-    col.resize(d_);
+    double* col = cols_.data() + c * d_;
     const double t0 = d_ > 0 ? static_cast<double>(src[0]) : 0.0;
     for (std::size_t t = 0; t < d_; ++t) col[t] = static_cast<double>(src[t]) - t0;
-    const double st = lanes4_sum(col.data(), d_);
-    const double st2 = lanes4_sumsq(col.data(), d_);
+    const double st = lanes4_sum(col, d_);
+    const double st2 = lanes4_sumsq(col, d_);
     col_sum_[c] = st;
     col_var_[c] = dn * st2 - st * st;
   }
+}
+
+ProductColumns StreamingScan::product_columns(const ProductModel& model) const {
+  if (model.multipliers.size() != cols_.size()) {
+    throw std::invalid_argument("StreamingScan: ProductModel has " +
+                                std::to_string(model.multipliers.size()) +
+                                " multipliers, the scan " + std::to_string(col_sum_.size()) +
+                                " columns x " + std::to_string(d_) + " traces");
+  }
+  ProductColumns in;
+  in.samples = cols_.data();
+  in.multipliers = model.multipliers.data();
+  in.col_sum = col_sum_.data();
+  in.col_var = col_var_.data();
+  in.columns = col_sum_.size();
+  in.traces = d_;
+  in.batch_traces = kernel_.batch_traces == 0 ? 1 : kernel_.batch_traces;
+  return in;
 }
 
 }  // namespace fd::attack

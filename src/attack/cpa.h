@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "attack/cpa_kernel.h"
@@ -89,6 +90,18 @@ class CpaEngine {
   mutable CpaSums sums_;
 };
 
+// Hypotheses of the shape the mantissa extend phases scan:
+// h(guess, t, c) = popcount(guess * multipliers[c * traces + t]) -- the
+// Hamming weight of a partial product of the guessed mantissa half with
+// the known operand half of trace t (hyp_low_mul_* / hyp_high_mul_*).
+// Passed to StreamingScan::top_k / top_k_list in place of a model
+// callback, it routes the scan through product_scan_scores (cpa_kernel.h):
+// hypotheses generated a SIMD block of guesses at a time, scores
+// bit-identical to a callback returning the same popcounts.
+struct ProductModel {
+  std::vector<std::uint32_t> multipliers;  // column-major: [column * traces + trace]
+};
+
 // Memory-light streaming scan for huge guess spaces (the 2^25 / 2^27
 // exhaustive enumerations): traces are stored once, then each guess is
 // scored in a single pass without per-guess state. Scores are the mean,
@@ -97,7 +110,8 @@ class CpaEngine {
 // Columns are stored shifted by their first trace (doubles), and the
 // per-guess fold runs block-batched in the kernel's 4-lane order, so
 // scores are a pure function of (columns, kernel.batch_traces) -- same
-// contract as CpaEngine.
+// contract as CpaEngine -- whether the model is a callback or a
+// ProductModel.
 class StreamingScan {
  public:
   // samples: column-major: samples[col][trace].
@@ -120,8 +134,10 @@ class StreamingScan {
     std::uint32_t guess;
     double score;
   };
-  // model(guess, trace, col) -> predicted leakage. Returns the keep
-  // highest-scoring guesses in descending order.
+  // model: a ProductModel, or a callback model(guess, trace, col) ->
+  // predicted leakage. Returns the keep highest-scoring guesses in
+  // descending order. A ProductModel whose multipliers are not
+  // columns x traces throws std::invalid_argument.
   template <typename ModelFn>
   [[nodiscard]] std::vector<Scored> top_k(std::uint64_t guess_begin, std::uint64_t guess_end,
                                           ModelFn&& model, std::size_t keep) const;
@@ -136,12 +152,16 @@ class StreamingScan {
   [[nodiscard]] std::size_t num_traces() const { return d_; }
 
  private:
+  // Guesses scored per call of the chunk scorer, between keep-list merges.
+  static constexpr std::size_t kScoreChunk = 512;
+
   template <typename ModelFn, typename GuessAt>
   [[nodiscard]] std::vector<Scored> top_k_impl(std::uint64_t count, GuessAt&& guess_at,
                                                ModelFn&& model, std::size_t keep) const;
+  [[nodiscard]] ProductColumns product_columns(const ProductModel& model) const;
 
   CpaKernelConfig kernel_;
-  std::vector<std::vector<double>> cols_;   // shifted by the first trace
+  std::vector<double> cols_;                // column-major, shifted by the first trace
   std::vector<double> col_sum_, col_var_;   // shifted sums / dn*var forms
   std::size_t d_;
   std::size_t shards_ = 1;                  // guess-chunk count for top_k
@@ -155,10 +175,48 @@ std::vector<StreamingScan::Scored> StreamingScan::top_k_impl(std::uint64_t count
                                                              GuessAt&& guess_at,
                                                              ModelFn&& model,
                                                              std::size_t keep) const {
+  constexpr bool kProducts = std::is_same_v<std::remove_cvref_t<ModelFn>, ProductModel>;
   const double dn = static_cast<double>(d_);
   const std::size_t bsz = kernel_.batch_traces == 0 ? 1 : kernel_.batch_traces;
-  // The serial scorer over one guess range, with its own block buffer
-  // and keep-list. The keep-list holds the range's top `keep` under the
+  ProductColumns products;
+  if constexpr (kProducts) products = product_columns(model);
+  // Scores guesses[0, n): a ProductModel in one lane-parallel kernel
+  // call; a callback guess by guess, each block of its hypotheses
+  // shifted by the first trace's prediction (mirroring the column
+  // shift, so the one-pass moment forms stay cancellation-safe under
+  // arbitrary DC offsets) and folded in the lanes4 order.
+  const auto score_chunk = [&](const std::uint32_t* guesses, std::size_t n, double* scores,
+                               std::vector<double>& hblk) {
+    if constexpr (kProducts) {
+      product_scan_scores(products, {guesses, n}, scores);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t guess = guesses[i];
+        double score_sum = 0.0;
+        for (std::size_t c = 0; c < col_sum_.size(); ++c) {
+          double sh = 0.0;
+          double sh2 = 0.0;
+          double sht = 0.0;
+          if (d_ > 0) {
+            const double h0 = model(guess, 0, c);
+            const double* col = cols_.data() + c * d_;
+            for (std::size_t t0 = 0; t0 < d_; t0 += bsz) {
+              const std::size_t nb = std::min(bsz, d_ - t0);
+              for (std::size_t b = 0; b < nb; ++b) hblk[b] = model(guess, t0 + b, c) - h0;
+              const HFold f = lanes4_fold_h(hblk.data(), col + t0, nb);
+              sh += f.sh;
+              sh2 += f.sh2;
+              sht += f.sht;
+            }
+          }
+          score_sum += scan_pearson(dn, sh, sh2, sht, col_sum_[c], col_var_[c]);
+        }
+        scores[i] = score_sum / static_cast<double>(col_sum_.size());
+      }
+    }
+  };
+  // The serial scorer over one guess range, with its own buffers and
+  // keep-list. The keep-list holds the range's top `keep` under the
   // total order (score descending, arrival ascending): the sorted
   // insert walks past every equal-or-better score, so an equal-scoring
   // later guess ranks after the earlier one, and pop_back evicts the
@@ -166,41 +224,22 @@ std::vector<StreamingScan::Scored> StreamingScan::top_k_impl(std::uint64_t count
   const auto scan_range = [&](std::uint64_t begin, std::uint64_t end) {
     std::vector<Scored> best;
     best.reserve(keep + 1);
-    std::vector<double> hblk(bsz);
-    for (std::uint64_t gi = begin; gi < end; ++gi) {
-      const std::uint32_t guess = guess_at(gi);
-      double score_sum = 0.0;
-      for (std::size_t c = 0; c < cols_.size(); ++c) {
-        double sh = 0.0;
-        double sh2 = 0.0;
-        double sht = 0.0;
-        if (d_ > 0) {
-          // Shift hypotheses by the first trace's prediction, mirroring
-          // the column shift: the one-pass moment forms below then stay
-          // cancellation-safe under arbitrary DC offsets.
-          const double h0 = model(guess, 0, c);
-          const double* col = cols_[c].data();
-          for (std::size_t t0 = 0; t0 < d_; t0 += bsz) {
-            const std::size_t n = std::min(bsz, d_ - t0);
-            for (std::size_t b = 0; b < n; ++b) hblk[b] = model(guess, t0 + b, c) - h0;
-            const HFold f = lanes4_fold_h(hblk.data(), col + t0, n);
-            sh += f.sh;
-            sh2 += f.sh2;
-            sht += f.sht;
-          }
+    std::vector<double> hblk(kProducts ? 0 : bsz);
+    std::uint32_t guesses[kScoreChunk];
+    double scores[kScoreChunk];
+    for (std::uint64_t g0 = begin; g0 < end; g0 += kScoreChunk) {
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kScoreChunk, end - g0));
+      for (std::size_t i = 0; i < n; ++i) guesses[i] = guess_at(g0 + i);
+      score_chunk(guesses, n, scores, hblk);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double score = scores[i];
+        if (best.size() < keep || score > best.back().score) {
+          // Insert in sorted (descending) order.
+          auto it = best.begin();
+          while (it != best.end() && it->score >= score) ++it;
+          best.insert(it, {guesses[i], score});
+          if (best.size() > keep) best.pop_back();
         }
-        const double var_h = dn * sh2 - sh * sh;
-        const double cov = dn * sht - sh * col_sum_[c];
-        const double denom = var_h * col_var_[c];
-        score_sum += denom > 0.0 ? cov / std::sqrt(denom) : 0.0;
-      }
-      const double score = score_sum / static_cast<double>(cols_.size());
-      if (best.size() < keep || score > best.back().score) {
-        // Insert in sorted (descending) order.
-        auto it = best.begin();
-        while (it != best.end() && it->score >= score) ++it;
-        best.insert(it, {guess, score});
-        if (best.size() > keep) best.pop_back();
       }
     }
     return best;

@@ -1,5 +1,6 @@
 #include "attack/cpa_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -193,6 +194,40 @@ void scalar_fold_s1(const double* hs, std::size_t guesses, std::size_t n, const 
     sh[g] += (ls[0] + ls[1]) + (ls[2] + ls[3]);
     sh2[g] += (lq[0] + lq[1]) + (lq[2] + lq[3]);
     sht[g] += (ld[0] + ld[1]) + (ld[2] + ld[3]);
+  }
+}
+
+// The product-scan reference: per guess, literally StreamingScan's
+// callback fold with the popcount model inlined -- hypotheses shifted by
+// the first trace's, each block through scalar_fold_h, then
+// scan_pearson. The vector bodies below must reproduce it bit for bit.
+void scalar_product_scores(const ProductColumns& in, const std::uint32_t* guesses,
+                           std::size_t count, double* scores) {
+  const std::size_t d = in.traces;
+  const std::size_t bsz = in.batch_traces;
+  const double dn = static_cast<double>(d);
+  std::vector<double> hblk(bsz);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t g = guesses[i];
+    double score_sum = 0.0;
+    for (std::size_t c = 0; c < in.columns; ++c) {
+      const std::uint32_t* y = in.multipliers + c * d;
+      const double* col = in.samples + c * d;
+      double sh = 0.0, sh2 = 0.0, sht = 0.0;
+      if (d > 0) {
+        const double h0 = std::popcount(g * y[0]);
+        for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
+          const std::size_t n = std::min(bsz, d - t0);
+          for (std::size_t b = 0; b < n; ++b) hblk[b] = std::popcount(g * y[t0 + b]) - h0;
+          const HFold f = scalar_fold_h(hblk.data(), col + t0, n);
+          sh += f.sh;
+          sh2 += f.sh2;
+          sht += f.sht;
+        }
+      }
+      score_sum += scan_pearson(dn, sh, sh2, sht, in.col_sum[c], in.col_var[c]);
+    }
+    scores[i] = score_sum / static_cast<double>(in.columns);
   }
 }
 
@@ -540,6 +575,183 @@ __attribute__((target("avx2"))) void avx2_transpose(const double* src, std::size
   }
 }
 
+// Product scan, one guess per 64-bit lane. _mm256_mul_epu32 multiplies
+// the low 32 bits of each lane: the exact 64-bit product of two uint32
+// operands (so y is broadcast as a 32-bit load; the high dwords are
+// never read). The popcount is the nibble-table method (two pshufb
+// lookups, a byte add, psadbw over each lane's eight bytes).
+__attribute__((target("avx2"))) inline __m256i avx2_popcount64(__m256i v) {
+  const __m256i table = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+                                         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0F);
+  const __m256i lo = _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibble));
+  const __m256i hi =
+      _mm256_shuffle_epi8(table, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+  return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
+}
+
+// Exact int64 -> double for |x| < 2^51: biased into [2^52, 2^53), where
+// the double's ulp is 1, then unbiased by an exact subtraction.
+__attribute__((target("avx2"))) inline __m256d avx2_small_to_pd(__m256i v) {
+  const __m256d bias = _mm256_set1_pd(6755399441055744.0);  // 2^52 + 2^51
+  return _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_add_epi64(v, _mm256_castpd_si256(bias))), bias);
+}
+
+// popcount(g * y) for the four guesses g in gv.
+__attribute__((target("avx2"))) inline __m256i avx2_product_popcount(__m256i gv,
+                                                                     std::uint32_t y) {
+  return avx2_popcount64(_mm256_mul_epu32(gv, _mm256_set1_epi32(static_cast<int>(y))));
+}
+
+// Trace t for four guesses: shifted hypothesis h = pc - pc0 into the
+// integer moment sums s/q, h*t into lane accumulator `lane`.
+__attribute__((target("avx2"))) inline void avx2_product_step(__m256i gv, __m256i pc0,
+                                                              std::uint32_t y, double t,
+                                                              __m256i& s, __m256i& q,
+                                                              __m256d& lane) {
+  const __m256i h = _mm256_sub_epi64(avx2_product_popcount(gv, y), pc0);
+  s = _mm256_add_epi64(s, h);
+  q = _mm256_add_epi64(q, _mm256_mul_epi32(h, h));
+  lane = _mm256_add_pd(lane, _mm256_mul_pd(avx2_small_to_pd(h), _mm256_set1_pd(t)));
+}
+
+// scan_pearson, four guesses at once (correctly rounded sqrt and divide;
+// a non-positive denominator masks the lane to +0.0).
+__attribute__((target("avx2"))) inline __m256d avx2_pearson(__m256d dn, __m256d sh, __m256d sh2,
+                                                           __m256d sht, double col_sum,
+                                                           double col_var) {
+  const __m256d var_h = _mm256_sub_pd(_mm256_mul_pd(dn, sh2), _mm256_mul_pd(sh, sh));
+  const __m256d cov =
+      _mm256_sub_pd(_mm256_mul_pd(dn, sht), _mm256_mul_pd(sh, _mm256_set1_pd(col_sum)));
+  const __m256d denom = _mm256_mul_pd(var_h, _mm256_set1_pd(col_var));
+  const __m256d r = _mm256_div_pd(cov, _mm256_sqrt_pd(denom));
+  return _mm256_and_pd(_mm256_cmp_pd(denom, _mm256_setzero_pd(), _CMP_GT_OQ), r);
+}
+
+__attribute__((target("avx2"))) void avx2_product_scores(const ProductColumns& in,
+                                                         const std::uint32_t* guesses,
+                                                         std::size_t count, double* scores) {
+  const std::size_t d = in.traces;
+  const std::size_t bsz = in.batch_traces;
+  const __m256d dn = _mm256_set1_pd(static_cast<double>(d));
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256i gv =
+        _mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(guesses + i)));
+    __m256d score_sum = zero;
+    for (std::size_t c = 0; c < in.columns; ++c) {
+      const std::uint32_t* y = in.multipliers + c * d;
+      const double* col = in.samples + c * d;
+      __m256i s = _mm256_setzero_si256();
+      __m256i q = _mm256_setzero_si256();
+      __m256d sht = zero;
+      if (d > 0) {
+        const __m256i pc0 = avx2_product_popcount(gv, y[0]);
+        for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
+          const std::size_t end = t0 + std::min(bsz, d - t0);
+          __m256d l0 = zero, l1 = zero, l2 = zero, l3 = zero;
+          std::size_t t = t0;
+          for (; t + 4 <= end; t += 4) {
+            avx2_product_step(gv, pc0, y[t], col[t], s, q, l0);
+            avx2_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
+            avx2_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
+            avx2_product_step(gv, pc0, y[t + 3], col[t + 3], s, q, l3);
+          }
+          if (t < end) avx2_product_step(gv, pc0, y[t], col[t], s, q, l0);
+          if (t + 1 < end) avx2_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
+          if (t + 2 < end) avx2_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
+          sht = _mm256_add_pd(sht, _mm256_add_pd(_mm256_add_pd(l0, l1), _mm256_add_pd(l2, l3)));
+        }
+      }
+      score_sum = _mm256_add_pd(score_sum, avx2_pearson(dn, avx2_small_to_pd(s),
+                                                        avx2_small_to_pd(q), sht,
+                                                        in.col_sum[c], in.col_var[c]));
+    }
+    _mm256_storeu_pd(scores + i,
+                     _mm256_div_pd(score_sum, _mm256_set1_pd(static_cast<double>(in.columns))));
+  }
+  scalar_product_scores(in, guesses + i, count - i, scores + i);
+}
+
+// The AVX-512 level: the same lane program eight guesses wide, with the
+// native 64-bit popcount and int64 -> double conversion. (GCC 12's
+// avx512fintrin.h self-initializes the pass-through operand of its
+// unmasked intrinsics, which -Wmaybe-uninitialized flags at every use.)
+#define FD_AVX512_TARGET "avx512f,avx512dq,avx512vpopcntdq"
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+__attribute__((target(FD_AVX512_TARGET))) inline __m512i avx512_product_popcount(
+    __m512i gv, std::uint32_t y) {
+  return _mm512_popcnt_epi64(_mm512_mul_epu32(gv, _mm512_set1_epi32(static_cast<int>(y))));
+}
+
+__attribute__((target(FD_AVX512_TARGET))) inline void avx512_product_step(
+    __m512i gv, __m512i pc0, std::uint32_t y, double t, __m512i& s, __m512i& q, __m512d& lane) {
+  const __m512i h = _mm512_sub_epi64(avx512_product_popcount(gv, y), pc0);
+  s = _mm512_add_epi64(s, h);
+  q = _mm512_add_epi64(q, _mm512_mul_epi32(h, h));
+  lane = _mm512_add_pd(lane, _mm512_mul_pd(_mm512_cvtepi64_pd(h), _mm512_set1_pd(t)));
+}
+
+__attribute__((target(FD_AVX512_TARGET))) void avx512_product_scores(
+    const ProductColumns& in, const std::uint32_t* guesses, std::size_t count, double* scores) {
+  const std::size_t d = in.traces;
+  const std::size_t bsz = in.batch_traces;
+  const __m512d dn = _mm512_set1_pd(static_cast<double>(d));
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m512i gv = _mm512_cvtepu32_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(guesses + i)));
+    __m512d score_sum = zero;
+    for (std::size_t c = 0; c < in.columns; ++c) {
+      const std::uint32_t* y = in.multipliers + c * d;
+      const double* col = in.samples + c * d;
+      __m512i s = _mm512_setzero_si512();
+      __m512i q = _mm512_setzero_si512();
+      __m512d sht = zero;
+      if (d > 0) {
+        const __m512i pc0 = avx512_product_popcount(gv, y[0]);
+        for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
+          const std::size_t end = t0 + std::min(bsz, d - t0);
+          __m512d l0 = zero, l1 = zero, l2 = zero, l3 = zero;
+          std::size_t t = t0;
+          for (; t + 4 <= end; t += 4) {
+            avx512_product_step(gv, pc0, y[t], col[t], s, q, l0);
+            avx512_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
+            avx512_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
+            avx512_product_step(gv, pc0, y[t + 3], col[t + 3], s, q, l3);
+          }
+          if (t < end) avx512_product_step(gv, pc0, y[t], col[t], s, q, l0);
+          if (t + 1 < end) avx512_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
+          if (t + 2 < end) avx512_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
+          sht = _mm512_add_pd(sht, _mm512_add_pd(_mm512_add_pd(l0, l1), _mm512_add_pd(l2, l3)));
+        }
+      }
+      const __m512d sh = _mm512_cvtepi64_pd(s);
+      const __m512d sh2 = _mm512_cvtepi64_pd(q);
+      const __m512d var_h = _mm512_sub_pd(_mm512_mul_pd(dn, sh2), _mm512_mul_pd(sh, sh));
+      const __m512d cov = _mm512_sub_pd(_mm512_mul_pd(dn, sht),
+                                        _mm512_mul_pd(sh, _mm512_set1_pd(in.col_sum[c])));
+      const __m512d denom = _mm512_mul_pd(var_h, _mm512_set1_pd(in.col_var[c]));
+      const __m512d r = _mm512_maskz_div_pd(_mm512_cmp_pd_mask(denom, zero, _CMP_GT_OQ), cov,
+                                            _mm512_sqrt_pd(denom));
+      score_sum = _mm512_add_pd(score_sum, r);
+    }
+    _mm512_storeu_pd(scores + i,
+                     _mm512_div_pd(score_sum, _mm512_set1_pd(static_cast<double>(in.columns))));
+  }
+  avx2_product_scores(in, guesses + i, count - i, scores + i);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 #endif  // FD_CPA_HAVE_AVX2
 
 #if defined(FD_CPA_HAVE_NEON)
@@ -706,23 +918,32 @@ struct LanesOps {
   void (*fold_s1)(const double*, std::size_t, std::size_t, const double*, double*, double*,
                   double*);
   void (*transpose)(const double*, std::size_t, std::size_t, double*, std::size_t);
+  void (*product_scores)(const ProductColumns&, const std::uint32_t*, std::size_t, double*);
   CpaSimd kind;
 };
 
-constexpr LanesOps kScalarOps = {scalar_sum,     scalar_sumsq,       scalar_dot,
-                                 scalar_fold_h,  scalar_dot_cols,    scalar_fold_h_rows,
-                                 scalar_fold_s1, scalar_transpose,   CpaSimd::kScalar};
+constexpr LanesOps kScalarOps = {scalar_sum,           scalar_sumsq,     scalar_dot,
+                                 scalar_fold_h,        scalar_dot_cols,  scalar_fold_h_rows,
+                                 scalar_fold_s1,       scalar_transpose, scalar_product_scores,
+                                 CpaSimd::kScalar};
 #if defined(FD_CPA_HAVE_AVX2)
-constexpr LanesOps kAvx2Ops = {avx2_sum,     avx2_sumsq,       avx2_dot,
-                               avx2_fold_h,  avx2_dot_cols,    avx2_fold_h_rows,
-                               avx2_fold_s1, avx2_transpose,   CpaSimd::kAvx2};
+constexpr LanesOps kAvx2Ops = {avx2_sum,           avx2_sumsq,     avx2_dot,
+                               avx2_fold_h,        avx2_dot_cols,  avx2_fold_h_rows,
+                               avx2_fold_s1,       avx2_transpose, avx2_product_scores,
+                               CpaSimd::kAvx2};
+constexpr LanesOps kAvx512Ops = {avx2_sum,           avx2_sumsq,     avx2_dot,
+                                 avx2_fold_h,        avx2_dot_cols,  avx2_fold_h_rows,
+                                 avx2_fold_s1,       avx2_transpose, avx512_product_scores,
+                                 CpaSimd::kAvx512};
 #endif
 #if defined(FD_CPA_HAVE_NEON)
-// fold_s1 has no NEON body yet; the scalar one runs the identical lane
-// program, so pointing at it changes speed, never bits.
+// fold_s1 and product_scores have no NEON body yet; the scalar ones run
+// the identical lane program, so pointing at them changes speed, never
+// bits.
 constexpr LanesOps kNeonOps = {neon_sum,       neon_sumsq,       neon_dot,
                                neon_fold_h,    neon_dot_cols,    neon_fold_h_rows,
-                               scalar_fold_s1, scalar_transpose, CpaSimd::kNeon};
+                               scalar_fold_s1, scalar_transpose, scalar_product_scores,
+                               CpaSimd::kNeon};
 #endif
 
 const LanesOps* ops_for(CpaSimd kind) {
@@ -732,6 +953,14 @@ const LanesOps* ops_for(CpaSimd kind) {
     case CpaSimd::kAvx2:
 #if defined(FD_CPA_HAVE_AVX2)
       if (__builtin_cpu_supports("avx2")) return &kAvx2Ops;
+#endif
+      return nullptr;
+    case CpaSimd::kAvx512:
+#if defined(FD_CPA_HAVE_AVX2)
+      if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512f") &&
+          __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vpopcntdq")) {
+        return &kAvx512Ops;
+      }
 #endif
       return nullptr;
     case CpaSimd::kNeon:
@@ -750,11 +979,13 @@ const LanesOps* resolve_ops() {
     const LanesOps* forced = nullptr;
     if (v == "scalar") forced = ops_for(CpaSimd::kScalar);
     if (v == "avx2") forced = ops_for(CpaSimd::kAvx2);
+    if (v == "avx512") forced = ops_for(CpaSimd::kAvx512);
     if (v == "neon") forced = ops_for(CpaSimd::kNeon);
     // Unknown or unavailable requests fall through to auto-detection;
     // all paths are bit-identical, so this can never change a result.
     if (forced != nullptr) return forced;
   }
+  if (const LanesOps* p = ops_for(CpaSimd::kAvx512)) return p;
   if (const LanesOps* p = ops_for(CpaSimd::kAvx2)) return p;
   if (const LanesOps* p = ops_for(CpaSimd::kNeon)) return p;
   return &kScalarOps;
@@ -783,6 +1014,8 @@ const char* cpa_simd_name(CpaSimd kind) {
       return "avx2";
     case CpaSimd::kNeon:
       return "neon";
+    case CpaSimd::kAvx512:
+      return "avx512";
   }
   return "?";
 }
@@ -807,6 +1040,19 @@ double lanes4_dot(const double* a, const double* b, std::size_t n) {
 }
 HFold lanes4_fold_h(const double* h, const double* t, std::size_t n) {
   return active_ops().fold_h(h, t, n);
+}
+
+double scan_pearson(double dn, double sh, double sh2, double sht, double col_sum,
+                    double col_var) {
+  const double var_h = dn * sh2 - sh * sh;
+  const double cov = dn * sht - sh * col_sum;
+  const double denom = var_h * col_var;
+  return denom > 0.0 ? cov / std::sqrt(denom) : 0.0;
+}
+
+void product_scan_scores(const ProductColumns& in, std::span<const std::uint32_t> guesses,
+                         double* scores) {
+  active_ops().product_scores(in, guesses.data(), guesses.size(), scores);
 }
 
 // --- CpaSums ---------------------------------------------------------------

@@ -66,21 +66,30 @@ struct HFold {
 };
 [[nodiscard]] HFold lanes4_fold_h(const double* h, const double* t, std::size_t n);
 
+// Pearson r of one sample column against one guess's hypotheses, from
+// the shifted moments sh = sum h, sh2 = sum h^2, sht = sum h*t and the
+// column's shifted sum / dn*var form; 0 when either side is constant.
+// The one scoring expression of StreamingScan, for every model kind.
+[[nodiscard]] double scan_pearson(double dn, double sh, double sh2, double sht, double col_sum,
+                                  double col_var);
+
 // --- runtime SIMD dispatch -------------------------------------------------
 //
 // lanes4_* dispatch at runtime to the widest implementation whose
 // arithmetic is BIT-IDENTICAL to the scalar reference. On x86-64 the
 // AVX2 path keeps the four lanes in one 4-double vector register (the
 // register IS lanes l0..l3: same j, j+4, j+8 stride, same
-// (l0+l1)+(l2+l3) combine, explicit mul-then-add intrinsics -- and the
-// avx2 target does not enable the FMA ISA, so contraction into a fused
-// multiply-add is structurally impossible, not merely disabled by a
-// flag). On aarch64 a NEON path splits the lanes across two 2-double
-// registers the same way. The choice is resolved once, on first use,
-// from the FD_CPA_KERNEL environment variable ("scalar", "avx2",
-// "neon") followed by CPU detection; an unavailable or unknown request
-// falls back to auto-detection.
-enum class CpaSimd : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+// (l0+l1)+(l2+l3) combine, explicit mul-then-add intrinsics, and this
+// file is built with -ffp-contract=off, so no mul/add pair is fused).
+// On aarch64 a NEON path splits the lanes across two 2-double registers
+// the same way. The AVX-512 level (avx512f + avx512dq + avx512vpopcntdq)
+// runs the AVX2 lanes4_* code and differs only in product_scan_scores,
+// which it runs eight guesses wide with a native 64-bit popcount. The
+// choice is resolved once, on first use, from the FD_CPA_KERNEL
+// environment variable ("scalar", "avx2", "avx512", "neon") followed by
+// CPU detection; an unavailable or unknown request falls back to
+// auto-detection.
+enum class CpaSimd : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2, kAvx512 = 3 };
 
 [[nodiscard]] const char* cpa_simd_name(CpaSimd kind);
 // Whether this build + CPU can run `kind` at all.
@@ -93,6 +102,42 @@ bool cpa_force_simd(CpaSimd kind);
 // Drop any forced choice and re-resolve from FD_CPA_KERNEL + CPU
 // detection (also how tests exercise the env override).
 void cpa_reset_simd();
+
+// --- product-hypothesis scan -------------------------------------------------
+//
+// The mantissa extend phases score 2^25 / 2^27 guesses against
+// hypotheses of one fixed shape, h(g, t, c) = popcount(g * y[c][t]): the
+// Hamming weight of a schoolbook partial product of the guessed
+// mantissa half g with the known operand half y of trace t
+// (hyp_low_mul_* / hyp_high_mul_*). Scoring them through a per-cell
+// model callback made hypothesis generation the cost of the whole scan.
+// This entry point generates the hypotheses of a block of guesses at
+// once, one guess per SIMD lane -- the 32x32->64 product, its popcount
+// and the shift by the first trace's hypothesis are integer lane ops on
+// known operands -- and folds them in the same pass.
+//
+// Bit-identity contract: each guess's score is the exact sequence of
+// IEEE-754 operations StreamingScan runs for a callback returning the
+// same popcounts. Per column, traces are folded in blocks of
+// batch_traces; within a block trace b lands in lane b & 3 and lanes
+// combine as (l0+l1)+(l2+l3) (the lanes4 program); block sums add in
+// order; scan_pearson scores the column; column scores add in order and
+// divide by the column count. Only sh and sh2 are accumulated as
+// integers: every shifted hypothesis is an integer in [-64, 64], so the
+// double sums of h and h^2 are exact in any order and equal the integer
+// sums converted (exactly, below 2^51 -- sh2 <= 4096 * traces).
+struct ProductColumns {
+  const double* samples = nullptr;             // C columns x traces, shifted
+  const std::uint32_t* multipliers = nullptr;  // C columns x traces: y[c][t]
+  const double* col_sum = nullptr;             // C: shifted column sums
+  const double* col_var = nullptr;             // C: dn*sum t^2 - (sum t)^2
+  std::size_t columns = 0;
+  std::size_t traces = 0;
+  std::size_t batch_traces = 1;
+};
+// scores[i] = mean over the columns of scan_pearson for guesses[i].
+void product_scan_scores(const ProductColumns& in, std::span<const std::uint32_t> guesses,
+                         double* scores);
 
 // --- kernel configuration -------------------------------------------------
 

@@ -79,32 +79,66 @@ std::vector<std::uint32_t> MantissaCandidates::adversarial(std::uint32_t truth, 
 
 namespace {
 
-PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const std::size_t> offsets,
-                      std::span<const std::uint32_t> candidates, std::size_t keep,
-                      const CpaKernelConfig& kernel, std::size_t shards,
-                      exec::ThreadPool* pool, auto&& model_for_offset) {
-  // Build one column per (view, offset) pair.
+// One phase's scan: a sample column per (view, offset) pair, view-major,
+// under the config's kernel and guess-space sharding.
+StreamingScan phase_scan(const ComponentDataset& ds, std::span<const std::size_t> offsets,
+                         const ComponentAttackConfig& config) {
   std::vector<std::vector<float>> cols;
-  std::vector<std::pair<unsigned, std::size_t>> col_meta;  // (view, offset)
   for (unsigned v = 0; v < 2; ++v) {
-    for (const std::size_t off : offsets) {
-      cols.push_back(ds.views[v].samples[off]);
-      col_meta.emplace_back(v, off);
-    }
+    for (const std::size_t off : offsets) cols.push_back(ds.views[v].samples[off]);
   }
-  StreamingScan scan(std::move(cols), kernel);
-  scan.set_parallelism(shards, pool);
-  auto model = [&](std::uint32_t guess, std::size_t t, std::size_t c) {
-    const auto [view, off] = col_meta[c];
-    return model_for_offset(guess, ds.views[view].known[t], off);
-  };
+  StreamingScan scan(std::move(cols), config.kernel);
+  scan.set_parallelism(config.cpa_shards, config.scan_pool);
+  return scan;
+}
+
+PhaseOutcome phase_outcome(std::vector<StreamingScan::Scored> top) {
   PhaseOutcome out;
-  out.top = scan.top_k_list(candidates, model, keep);
+  out.top = std::move(top);
   if (!out.top.empty()) {
     out.value = out.top[0].guess;
     out.score = out.top[0].score;
   }
   return out;
+}
+
+// A phase whose leakage model is model_for_offset(guess, known, offset).
+PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const std::size_t> offsets,
+                      std::span<const std::uint32_t> candidates, std::size_t keep,
+                      const ComponentAttackConfig& config, auto&& model_for_offset) {
+  const StreamingScan scan = phase_scan(ds, offsets, config);
+  std::vector<std::pair<unsigned, std::size_t>> col_meta;  // (view, offset) per column
+  for (unsigned v = 0; v < 2; ++v) {
+    for (const std::size_t off : offsets) col_meta.emplace_back(v, off);
+  }
+  auto model = [&](std::uint32_t guess, std::size_t t, std::size_t c) {
+    const auto [view, off] = col_meta[c];
+    return model_for_offset(guess, ds.views[view].known[t], off);
+  };
+  return phase_outcome(scan.top_k_list(candidates, model, keep));
+}
+
+// An extend phase: the partial products x*y0 / x*y1 as a ProductModel,
+// one multiplier column per scan column (ProdLL/ProdHL multiply by the
+// known y0 half, ProdLH/ProdHH by y1). Scores `candidates`, or the whole
+// space [lo, hi) when empty -- scanned as a range, so the 2^25 / 2^27
+// guesses are never materialized.
+PhaseOutcome run_extend(const ComponentDataset& ds, std::span<const std::size_t> offsets,
+                        std::span<const std::uint32_t> candidates, std::uint32_t lo,
+                        std::uint32_t hi, std::size_t keep, const ComponentAttackConfig& config) {
+  const StreamingScan scan = phase_scan(ds, offsets, config);
+  ProductModel model;
+  model.multipliers.reserve(2 * offsets.size() * ds.num_traces);
+  for (unsigned v = 0; v < 2; ++v) {
+    for (const std::size_t off : offsets) {
+      const bool y0_half = off == ww::kOffProdLL || off == ww::kOffProdHL;
+      for (const KnownOperand& k : ds.views[v].known) {
+        model.multipliers.push_back(y0_half ? k.y0 : k.y1);
+      }
+    }
+  }
+  return phase_outcome(candidates.empty() ? scan.top_k(lo, hi, model, keep)
+                                          : scan.top_k_list(candidates, model, keep));
 }
 
 // One "ep.phase" event per pipeline stage: how many candidates went in,
@@ -172,10 +206,7 @@ std::uint64_t assemble_bits(bool sign, unsigned exponent, std::uint32_t x1, std:
 PhaseOutcome attack_low_mul_only(const ComponentDataset& ds,
                                  std::span<const std::uint32_t> candidates, std::size_t keep) {
   const std::size_t offsets[] = {ww::kOffProdLL, ww::kOffProdLH};
-  return run_scan(ds, offsets, candidates, keep, CpaKernelConfig{}, 1, nullptr,
-                  [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                    return off == ww::kOffProdLL ? hyp_low_mul_ll(g, k) : hyp_low_mul_lh(g, k);
-                  });
+  return run_extend(ds, offsets, candidates, 0, 0, keep, ComponentAttackConfig{});
 }
 
 ComponentResult attack_component(const ComponentDataset& ds,
@@ -191,8 +222,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
   {
     const std::size_t offsets[] = {ww::kOffSign};
     const std::uint32_t guesses[] = {0, 1};
-    res.sign_phase = run_scan(ds, offsets, guesses, 2, config.kernel, config.cpa_shards,
-                              config.scan_pool,
+    res.sign_phase = run_scan(ds, offsets, guesses, 2, config,
                               [](std::uint32_t g, const KnownOperand& k, std::size_t) {
                                 return hyp_sign(g != 0, k);
                               });
@@ -208,8 +238,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     std::vector<std::uint32_t> guesses;
     guesses.reserve(config.exp_max - config.exp_min + 1);
     for (std::uint32_t e = config.exp_min; e <= config.exp_max; ++e) guesses.push_back(e);
-    res.exp_phase = run_scan(ds, offsets, guesses, guesses.size(), config.kernel,
-                             config.cpa_shards, config.scan_pool,
+    res.exp_phase = run_scan(ds, offsets, guesses, guesses.size(), config,
                              [](std::uint32_t g, const KnownOperand& k, std::size_t) {
                                return hyp_exponent(g, k);
                              });
@@ -271,33 +300,23 @@ ComponentResult attack_component(const ComponentDataset& ds,
     note_phase(config, "exponent", guesses.size(), res.exp_phase);
   }
 
-  // 3. Mantissa low half: extend on the partial products...
+  // 3. Mantissa low half: extend on the partial products (empty
+  // low_candidates: all 2^25 guesses)...
   {
-    std::vector<std::uint32_t> full;
-    std::span<const std::uint32_t> cands;
-    if (config.low_candidates.empty()) {
-      full.resize(std::size_t{1} << 25);
-      for (std::uint32_t v = 0; v < (1U << 25); ++v) full[v] = v;
-      cands = full;
-    } else {
-      cands = config.low_candidates;
-    }
     const std::size_t mul_offsets[] = {ww::kOffProdLL, ww::kOffProdLH};
-    res.low_extend =
-        run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
-                 config.cpa_shards, config.scan_pool,
-                 [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                   return off == ww::kOffProdLL ? hyp_low_mul_ll(g, k) : hyp_low_mul_lh(g, k);
-                 });
-    note_phase(config, "low_extend", cands.size(), res.low_extend);
+    res.low_extend = run_extend(ds, mul_offsets, config.low_candidates, 0, 1U << 25,
+                                config.extend_top_k, config);
+    note_phase(config, "low_extend",
+               config.low_candidates.empty() ? std::size_t{1} << 25
+                                             : config.low_candidates.size(),
+               res.low_extend);
 
     // ...prune on the z1a addition over the surviving top-K.
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.low_extend.top.size());
     for (const auto& s : res.low_extend.top) survivors.push_back(s.guess);
     const std::size_t add_offsets[] = {ww::kOffAccZ1a};
-    res.low_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.kernel,
-                             config.cpa_shards, config.scan_pool,
+    res.low_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config,
                              [](std::uint32_t g, const KnownOperand& k, std::size_t) {
                                return hyp_low_add_z1a(g, k);
                              });
@@ -305,33 +324,23 @@ ComponentResult attack_component(const ComponentDataset& ds,
     note_phase(config, "low_prune", survivors.size(), res.low_prune);
   }
 
-  // 4. Mantissa high half: same extend-and-prune with the recovered x0.
+  // 4. Mantissa high half: same extend-and-prune with the recovered x0
+  // (empty high_candidates: all 2^27 guesses with the top bit set).
   {
-    std::vector<std::uint32_t> full;
-    std::span<const std::uint32_t> cands;
-    if (config.high_candidates.empty()) {
-      full.resize(std::size_t{1} << 27);
-      for (std::uint32_t i = 0; i < (1U << 27); ++i) full[i] = (1U << 27) | i;
-      cands = full;
-    } else {
-      cands = config.high_candidates;
-    }
     const std::size_t mul_offsets[] = {ww::kOffProdHL, ww::kOffProdHH};
-    res.high_extend =
-        run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
-                 config.cpa_shards, config.scan_pool,
-                 [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                   return off == ww::kOffProdHL ? hyp_high_mul_hl(g, k) : hyp_high_mul_hh(g, k);
-                 });
-    note_phase(config, "high_extend", cands.size(), res.high_extend);
+    res.high_extend = run_extend(ds, mul_offsets, config.high_candidates, 1U << 27, 1U << 28,
+                                 config.extend_top_k, config);
+    note_phase(config, "high_extend",
+               config.high_candidates.empty() ? std::size_t{1} << 27
+                                              : config.high_candidates.size(),
+               res.high_extend);
 
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.high_extend.top.size());
     for (const auto& s : res.high_extend.top) survivors.push_back(s.guess);
     const std::size_t add_offsets[] = {ww::kOffAccZ1b, ww::kOffAccZu};
     const std::uint32_t x0 = res.x0;
-    res.high_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.kernel,
-                             config.cpa_shards, config.scan_pool,
+    res.high_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config,
                               [x0](std::uint32_t g, const KnownOperand& k, std::size_t off) {
                                 return off == ww::kOffAccZu ? hyp_high_add_zu(g, x0, k)
                                                             : hyp_high_add_z1b(g, x0, k);

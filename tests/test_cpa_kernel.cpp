@@ -15,7 +15,12 @@
 //     run_cpa_streaming at ONE reader scan, single-pass
 //     attack_components_gated equals the legacy per-component path at
 //     one archive scan per call, and the whole pipeline attack round
-//     costs exactly one archive pass.
+//     costs exactly one archive pass;
+//   - product-hypothesis scan: a ProductModel scores every guess
+//     bit-identically to the equivalent per-cell callback at every
+//     dispatch level, over ranges and lists, sharded or not, and
+//     attack_component's extend phases equal the callback scan they
+//     replaced.
 
 #include <gtest/gtest.h>
 
@@ -509,6 +514,7 @@ struct SimdGuard {
 };
 
 CpaSimd best_vector_simd() {
+  if (cpa_simd_available(CpaSimd::kAvx512)) return CpaSimd::kAvx512;
   if (cpa_simd_available(CpaSimd::kAvx2)) return CpaSimd::kAvx2;
   if (cpa_simd_available(CpaSimd::kNeon)) return CpaSimd::kNeon;
   return CpaSimd::kScalar;
@@ -587,6 +593,12 @@ TEST(CpaSimd, EnvOverrideHonored) {
     cpa_reset_simd();
     EXPECT_EQ(cpa_active_simd(), CpaSimd::kAvx2);
     EXPECT_STREQ(cpa_simd_name(cpa_active_simd()), "avx2");
+  }
+  if (cpa_simd_available(CpaSimd::kAvx512)) {
+    ::setenv("FD_CPA_KERNEL", "avx512", 1);
+    cpa_reset_simd();
+    EXPECT_EQ(cpa_active_simd(), CpaSimd::kAvx512);
+    EXPECT_STREQ(cpa_simd_name(cpa_active_simd()), "avx512");
   }
 
   // Unknown names fall back to auto-detection, never crash.
@@ -937,6 +949,190 @@ TEST(CpaShards, FdAttackCpaShardsIsByteIdenticalEndToEnd) {
 }
 
 #endif  // FD_ATTACK_BIN
+
+// --- product-hypothesis scan (tentpole): lane-parallel, bit-identical ------
+
+std::vector<CpaSimd> available_simd() {
+  std::vector<CpaSimd> kinds;
+  for (const CpaSimd k : {CpaSimd::kScalar, CpaSimd::kAvx2, CpaSimd::kAvx512, CpaSimd::kNeon}) {
+    if (cpa_simd_available(k)) kinds.push_back(k);
+  }
+  return kinds;
+}
+
+// Columns leaking the partial products of `truth` with per-trace known
+// multipliers: even columns take 25-bit multipliers (a y0 half), odd
+// ones 28-bit with the top bit set (a y1 half), over a large DC offset.
+// `spread` scales each sample by a random power of two in [2^-30, 2^30]:
+// the leak drowns, but the fold's terms now span ~90 significant bits,
+// so its sums round and any reassociation of the lane program changes
+// low bits (with DC-offset floats alone every partial sum is exact and
+// no order is observable).
+struct ProductCase {
+  std::vector<std::vector<float>> cols;
+  ProductModel model;
+};
+
+ProductCase make_product_case(std::size_t traces, std::size_t cols, std::uint32_t truth,
+                              std::uint64_t seed, bool spread = false) {
+  ChaCha20Prng rng(seed);
+  ProductCase pc;
+  pc.cols.assign(cols, std::vector<float>(traces));
+  pc.model.multipliers.resize(cols * traces);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t t = 0; t < traces; ++t) {
+      const auto y = static_cast<std::uint32_t>(c % 2 == 0 ? rng.uniform(1U << 25)
+                                                           : (1U << 27) | rng.uniform(1U << 27));
+      pc.model.multipliers[c * traces + t] = y;
+      const double hw = std::popcount(static_cast<std::uint64_t>(truth) * y);
+      const double scale =
+          spread ? std::ldexp(1.0, static_cast<int>(rng.uniform(61)) - 30) : 1.0;
+      pc.cols[c][t] = static_cast<float>((1e4 + hw + 1.5 * rng.gaussian()) * scale);
+    }
+  }
+  return pc;
+}
+
+// The callback a pre-ProductModel caller would pass for the same model.
+auto product_callback(const ProductCase& pc, std::size_t traces) {
+  return [&pc, traces](std::uint32_t g, std::size_t t, std::size_t c) {
+    return static_cast<double>(
+        std::popcount(static_cast<std::uint64_t>(g) * pc.model.multipliers[c * traces + t]));
+  };
+}
+
+void expect_same_ranking(const std::vector<StreamingScan::Scored>& got,
+                         const std::vector<StreamingScan::Scored>& want, const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].guess, want[i].guess) << ctx << " i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].score),
+              std::bit_cast<std::uint64_t>(want[i].score))
+        << ctx << " i=" << i << " got " << got[i].score << " want " << want[i].score;
+  }
+}
+
+TEST(ProductScan, MatchesCallbackBitForBitAtEveryDispatch) {
+  SimdGuard guard;
+  const std::uint32_t truth = 0x17BC803;  // a 25-bit mantissa half
+  // Every score of a list with duplicates and 25- and 28-bit guesses.
+  std::vector<std::uint32_t> guesses = {truth, truth << 1, truth << 2, 0, 1, (1U << 28) - 1};
+  ChaCha20Prng rng(0x9E55);
+  while (guesses.size() < 190) {
+    guesses.push_back(static_cast<std::uint32_t>(rng.uniform(1U << 25)));
+    guesses.push_back(static_cast<std::uint32_t>((1U << 27) | rng.uniform(1U << 27)));
+  }
+  // 207 guesses: the AVX-512 body hands 7 to the AVX2 one, which scores
+  // four and leaves three to the scalar reference.
+  for (std::size_t i = 0; i < 17; ++i) guesses.push_back(guesses[i * 7]);
+  ASSERT_EQ(guesses.size(), 207U);
+  // Trace counts straddle every lane residue and several blocks per
+  // batch; batch 1 is the per-trace reference fold.
+  for (const std::size_t traces : {1U, 3U, 6U, 24U, 67U, 130U}) {
+    for (const std::size_t cols : {1U, 4U}) {
+      const ProductCase pc =
+          make_product_case(traces, cols, truth, 0x9E00 + traces + cols, /*spread=*/true);
+      for (const std::size_t batch : {1U, 7U, 64U}) {
+        const StreamingScan scan(pc.cols, {.batch_traces = batch});
+        ASSERT_TRUE(cpa_force_simd(CpaSimd::kScalar));
+        const auto want = scan.top_k_list(guesses, product_callback(pc, traces), guesses.size());
+        for (const CpaSimd kind : available_simd()) {
+          ASSERT_TRUE(cpa_force_simd(kind));
+          const std::string ctx = std::string(cpa_simd_name(kind)) +
+                                  " traces=" + std::to_string(traces) +
+                                  " cols=" + std::to_string(cols) +
+                                  " batch=" + std::to_string(batch);
+          expect_same_ranking(scan.top_k_list(guesses, pc.model, guesses.size()), want, ctx);
+        }
+      }
+    }
+  }
+}
+
+TEST(ProductScan, RangeScanShardsByteIdentically) {
+  SimdGuard guard;
+  const std::uint32_t truth = 0x0AB5803;
+  const std::size_t traces = 40;
+  const ProductCase pc = make_product_case(traces, 4, truth, 0x9E60);
+  StreamingScan scan(pc.cols);
+  // A range holding the truth, its exact shifts (identical partial-product
+  // Hamming weights, hence the top tie class) and a length of 3001.
+  const std::uint64_t lo = truth - 1000;
+  const std::uint64_t hi = lo + 3001;
+  std::vector<std::uint32_t> list;
+  for (std::uint64_t g = lo; g < hi; ++g) list.push_back(static_cast<std::uint32_t>(g));
+  const auto want = scan.top_k_list(list, product_callback(pc, traces), 16);
+  EXPECT_EQ(want.front().guess, truth);
+
+  exec::ThreadPool pool(2);
+  for (const CpaSimd kind : available_simd()) {
+    ASSERT_TRUE(cpa_force_simd(kind));
+    for (const std::size_t shards : {1U, 3U, 7U}) {
+      scan.set_parallelism(shards, shards == 1 ? nullptr : &pool);
+      expect_same_ranking(scan.top_k(lo, hi, pc.model, 16), want,
+                          std::string(cpa_simd_name(kind)) + " shards=" + std::to_string(shards));
+    }
+  }
+}
+
+TEST(ProductScan, ShapeMismatchIsCheckedError) {
+  const ProductCase pc = make_product_case(10, 2, 5, 0x9E70);
+  const StreamingScan scan(pc.cols);
+  ProductModel short_model = pc.model;
+  short_model.multipliers.pop_back();
+  const std::uint32_t guesses[] = {1, 2, 3};
+  EXPECT_THROW((void)scan.top_k_list(guesses, short_model, 2), std::invalid_argument);
+  EXPECT_THROW((void)scan.top_k(0, 100, ProductModel{}, 2), std::invalid_argument);
+}
+
+TEST(ProductScan, ExtendPhasesMatchTheCallbackReference) {
+  // attack_component's extend phases through the ProductModel equal the
+  // per-cell callback scan they replaced: same columns (view-major, then
+  // offset), same hyp_*_mul_* models, byte-identical ranked lists.
+  ChaCha20Prng rng(0xE7E0);
+  const auto kp = falcon::keygen(4, rng);
+  auto camp = small_config(0xE7E0);
+  camp.num_traces = 150;
+  const auto sets = sca::run_full_campaign(kp.sk, camp);
+  const ComponentDataset ds = build_component_dataset(sets[2], /*imag_part=*/true);
+  const ComponentAttackConfig cfg =
+      component_attack_config(kp.sk, KeyRecoveryConfig{}, /*row=*/0, /*slot=*/2, /*imag=*/true);
+  const ComponentResult res = attack_component(ds, cfg);
+
+  const auto callback_top = [&](std::size_t off_a, std::size_t off_b,
+                                std::span<const std::uint32_t> cands, auto&& hyp) {
+    std::vector<std::vector<float>> cols;
+    std::vector<std::pair<unsigned, std::size_t>> meta;
+    for (unsigned v = 0; v < 2; ++v) {
+      for (const std::size_t off : {off_a, off_b}) {
+        cols.push_back(ds.views[v].samples[off]);
+        meta.emplace_back(v, off);
+      }
+    }
+    const StreamingScan scan(std::move(cols), cfg.kernel);
+    return scan.top_k_list(
+        cands,
+        [&](std::uint32_t g, std::size_t t, std::size_t c) {
+          return hyp(g, ds.views[meta[c].first].known[t], meta[c].second);
+        },
+        cfg.extend_top_k);
+  };
+  namespace ww = sca::window;
+  expect_same_ranking(res.low_extend.top,
+                      callback_top(ww::kOffProdLL, ww::kOffProdLH, cfg.low_candidates,
+                                   [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
+                                     return off == ww::kOffProdLL ? hyp_low_mul_ll(g, k)
+                                                                  : hyp_low_mul_lh(g, k);
+                                   }),
+                      "low_extend");
+  expect_same_ranking(res.high_extend.top,
+                      callback_top(ww::kOffProdHL, ww::kOffProdHH, cfg.high_candidates,
+                                   [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
+                                     return off == ww::kOffProdHL ? hyp_high_mul_hl(g, k)
+                                                                  : hyp_high_mul_hh(g, k);
+                                   }),
+                      "high_extend");
+}
 
 }  // namespace
 }  // namespace fd::attack

@@ -590,15 +590,26 @@ TEST(Fleet, BitIdenticalToSingleProcessAtAnyWorkerCount) {
   EXPECT_EQ(first_scans, 2u * (FD_OBS_ENABLED ? 1u : 0u));
 }
 
+// Two workers over four attack shards of two components. The
+// coordinator respawns a dead worker only while more work remains than
+// live workers; with one shard per worker the survivor can drain its
+// shard before the faulty one is reaped (a race the attack's speed
+// decides), take the requeued shard itself, and no replacement spawns.
+fleet::FleetConfig fault_fleet(const std::string& archive) {
+  auto fc = base_fleet(archive, 2);
+  fc.components_per_shard = 2;
+  return fc;
+}
+
 TEST(Fleet, SigkillMidShardCompletesViaReassignment) {
   TempFile clean_tmp("fleet_clean.fdtrace");
-  const auto clean = fleet::run_fleet(base_fleet(clean_tmp.path, 2));
+  const auto clean = fleet::run_fleet(fault_fleet(clean_tmp.path));
   ASSERT_TRUE(clean.ok) << clean.error;
   ASSERT_TRUE(clean.recovery.f_exact);
 
   TempFile tmp("fleet_kill.fdtrace");
-  auto fc = base_fleet(tmp.path, 2);
-  fc.pipeline.checkpoint_every = 2;  // kill strikes mid-task, after 2 of 4
+  auto fc = fault_fleet(tmp.path);
+  fc.pipeline.checkpoint_every = 1;  // kill strikes mid-task, after 1 of 2
   fc.kill_shard = 0;
   fc.kill_after = 1;
   const auto res = fleet::run_fleet(fc);
@@ -621,7 +632,7 @@ TEST(Fleet, SigkillMidShardCompletesViaReassignment) {
 
 TEST(Fleet, BadFoldFrameGetsWorkerReapedAndReassigned) {
   TempFile clean_tmp("fleet_clean_fold.fdtrace");
-  const auto clean = fleet::run_fleet(base_fleet(clean_tmp.path, 2));
+  const auto clean = fleet::run_fleet(fault_fleet(clean_tmp.path));
   ASSERT_TRUE(clean.ok) << clean.error;
   ASSERT_TRUE(clean.recovery.f_exact);
 
@@ -631,8 +642,8 @@ TEST(Fleet, BadFoldFrameGetsWorkerReapedAndReassigned) {
   // the sender as a corrupt peer: reap, requeue, respawn. The retry
   // (hook cleared) completes the shard bit-identically.
   TempFile tmp("fleet_badfold.fdtrace");
-  auto fc = base_fleet(tmp.path, 2);
-  fc.pipeline.checkpoint_every = 2;
+  auto fc = fault_fleet(tmp.path);
+  fc.pipeline.checkpoint_every = 1;
   fc.bad_fold_shard = 0;
   const auto res = fleet::run_fleet(fc);
   ASSERT_TRUE(res.ok) << res.error;
