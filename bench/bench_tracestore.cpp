@@ -1,12 +1,16 @@
 // Trace-archive throughput: write and stream-read bandwidth of the
-// .fdtrace format, plus streamed-CPA (disk) vs in-memory CPA wall time
-// on the same seeded campaign -- the cost of capture-once/attack-many.
+// .fdtrace format, a one-shard merge (what a single-shard sharded
+// capture pays after its capture), streamed-CPA (disk) vs in-memory CPA
+// wall time on the same seeded campaign -- the cost of
+// capture-once/attack-many -- and the per-query capture cost at
+// FALCON-512 (sign + gated windows + trace synthesis + archive append).
 //
 //   ./bench_tracestore [logn] [num_traces] [--json <path>]
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "attack/streaming_cpa.h"
 #include "bench_harness.h"
@@ -98,6 +102,20 @@ int main(int argc, char** argv) {
   all.clear();
   all.shrink_to_fit();
 
+  t0 = Clock::now();
+  {
+    const std::string inputs[1] = {path};
+    std::string error;
+    if (!tracestore::merge_archives(inputs, "bench_tracestore_merged.fdtrace", &error)) {
+      std::fprintf(stderr, "merge failed: %s\n", error.c_str());
+      return 1;
+    }
+  }
+  const double merge_s = seconds_since(t0);
+  std::printf("merge 1 shard  %8.3f s  (%.1f MiB/s)\n", merge_s, mib / merge_s);
+  harness.report("merge_1shard", params, merge_s * 1e3, mib / merge_s, "MiB/s");
+  std::remove("bench_tracestore_merged.fdtrace");
+
   // Exponent-phase CPA on one slot: streamed from disk vs in memory.
   attack::StreamingCpaSpec spec;
   spec.slot = 1;
@@ -128,6 +146,30 @@ int main(int argc, char** argv) {
   std::printf("rankings match %s  (top guess %u vs %u)\n",
               streamed.ranking() == inmem.ranking() ? "yes" : "NO",
               spec.guesses[streamed.ranking()[0]], spec.guesses[inmem.ranking()[0]]);
+
+  // Per-query capture cost at the paper's ring size, independent of the
+  // logn argument: 256 windows synthesized and appended per query.
+  {
+    constexpr unsigned kCaptureLogn = 9;
+    constexpr std::size_t kQueries = 16;
+    ChaCha20Prng krng(0xA2C419);
+    const auto kp9 = falcon::keygen(kCaptureLogn, krng);
+    sca::CampaignConfig cfg9 = cfg;
+    cfg9.num_traces = kQueries;
+    t0 = Clock::now();
+    const auto cap9 = sca::run_campaign_to_archive(kp9.sk, cfg9, path);
+    const double cap9_s = seconds_since(t0);
+    if (!cap9.ok) {
+      std::fprintf(stderr, "capture failed: %s\n", cap9.error.c_str());
+      return 1;
+    }
+    const double query_ms = cap9_s * 1e3 / kQueries;
+    char params9[64];
+    std::snprintf(params9, sizeof params9, "logn=%u queries=%zu", kCaptureLogn, kQueries);
+    std::printf("capture/query  %8.3f ms (logn=%u, %zu queries, %zu records)\n", query_ms,
+                kCaptureLogn, kQueries, cap9.records);
+    harness.report("capture_query", params9, query_ms, 1e3 / query_ms, "queries/s");
+  }
 
   std::remove(path);
   std::remove("bench_tracestore_rw.fdtrace");

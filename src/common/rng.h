@@ -31,6 +31,10 @@ class RandomSource {
 };
 
 // ChaCha20 keystream generator (RFC 7539 block function, counter mode).
+// The keystream is block(counter 0) || block(1) || ...; refills compute
+// kRefillBlocks consecutive blocks at once (one per lane), and every
+// draw copies whole spans out of that buffer. Buffering changes only
+// when a block is computed, never which bytes a draw returns.
 class ChaCha20Prng final : public RandomSource {
  public:
   // Seeds key and nonce by squeezing SHAKE256(seed_material).
@@ -46,13 +50,15 @@ class ChaCha20Prng final : public RandomSource {
                     const std::uint32_t nonce[3], std::uint8_t out[64]);
 
  private:
+  static constexpr std::size_t kRefillBlocks = 8;
+
   void seed_from(std::span<const std::uint8_t> material);
   void refill();
 
   std::uint32_t key_[8];
   std::uint32_t nonce_[3];
-  std::uint32_t counter_ = 0;
-  std::uint8_t buf_[64];
+  std::uint32_t counter_ = 0;  // counter of the first block not yet computed
+  std::uint8_t buf_[64 * kRefillBlocks];
   std::size_t buf_pos_ = sizeof(buf_);
 };
 

@@ -6,7 +6,7 @@
 namespace fd::fpr {
 
 namespace detail {
-thread_local LeakageSink* tl_sink = nullptr;
+constinit thread_local LeakRoute tl_route;
 }
 
 const char* leakage_tag_name(LeakageTag tag) {

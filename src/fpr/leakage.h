@@ -10,7 +10,8 @@
 // stream into noisy traces; the attack (src/attack) predicts the same
 // intermediates from key hypotheses.
 //
-// When no sink is installed the hooks cost a single predictable branch.
+// When no sink is installed, or a windowed sink sits outside its trigger
+// window, a data event costs one thread-local load and a branch.
 
 #include <cstdint>
 
@@ -70,28 +71,72 @@ struct LeakageEvent {
   std::uint64_t value;
 };
 
+// Two delivery modes:
+//  - ungated (the default): on_event sees every event of the thread;
+//  - windowed: on_event always sees the trigger markers, but data
+//    events only while the sink has opened its window (set_window_open
+//    from its own on_event) and is the sink installed on the thread.
+// A windowed sink that mirrors its recording state into the window
+// sees exactly the data events it would keep as an ungated sink; the
+// other ~97% of a signing run's events never reach a virtual call.
 class LeakageSink {
  public:
   virtual ~LeakageSink() = default;
   virtual void on_event(const LeakageEvent& ev) = 0;
+
+  [[nodiscard]] bool windowed() const { return windowed_; }
+  [[nodiscard]] bool window_open() const { return window_open_; }
+
+ protected:
+  LeakageSink() = default;
+  struct Windowed {};
+  explicit LeakageSink(Windowed) : windowed_(true) {}
+
+  // Opens or closes this sink's window. The thread's data route changes
+  // only when this sink is the one installed on the calling thread, so
+  // driving on_event by hand never arms the thread for another sink.
+  void set_window_open(bool open);
+
+ private:
+  bool windowed_ = false;
+  bool window_open_ = false;
 };
 
 namespace detail {
-extern thread_local LeakageSink* tl_sink;
+// Per-thread routing: `sink` receives the trigger markers; `data` is
+// the sink data events go to (the installed sink when it is ungated or
+// its window is open, else null). `data` is a pure function of `sink`
+// and its window state, so restoring a sink restores its arming.
+struct LeakRoute {
+  LeakageSink* sink = nullptr;
+  LeakageSink* data = nullptr;
+};
+extern constinit thread_local LeakRoute tl_route;
+}  // namespace detail
+
+inline void LeakageSink::set_window_open(bool open) {
+  window_open_ = open;
+  if (detail::tl_route.sink == this) detail::tl_route.data = open ? this : nullptr;
 }
 
 // Installs (or clears, with nullptr) the current thread's sink; returns
 // the previous one so scopes can nest.
 inline LeakageSink* set_leakage_sink(LeakageSink* sink) {
-  LeakageSink* prev = detail::tl_sink;
-  detail::tl_sink = sink;
+  LeakageSink* prev = detail::tl_route.sink;
+  const bool data = sink != nullptr && (!sink->windowed() || sink->window_open());
+  detail::tl_route = {sink, data ? sink : nullptr};
   return prev;
 }
 
-[[nodiscard]] inline LeakageSink* leakage_sink() { return detail::tl_sink; }
+[[nodiscard]] inline LeakageSink* leakage_sink() { return detail::tl_route.sink; }
 
 inline void leak(LeakageTag tag, std::uint64_t value) {
-  if (LeakageSink* s = detail::tl_sink) s->on_event({tag, value});
+  // `tag` is a constant at every call site, so only one arm survives.
+  if (tag == LeakageTag::kTriggerBegin || tag == LeakageTag::kTriggerEnd) {
+    if (LeakageSink* s = detail::tl_route.sink) s->on_event({tag, value});
+  } else if (LeakageSink* s = detail::tl_route.data) {
+    s->on_event({tag, value});
+  }
 }
 
 // RAII scope helper.

@@ -22,58 +22,6 @@ namespace {
 
 using fpr::Fpr;
 
-// Keeps the most recent f-row (even-occurrence) window per slot. A
-// signing run triggers each slot once per basis row and per internal
-// salt retry; the final even occurrence is the one matching the emitted
-// signature's salt.
-class LastWindowRecorder final : public fpr::LeakageSink {
- public:
-  explicit LastWindowRecorder(std::size_t num_slots, unsigned row = 0)
-      : row_(row), windows_(num_slots), occurrence_(num_slots, 0) {}
-
-  void on_event(const fpr::LeakageEvent& ev) override {
-    if (ev.tag == fpr::LeakageTag::kTriggerBegin) {
-      const std::size_t slot = static_cast<std::size_t>(ev.value);
-      if (slot < windows_.size()) {
-        recording_ = (occurrence_[slot]++ % 2) == row_;
-        if (recording_) {
-          current_ = slot;
-          windows_[slot].clear();
-        }
-      }
-      return;
-    }
-    if (ev.tag == fpr::LeakageTag::kTriggerEnd) {
-      recording_ = false;
-      return;
-    }
-    if (recording_) windows_[current_].push_back(ev);
-  }
-
-  [[nodiscard]] const std::vector<fpr::LeakageEvent>& window(std::size_t slot) const {
-    return windows_[slot];
-  }
-
-  void start_run() {
-    std::fill(occurrence_.begin(), occurrence_.end(), 0U);
-    recording_ = false;
-  }
-
-  // Signing attempts of the last run: each attempt (including internal
-  // salt retries the signer makes before a signature passes its norm
-  // check) triggers every slot once per basis row, i.e. twice.
-  [[nodiscard]] std::size_t run_attempts() const {
-    return occurrence_.empty() ? 0 : occurrence_[0] / 2;
-  }
-
- private:
-  unsigned row_;
-  std::vector<std::vector<fpr::LeakageEvent>> windows_;
-  std::vector<unsigned> occurrence_;
-  std::size_t current_ = 0;
-  bool recording_ = false;
-};
-
 // Per-campaign telemetry shared by the in-memory and archive capture
 // loops: query/record/retry counters, end-of-campaign throughput
 // gauges, and the user-facing progress callback. The callback fires in

@@ -67,6 +67,50 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 float get_f32(const std::uint8_t* p) { return std::bit_cast<float>(get_u32(p)); }
 double get_f64(const std::uint8_t* p) { return std::bit_cast<double>(get_u64(p)); }
 
+// Bulk record codec: on a little-endian host the on-disk samples are
+// the host's own float array, so a record's samples move with one
+// memcpy each way; a big-endian host converts them word by word.
+constexpr bool kNativeLE = std::endian::native == std::endian::little;
+
+void encode_record(const TraceRecord& r, std::vector<std::uint8_t>& out) {
+  put_u32(out, r.slot);
+  put_u32(out, r.index);
+  put_u64(out, r.known_re_bits);
+  put_u64(out, r.known_im_bits);
+  if constexpr (kNativeLE) {
+    const std::size_t at = out.size();
+    out.resize(at + 4 * r.samples.size());
+    std::memcpy(out.data() + at, r.samples.data(), 4 * r.samples.size());
+  } else {
+    for (const float s : r.samples) put_f32(out, s);
+  }
+}
+
+// Decodes into `r`, reusing its sample buffer: a caller that passes the
+// same record back every time allocates nothing per record.
+void decode_record(const std::uint8_t* p, std::size_t num_samples, TraceRecord& r) {
+  r.slot = get_u32(p);
+  r.index = get_u32(p + 4);
+  r.known_re_bits = get_u64(p + 8);
+  r.known_im_bits = get_u64(p + 16);
+  r.samples.resize(num_samples);
+  if constexpr (kNativeLE) {
+    std::memcpy(r.samples.data(), p + 24, 4 * num_samples);
+  } else {
+    for (std::size_t i = 0; i < num_samples; ++i) r.samples[i] = get_f32(p + 24 + 4 * i);
+  }
+}
+
+// Largest record (24 + 4 * samples_per_trace bytes) a header may
+// describe. Held to 32 bits, a u32 record count times the record size
+// cannot overflow 64 bits; anything larger is a corrupt or hostile
+// header, refused before any buffer is sized from it.
+constexpr std::uint64_t kMaxRecordBytes = 0xFFFFFFFFULL;
+
+bool geometry_fits(const ArchiveMeta& m) {
+  return 24 + 4 * static_cast<std::uint64_t>(m.samples_per_trace) <= kMaxRecordBytes;
+}
+
 std::vector<std::uint8_t> encode_header(const ArchiveMeta& m) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes);
@@ -125,23 +169,43 @@ bool decode_header(std::span<const std::uint8_t> buf, ArchiveMeta& m, std::strin
     why = "degenerate geometry (zero samples_per_trace or traces_per_chunk)";
     return false;
   }
+  if (!geometry_fits(m)) {
+    why = "record geometry overflows (samples_per_trace " +
+          std::to_string(m.samples_per_trace) + ")";
+    return false;
+  }
   return true;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[k][b] is the CRC register after byte b followed by k
+  // zero bytes, so eight input bytes fold in with eight table lookups.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        tab[k][i] = (tab[k - 1][i] >> 8) ^ tab[0][tab[k - 1][i] & 0xFFU];
+      }
+    }
+    return tab;
   }();
   std::uint32_t c = seed ^ 0xFFFFFFFFU;
-  for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFFU] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = get_u32(p) ^ c;
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^ t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFU] ^ t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
 }
 
@@ -174,6 +238,11 @@ bool ArchiveWriter::open(const std::string& path, const ArchiveMeta& meta) {
     error_ = "meta needs nonzero samples_per_trace and traces_per_chunk";
     return false;
   }
+  if (!geometry_fits(meta)) {
+    error_ = "record geometry overflows (samples_per_trace " +
+             std::to_string(meta.samples_per_trace) + ")";
+    return false;
+  }
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     error_ = "cannot open '" + path + "' for writing";
@@ -184,7 +253,6 @@ bool ArchiveWriter::open(const std::string& path, const ArchiveMeta& meta) {
   records_written_ = 0;
   pending_records_ = 0;
   payload_.clear();
-  payload_.reserve(meta_.traces_per_chunk * meta_.record_bytes());
   const auto header = encode_header(meta_);
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     fail("short write on header");
@@ -203,11 +271,7 @@ bool ArchiveWriter::append(const TraceRecord& rec) {
          std::to_string(meta_.samples_per_trace));
     return false;
   }
-  put_u32(payload_, rec.slot);
-  put_u32(payload_, rec.index);
-  put_u64(payload_, rec.known_re_bits);
-  put_u64(payload_, rec.known_im_bits);
-  for (const float s : rec.samples) put_f32(payload_, s);
+  encode_record(rec, payload_);
   ++pending_records_;
   ++records_written_;
   if (pending_records_ == meta_.traces_per_chunk) return flush_chunk();
@@ -258,7 +322,7 @@ bool ArchiveReader::open(const std::string& path) {
     file_ = nullptr;
   }
   stats_ = {};
-  chunk_.clear();
+  chunk_records_ = 0;
   chunk_pos_ = 0;
   chunk_ordinal_ = 0;
   max_resident_ = 0;
@@ -278,17 +342,28 @@ bool ArchiveReader::open(const std::string& path) {
     file_ = nullptr;
     return false;
   }
+  // The file size bounds every chunk: a header that claims more payload
+  // than the file holds is a truncated tail, found before any buffer is
+  // sized from it.
+  if (std::fseek(file_, 0, SEEK_END) != 0 || (file_bytes_ = std::ftell(file_)) < 0 ||
+      std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
+    error_ = "cannot seek in '" + path + "'";
+    std::fclose(file_);
+    file_ = nullptr;
+    return false;
+  }
+  offset_ = static_cast<long>(kHeaderBytes);
   return true;
 }
 
 bool ArchiveReader::load_next_chunk() {
-  chunk_.clear();
+  chunk_records_ = 0;
   chunk_pos_ = 0;
   const std::size_t record_bytes = meta_.record_bytes();
-  std::vector<std::uint8_t> payload;
   for (;;) {
     std::array<std::uint8_t, kChunkHeaderBytes> head;
     const std::size_t got = std::fread(head.data(), 1, head.size(), file_);
+    offset_ += static_cast<long>(got);
     if (got == 0) return false;  // clean end of stream
     if (got < head.size()) {
       stats_.truncated_tail = true;
@@ -303,13 +378,19 @@ bool ArchiveReader::load_next_chunk() {
       stats_.truncated_tail = true;
       return false;
     }
-    payload.resize(count * record_bytes);
-    if (std::fread(payload.data(), 1, payload.size(), file_) != payload.size()) {
+    const std::uint64_t bytes = std::uint64_t{count} * record_bytes;
+    if (offset_ > file_bytes_ || bytes > static_cast<std::uint64_t>(file_bytes_ - offset_)) {
       stats_.truncated_tail = true;
       return false;
     }
+    payload_.resize(static_cast<std::size_t>(bytes));
+    if (std::fread(payload_.data(), 1, payload_.size(), file_) != payload_.size()) {
+      stats_.truncated_tail = true;
+      return false;
+    }
+    offset_ += static_cast<long>(bytes);
     const std::size_t ordinal = chunk_ordinal_++;
-    if (crc32(payload) != want_crc) {
+    if (crc32(payload_) != want_crc) {
       ++stats_.chunks_corrupt;
       stats_.corrupt_chunk_indices.push_back(ordinal);
       read_crc_failures_counter().add(1);
@@ -317,20 +398,8 @@ bool ArchiveReader::load_next_chunk() {
     }
     ++stats_.chunks_ok;
     read_chunks_counter().add(1);
-    chunk_.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint8_t* p = payload.data() + i * record_bytes;
-      TraceRecord& r = chunk_[i];
-      r.slot = get_u32(p);
-      r.index = get_u32(p + 4);
-      r.known_re_bits = get_u64(p + 8);
-      r.known_im_bits = get_u64(p + 16);
-      r.samples.resize(meta_.samples_per_trace);
-      for (std::uint32_t s = 0; s < meta_.samples_per_trace; ++s) {
-        r.samples[s] = get_f32(p + 24 + 4 * s);
-      }
-    }
-    max_resident_ = std::max(max_resident_, chunk_.size());
+    chunk_records_ = count;
+    max_resident_ = std::max<std::size_t>(max_resident_, count);
     return true;
   }
 }
@@ -341,8 +410,9 @@ bool ArchiveReader::next(TraceRecord& out) {
     scan_counted_ = true;
     ++scans_started_;
   }
-  if (chunk_pos_ == chunk_.size() && !load_next_chunk()) return false;
-  out = std::move(chunk_[chunk_pos_]);
+  if (chunk_pos_ == chunk_records_ && !load_next_chunk()) return false;
+  decode_record(payload_.data() + chunk_pos_ * meta_.record_bytes(), meta_.samples_per_trace,
+                out);
   ++chunk_pos_;
   ++stats_.records_read;
   return true;
@@ -362,8 +432,9 @@ std::size_t ArchiveReader::next_batch(std::vector<TraceRecord>& out,
 void ArchiveReader::rewind() {
   if (file_ == nullptr) return;
   std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET);
+  offset_ = static_cast<long>(kHeaderBytes);
   stats_ = {};
-  chunk_.clear();
+  chunk_records_ = 0;
   chunk_pos_ = 0;
   chunk_ordinal_ = 0;
   scan_counted_ = false;  // the next next() starts a new counted pass
@@ -458,9 +529,11 @@ bool merge_archives(std::span<const std::string> inputs, const std::string& out_
   if (inputs.empty()) return fail("merge needs at least one input");
 
   // Pass 1: check compatibility and count each shard's signing queries
-  // (max index + 1), which re-bases the indices of later shards.
+  // (max index + 1), which re-bases the indices of later shards. The
+  // last shard's count re-bases nothing, so only its header is read.
   ArchiveMeta base;
   std::vector<std::uint64_t> query_counts(inputs.size(), 0);
+  TraceRecord rec;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     ArchiveReader reader;
     if (!reader.open(inputs[i])) return fail(inputs[i] + ": " + reader.error());
@@ -470,7 +543,7 @@ bool merge_archives(std::span<const std::string> inputs, const std::string& out_
       return fail(inputs[i] + ": incompatible with " + inputs[0] +
                   " (logn/row/slots/trace-length/device must match)");
     }
-    TraceRecord rec;
+    if (i + 1 == inputs.size()) break;
     while (reader.next(rec)) {
       query_counts[i] = std::max(query_counts[i], static_cast<std::uint64_t>(rec.index) + 1);
     }
@@ -486,7 +559,6 @@ bool merge_archives(std::span<const std::string> inputs, const std::string& out_
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     ArchiveReader reader;
     if (!reader.open(inputs[i])) return fail(inputs[i] + ": " + reader.error());
-    TraceRecord rec;
     while (reader.next(rec)) {
       rec.index = static_cast<std::uint32_t>(index_base + rec.index);
       if (!writer.append(rec)) return fail(writer.error());

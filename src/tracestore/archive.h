@@ -115,7 +115,8 @@ struct ArchiveStats {
 
 // Buffered writer: records accumulate into one chunk's payload and are
 // flushed (with their CRC) every `traces_per_chunk` appends. Memory is
-// one chunk regardless of campaign size.
+// one chunk regardless of campaign size. open() refuses the geometry
+// ArchiveReader::open refuses.
 class ArchiveWriter {
  public:
   ArchiveWriter() = default;
@@ -157,8 +158,12 @@ class ArchiveReader {
   ArchiveReader(const ArchiveReader&) = delete;
   ArchiveReader& operator=(const ArchiveReader&) = delete;
 
+  // Fails on an unreadable or malformed header, including a record
+  // geometry whose size overflows (24 + 4 * samples_per_trace > 2^32-1).
   [[nodiscard]] bool open(const std::string& path);
-  // Next record in file order; false at end of stream.
+  // Next record in file order; false at end of stream. Decodes into
+  // `out` in place: passing the same record every call reuses its
+  // sample buffer, so a scan allocates nothing per record.
   [[nodiscard]] bool next(TraceRecord& out);
   // Appends up to `max_records` records to `out`; returns how many.
   std::size_t next_batch(std::vector<TraceRecord>& out, std::size_t max_records);
@@ -182,9 +187,15 @@ class ArchiveReader {
   bool load_next_chunk();  // false when the stream is exhausted
 
   std::FILE* file_ = nullptr;
+  long file_bytes_ = 0;  // file size at open: bounds every chunk length
+  long offset_ = 0;      // file offset of the next unread byte
   ArchiveMeta meta_;
   ArchiveStats stats_;
-  std::vector<TraceRecord> chunk_;  // decoded records of current chunk
+  // CRC-checked payload of the current chunk; next() decodes record
+  // chunk_pos_ of chunk_records_ straight from it into the caller's
+  // record, reusing that record's sample buffer.
+  std::vector<std::uint8_t> payload_;
+  std::size_t chunk_records_ = 0;
   std::size_t chunk_pos_ = 0;
   std::size_t chunk_ordinal_ = 0;  // file-order index of the next chunk
   std::size_t max_resident_ = 0;

@@ -123,6 +123,104 @@ TEST(FprLeakage, ZeroMulShortCircuitsAfterSign) {
   EXPECT_EQ(r.events[0].value, 1U);
 }
 
+// A windowed sink that opens its window on any begin marker and closes
+// it on any end marker, counting every on_event call it receives.
+class WindowedCounter final : public LeakageSink {
+ public:
+  WindowedCounter() : LeakageSink(Windowed{}) {}
+  void on_event(const LeakageEvent& ev) override {
+    if (ev.tag == LeakageTag::kTriggerBegin) {
+      ++markers;
+      set_window_open(true);
+    } else if (ev.tag == LeakageTag::kTriggerEnd) {
+      ++markers;
+      set_window_open(false);
+    } else {
+      ++data;
+    }
+  }
+  int markers = 0;
+  int data = 0;
+};
+
+void one_mul() { (void)fpr_mul(Fpr::from_double(1.5), Fpr::from_double(2.5)); }
+constexpr int kMulEvents = 17;  // events of one nonzero fpr_mul
+
+TEST(FprLeakageGate, WindowedSinkSeesMarkersAlwaysDataOnlyInsideWindow) {
+  WindowedCounter w;
+  ScopedLeakageSink scope(&w);
+  one_mul();  // outside any window: dropped before the virtual call
+  EXPECT_EQ(w.data, 0);
+  leak(LeakageTag::kTriggerBegin, 0);
+  one_mul();
+  leak(LeakageTag::kTriggerEnd, 0);
+  one_mul();
+  EXPECT_EQ(w.markers, 2);
+  EXPECT_EQ(w.data, kMulEvents);
+}
+
+TEST(FprLeakageGate, UngatedSinkSeesEverything) {
+  Recorder r;
+  ScopedLeakageSink scope(&r);
+  one_mul();
+  leak(LeakageTag::kTriggerBegin, 0);
+  leak(LeakageTag::kTriggerEnd, 0);
+  one_mul();
+  EXPECT_EQ(r.events.size(), static_cast<std::size_t>(2 * kMulEvents + 2));
+}
+
+TEST(FprLeakageGate, NestedScopeRestoresArming) {
+  WindowedCounter outer;
+  ScopedLeakageSink scope(&outer);
+  leak(LeakageTag::kTriggerBegin, 0);  // outer window open
+  {
+    WindowedCounter inner;  // closed window: the thread is disarmed
+    ScopedLeakageSink nested(&inner);
+    one_mul();
+    EXPECT_EQ(inner.data, 0);
+    {
+      ScopedLeakageSink none(nullptr);
+      one_mul();
+    }
+    one_mul();
+    EXPECT_EQ(inner.data, 0);
+    EXPECT_EQ(outer.data, 0);
+  }
+  one_mul();  // back in the outer window
+  EXPECT_EQ(outer.data, kMulEvents);
+  leak(LeakageTag::kTriggerEnd, 0);
+  {
+    Recorder ungated;
+    ScopedLeakageSink nested(&ungated);
+    one_mul();
+    EXPECT_EQ(ungated.events.size(), static_cast<std::size_t>(kMulEvents));
+  }
+  one_mul();  // outer window closed again
+  EXPECT_EQ(outer.data, kMulEvents);
+}
+
+TEST(FprLeakageGate, DrivingAnUninstalledSinkNeverArmsTheThread) {
+  WindowedCounter installed;
+  WindowedCounter bystander;
+  ScopedLeakageSink scope(&installed);
+  bystander.on_event({LeakageTag::kTriggerBegin, 0});
+  EXPECT_TRUE(bystander.window_open());
+  one_mul();
+  EXPECT_EQ(installed.data, 0);
+  EXPECT_EQ(bystander.data, 0);
+  {
+    // With no sink installed, a hand-driven begin marker arms nothing.
+    ScopedLeakageSink none(nullptr);
+    WindowedCounter loose;
+    loose.on_event({LeakageTag::kTriggerBegin, 0});
+    EXPECT_EQ(leakage_sink(), nullptr);
+    one_mul();
+    EXPECT_EQ(loose.data, 0);
+  }
+  one_mul();
+  EXPECT_EQ(installed.data, 0);
+}
+
 TEST(FprLeakage, TagNamesAreUnique) {
   for (unsigned i = 0; i < static_cast<unsigned>(LeakageTag::kNumTags); ++i) {
     for (unsigned j = i + 1; j < static_cast<unsigned>(LeakageTag::kNumTags); ++j) {

@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "falcon/falcon.h"
+#include "falcon/masked_sign.h"
 #include "sca/campaign.h"
 #include "sca/capture.h"
 #include "sca/device.h"
+#include "sca/faults.h"
 
 namespace fd::sca {
 namespace {
@@ -174,6 +179,190 @@ TEST(Campaign, FullCampaignCoversAllSlots) {
     ASSERT_EQ(sets[s].traces.size(), 2U);
     EXPECT_EQ(sets[s].traces[0].trace.samples.size(), window::kEventsPerWindow);
   }
+}
+
+// --- gated capture: a windowed recorder sees what an ungated one keeps ---
+
+void expect_same_events(const std::vector<LeakageEvent>& got,
+                        const std::vector<LeakageEvent>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].tag, want[i].tag) << where << " event " << i;
+    ASSERT_EQ(got[i].value, want[i].value) << where << " event " << i;
+  }
+}
+
+// Runs `signer` twice with the same randomness: once with a FullRecorder
+// installed (every event), replayed by hand into a reference recorder --
+// direct on_event calls are ungated delivery -- and once with the
+// recorder under test installed, where the thread gates its data events.
+void expect_windowed_matches_ungated(const SignerFn& signer, unsigned row) {
+  ChaCha20Prng krng(0xA0A0 + row);
+  const auto kp = falcon::keygen(4, krng);
+  const std::size_t hn = kp.sk.params.n >> 1;
+  for (int q = 0; q < 6; ++q) {
+    const std::string msg = "gate-" + std::to_string(q);
+    FullRecorder all;
+    {
+      ChaCha20Prng rng(0x6A7E + q);
+      fpr::ScopedLeakageSink scope(&all);
+      (void)signer(kp.sk, msg, rng);
+    }
+    LastWindowRecorder ref(hn, row);
+    ref.start_run();
+    std::vector<EventWindowRecorder> ref_slots;
+    for (std::size_t s = 0; s < hn; ++s) ref_slots.emplace_back(s, row);
+    for (const auto& ev : all.events()) {
+      ref.on_event(ev);
+      for (auto& r : ref_slots) r.on_event(ev);
+    }
+
+    LastWindowRecorder gated(hn, row);
+    gated.start_run();
+    {
+      ChaCha20Prng rng(0x6A7E + q);
+      fpr::ScopedLeakageSink scope(&gated);
+      (void)signer(kp.sk, msg, rng);
+    }
+    EXPECT_EQ(gated.run_attempts(), ref.run_attempts());
+    for (std::size_t s = 0; s < hn; ++s) {
+      ASSERT_EQ(gated.window(s).size(), window::kEventsPerWindow);
+      expect_same_events(gated.window(s), ref.window(s),
+                         "query " + std::to_string(q) + " slot " + std::to_string(s));
+    }
+
+    // The single-window scope, slot by slot, against the same replay.
+    for (std::size_t s = 0; s < hn; ++s) {
+      EventWindowRecorder one(s, row);
+      {
+        ChaCha20Prng rng(0x6A7E + q);
+        fpr::ScopedLeakageSink scope(&one);
+        (void)signer(kp.sk, msg, rng);
+      }
+      ASSERT_TRUE(one.complete());
+      expect_same_events(one.events(), ref_slots[s].events(),
+                         "scope query " + std::to_string(q) + " slot " + std::to_string(s));
+    }
+  }
+}
+
+TEST(GatedCapture, PlainSignerRow0) { expect_windowed_matches_ungated(&falcon::sign, 0); }
+TEST(GatedCapture, PlainSignerRow1) { expect_windowed_matches_ungated(&falcon::sign, 1); }
+TEST(GatedCapture, MaskedSignerRow0) { expect_windowed_matches_ungated(&falcon::sign_masked, 0); }
+TEST(GatedCapture, MaskedSignerRow1) { expect_windowed_matches_ungated(&falcon::sign_masked, 1); }
+
+TEST(GatedCapture, RecordersAreWindowedFullRecorderIsNot) {
+  EXPECT_TRUE(LastWindowRecorder(4).windowed());
+  EXPECT_TRUE(EventWindowRecorder(0).windowed());
+  EXPECT_FALSE(FullRecorder().windowed());
+}
+
+// --- golden archives: fixed-seed capture bytes, pinned --------------------
+//
+// FNV-1a 64 and size of the whole archive file for four fixed-seed
+// captures. Any capture or codec change that alters one byte of a
+// captured or merged archive fails here; the gated windows, block
+// keystream and bulk codec (DESIGN.md §18) must not.
+
+struct Digest {
+  std::uint64_t fnv = 0xCBF29CE484222325ULL;
+  std::size_t bytes = 0;
+};
+
+Digest file_digest(const std::string& path) {
+  Digest d;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return d;
+  std::uint8_t buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      d.fnv ^= buf[i];
+      d.fnv *= 0x100000001B3ULL;
+    }
+    d.bytes += n;
+  }
+  std::fclose(f);
+  return d;
+}
+
+struct GoldenFile {
+  explicit GoldenFile(std::string p) : path(std::move(p)) { std::remove(path.c_str()); }
+  ~GoldenFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+TEST(GoldenArchive, Logn4FiftyQueries) {
+  ChaCha20Prng rng(0x601D4);
+  const auto kp = falcon::keygen(4, rng);
+  CampaignConfig cfg;
+  cfg.num_traces = 50;
+  cfg.device.noise_sigma = 2.0;
+  cfg.seed = 0x601D;
+  GoldenFile out("golden_logn4.fdtrace");
+  const auto r = run_campaign_to_archive(kp.sk, cfg, out.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records, 400U);
+  const Digest d = file_digest(out.path);
+  EXPECT_EQ(d.bytes, 128192U);
+  EXPECT_EQ(d.fnv, 0xB40144457E6846ECULL);
+}
+
+TEST(GoldenArchive, Logn9FourQueries) {
+  ChaCha20Prng rng(0x601D9);
+  const auto kp = falcon::keygen(9, rng);
+  CampaignConfig cfg;
+  cfg.num_traces = 4;
+  cfg.device.noise_sigma = 2.0;
+  cfg.seed = 0x6019;
+  GoldenFile out("golden_logn9.fdtrace");
+  const auto r = run_campaign_to_archive(kp.sk, cfg, out.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records, 1024U);
+  const Digest d = file_digest(out.path);
+  EXPECT_EQ(d.bytes, 328016U);
+  EXPECT_EQ(d.fnv, 0x17D441E3C4636A6DULL);
+}
+
+TEST(GoldenArchive, MaskedSignerRow1) {
+  ChaCha20Prng rng(0x601DA);
+  const auto kp = falcon::keygen(4, rng);
+  CampaignConfig cfg;
+  cfg.num_traces = 20;
+  cfg.device.noise_sigma = 2.0;
+  cfg.seed = 0x601A;
+  cfg.row = 1;
+  cfg.signer = &falcon::sign_masked;
+  GoldenFile out("golden_masked.fdtrace");
+  const auto r = run_campaign_to_archive(kp.sk, cfg, out.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records, 160U);
+  const Digest d = file_digest(out.path);
+  EXPECT_EQ(d.bytes, 51328U);
+  EXPECT_EQ(d.fnv, 0xC1410F6198C3F3ECULL);
+}
+
+TEST(GoldenArchive, FaultPlanShardedMerge) {
+  // Three shards merged, with dropped, desynced, clipped and glitched
+  // queries and chunk damage applied to the merged file.
+  ChaCha20Prng rng(0x601DF);
+  const auto kp = falcon::keygen(4, rng);
+  ShardedCampaignConfig sc;
+  sc.base.num_traces = 40;
+  sc.base.device.noise_sigma = 2.0;
+  sc.base.seed = 0x601F;
+  sc.num_shards = 3;
+  std::string error;
+  ASSERT_TRUE(parse_fault_plan("drop=0.12,desync=0.06,sat=0.03,glitch=0.01,chunk=0.05",
+                               sc.base.faults, &error))
+      << error;
+  GoldenFile out("golden_faults.fdtrace");
+  const auto r = run_campaign_sharded(kp.sk, sc, out.path, nullptr, /*traces_per_chunk=*/16);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records, 272U);
+  const Digest d = file_digest(out.path);
+  EXPECT_EQ(d.bytes, 87392U);
+  EXPECT_EQ(d.fnv, 0x02DEDE5C92EF6134ULL);
 }
 
 }  // namespace

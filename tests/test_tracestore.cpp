@@ -82,6 +82,18 @@ void truncate_file(const std::string& path, long new_size) {
   std::fclose(f);
 }
 
+// Overwrites a little-endian u32 field of an archive file.
+void patch_u32(const std::string& path, long offset, std::uint32_t v) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const std::uint8_t b[4] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+                             static_cast<std::uint8_t>(v >> 16),
+                             static_cast<std::uint8_t>(v >> 24)};
+  ASSERT_EQ(std::fwrite(b, 1, 4, f), 4U);
+  std::fclose(f);
+}
+
 std::size_t chunk_offset(std::size_t chunk) {
   return kHeaderBytes + chunk * (kChunkHeaderBytes + kTracesPerChunk * (24 + 4 * kSamples));
 }
@@ -95,6 +107,45 @@ struct TempFile {
 TEST(Crc32, KnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(s), 9}), 0xCBF43926U);
+}
+
+// Bytewise CRC32 reference (IEEE reflected polynomial), one bit per step.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, SlicingMatchesBitwiseAtEveryLengthAndOffset) {
+  ChaCha20Prng rng(std::uint64_t{0xC3C});
+  std::vector<std::uint8_t> buf(1024 + 8);
+  rng.fill(buf);
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    ASSERT_EQ(crc32({buf.data(), len}), crc32_bitwise(buf.data(), len)) << "len " << len;
+  }
+  for (std::size_t off = 1; off < 8; ++off) {
+    for (const std::size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 1024}) {
+      ASSERT_EQ(crc32({buf.data() + off, len}), crc32_bitwise(buf.data() + off, len))
+          << "offset " << off << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainedSeedEqualsOnePass) {
+  ChaCha20Prng rng(std::uint64_t{0xC3D});
+  std::vector<std::uint8_t> buf(777);
+  rng.fill(buf);
+  const std::uint32_t whole = crc32(buf);
+  for (const std::size_t cut : {0, 1, 5, 8, 13, 64, 400, 776, 777}) {
+    const std::uint32_t head = crc32({buf.data(), cut});
+    EXPECT_EQ(crc32({buf.data() + cut, buf.size() - cut}, head), whole) << "cut " << cut;
+    EXPECT_EQ(crc32({buf.data() + cut, buf.size() - cut}, head),
+              crc32_bitwise(buf.data() + cut, buf.size() - cut, head));
+  }
+  EXPECT_EQ(crc32({buf.data(), 0}, 0x12345678U), 0x12345678U);
 }
 
 TEST(Archive, RoundTripIsExact) {
@@ -138,6 +189,66 @@ TEST(Archive, RewindReplaysFromTheTop) {
   std::size_t again = 0;
   while (reader.next(rec)) ++again;
   EXPECT_EQ(again, 11U);
+}
+
+TEST(Archive, ReaderReusesTheCallersSampleBuffer) {
+  TempFile tmp("ts_reuse.fdtrace");
+  const auto recs = write_archive(tmp.path, 20);
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.open(tmp.path));
+  TraceRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  const float* buffer = rec.samples.data();
+  std::size_t n = 1;
+  while (reader.next(rec)) {
+    ASSERT_EQ(rec.samples.data(), buffer) << "record " << n;  // decoded in place
+    EXPECT_EQ(rec.samples, recs[n].samples);
+    ++n;
+  }
+  EXPECT_EQ(n, recs.size());
+  EXPECT_EQ(reader.max_resident_records(), kTracesPerChunk);
+}
+
+// A header whose record size overflows 32 bits (samples_per_trace =
+// 2^30) used to size a chunk buffer straight from the header and abort
+// in std::bad_alloc; open() now refuses it, which `fd-tracedb verify`
+// reports as unreadable (exit 2).
+TEST(Archive, OverflowingRecordGeometryRejectedAtOpen) {
+  TempFile tmp("ts_geom.fdtrace");
+  write_archive(tmp.path, 4);
+  patch_u32(tmp.path, 28, 1U << 30);  // samples_per_trace
+  ArchiveReader reader;
+  EXPECT_FALSE(reader.open(tmp.path));
+  EXPECT_NE(reader.error().find("overflows"), std::string::npos) << reader.error();
+  VerifyReport report;
+  std::string error;
+  EXPECT_FALSE(verify_archive(tmp.path, report, &error));
+
+  ArchiveMeta m = small_meta();
+  m.samples_per_trace = 1U << 30;
+  ArchiveWriter writer;
+  EXPECT_FALSE(writer.open(tmp.path + ".w", m));
+  std::remove((tmp.path + ".w").c_str());
+}
+
+// Geometry that fits but a chunk that claims more payload than the file
+// holds: the length is checked against the bytes left before any buffer
+// is sized, so the lie reads as a truncated tail.
+TEST(Archive, ChunkLongerThanTheFileIsATruncatedTail) {
+  TempFile tmp("ts_chunklie.fdtrace");
+  write_archive(tmp.path, 20);  // chunks of 8, 8, 4
+  patch_u32(tmp.path, 28, (1U << 30) - 16);    // samples_per_trace: ~4 GiB records
+  patch_u32(tmp.path, 32, 0xFFFFFFFFU);        // traces_per_chunk
+  patch_u32(tmp.path, static_cast<long>(kHeaderBytes) + 4, 0xFFFFFFF0U);  // record_count
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.open(tmp.path)) << reader.error();
+  TraceRecord rec;
+  EXPECT_FALSE(reader.next(rec));
+  EXPECT_TRUE(reader.stats().truncated_tail);
+  VerifyReport report;
+  ASSERT_TRUE(verify_archive(tmp.path, report));
+  EXPECT_FALSE(report.clean());
+  EXPECT_EQ(report.records, 0U);
 }
 
 TEST(Archive, RejectsBadMagic) {
@@ -286,6 +397,27 @@ TEST(Merge, ShardCountsAddUpAndIndicesRebase) {
   // Shard A had queries 0..2, so shard B's queries became 3..4.
   EXPECT_EQ(max_index, 4U);
   EXPECT_TRUE(reader.stats().clean());
+}
+
+TEST(Merge, SingleShardCopiesTheRecordStream) {
+  TempFile a("ts_one_shard.fdtrace");
+  TempFile out("ts_one_merged.fdtrace");
+  const auto recs = write_archive(a.path, 21);
+  const std::string inputs[1] = {a.path};
+  std::string error;
+  ASSERT_TRUE(merge_archives(inputs, out.path, &error)) << error;
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.open(out.path));
+  EXPECT_NE(reader.meta().flags & kFlagMerged, 0U);
+  TraceRecord rec;
+  for (const auto& want : recs) {
+    ASSERT_TRUE(reader.next(rec));
+    EXPECT_EQ(rec.slot, want.slot);
+    EXPECT_EQ(rec.index, want.index);
+    EXPECT_EQ(rec.known_re_bits, want.known_re_bits);
+    EXPECT_EQ(rec.samples, want.samples);
+  }
+  EXPECT_FALSE(reader.next(rec));
 }
 
 TEST(Merge, IncompatibleShardsRejected) {
