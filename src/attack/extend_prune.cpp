@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -51,18 +50,24 @@ std::vector<std::uint32_t> MantissaCandidates::adversarial(std::uint32_t truth, 
   const std::uint32_t hi_bound = high ? (1U << 28) : (1U << 25);
   const auto in_range = [&](std::uint32_t v) { return v >= lo_bound && v < hi_bound; };
 
-  std::set<std::uint32_t> cand;
+  // Sorted and unique, like a std::set, without a node per candidate.
+  std::vector<std::uint32_t> cand;
+  cand.reserve(random_count + 14);  // the last family adds at most 13
+  const auto insert = [&cand](std::uint32_t v) {
+    const auto it = std::lower_bound(cand.begin(), cand.end(), v);
+    if (it == cand.end() || *it != v) cand.insert(it, v);
+  };
   const auto add_shift_family = [&](std::uint32_t v) {
-    cand.insert(v);
+    insert(v);
     for (int k = 1; k <= 6; ++k) {
       const std::uint64_t left = static_cast<std::uint64_t>(v) << k;
       if (left < hi_bound && in_range(static_cast<std::uint32_t>(left))) {
-        cand.insert(static_cast<std::uint32_t>(left));
+        insert(static_cast<std::uint32_t>(left));
       }
       const std::uint32_t right = v >> k;
       // Only exact shifts (no bits dropped) reproduce the Hamming weight.
       if ((static_cast<std::uint64_t>(right) << k) == v && in_range(right)) {
-        cand.insert(right);
+        insert(right);
       }
     }
   };
@@ -74,7 +79,7 @@ std::vector<std::uint32_t> MantissaCandidates::adversarial(std::uint32_t truth, 
         lo_bound + static_cast<std::uint32_t>(rng.uniform(hi_bound - lo_bound));
     add_shift_family(v);
   }
-  return {cand.begin(), cand.end()};
+  return cand;
 }
 
 namespace {

@@ -371,7 +371,9 @@ std::int64_t BigInt::to_int64() const {
   for (std::size_t i = std::min<std::size_t>(limbs_.size(), 2); i-- > 0;) {
     m = (m << 32) | limbs_[i];
   }
-  return negative_ ? -static_cast<std::int64_t>(m) : static_cast<std::int64_t>(m);
+  // Negate in unsigned arithmetic: INT64_MIN's magnitude 2^63 has no
+  // signed counterpart.
+  return static_cast<std::int64_t>(negative_ ? 0 - m : m);
 }
 
 double BigInt::to_double_scaled(int& e) const {

@@ -24,6 +24,10 @@ class RandomSource {
   [[nodiscard]] std::uint64_t uniform(std::uint64_t bound);
   // Standard normal via Box-Muller over uniform 53-bit doubles.
   [[nodiscard]] double gaussian();
+  // Fills `out` with the values out.size() gaussian() calls would return,
+  // in order (a pending spare first), drawing the uniforms of many pairs
+  // per fill.
+  void gaussians(std::span<double> out);
 
  private:
   bool have_spare_gaussian_ = false;

@@ -44,7 +44,7 @@ const char* leakage_tag_name(LeakageTag tag) {
 
 namespace {
 
-constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
+using detail::kSignBit;
 constexpr std::uint64_t kMagMask = 0x7FFFFFFFFFFFFFFFULL;
 
 // Assembles (-1)^s * m * 2^e with m in [2^54, 2^55), where m's bit 1 is
@@ -63,7 +63,7 @@ Fpr make_fpr(unsigned s, int e, std::uint64_t m) {
 
 }  // namespace
 
-Fpr fpr_mul(Fpr x, Fpr y) {
+Fpr detail::fpr_mul_emu(Fpr x, Fpr y) {
   const unsigned s = static_cast<unsigned>((x.bits() ^ y.bits()) >> 63);
   leak(LeakageTag::kMulSign, s);
 
@@ -115,7 +115,7 @@ Fpr fpr_mul(Fpr x, Fpr y) {
   return r;
 }
 
-Fpr fpr_add(Fpr x, Fpr y) {
+Fpr detail::fpr_add_emu(Fpr x, Fpr y) {
   std::uint64_t xb = x.bits();
   std::uint64_t yb = y.bits();
   // Operand with the larger magnitude goes first.
@@ -165,10 +165,6 @@ Fpr fpr_add(Fpr x, Fpr y) {
   return r;
 }
 
-Fpr fpr_sub(Fpr x, Fpr y) { return fpr_add(x, fpr_neg(y)); }
-
-Fpr fpr_neg(Fpr x) { return Fpr::from_bits(x.bits() ^ kSignBit); }
-
 Fpr fpr_half(Fpr x) {
   const unsigned e = x.biased_exponent();
   if (e <= 1) return Fpr::from_bits(x.bits() & kSignBit);  // underflow flush
@@ -180,7 +176,7 @@ Fpr fpr_double(Fpr x) {
   return Fpr::from_bits(x.bits() + (std::uint64_t{1} << 52));
 }
 
-Fpr fpr_div(Fpr x, Fpr y) {
+Fpr detail::fpr_div_emu(Fpr x, Fpr y) {
   const unsigned s = static_cast<unsigned>((x.bits() ^ y.bits()) >> 63);
   if (x.biased_exponent() == 0 || y.biased_exponent() == 0) {
     // x == 0 (or subnormal) -> signed zero; division by zero is
@@ -202,8 +198,6 @@ Fpr fpr_div(Fpr x, Fpr y) {
   return make_fpr(s, e, m);
 }
 
-Fpr fpr_inv(Fpr x) { return fpr_div(kOne, x); }
-
 namespace {
 
 unsigned __int128 isqrt_u128(unsigned __int128 t) {
@@ -224,7 +218,7 @@ unsigned __int128 isqrt_u128(unsigned __int128 t) {
 
 }  // namespace
 
-Fpr fpr_sqrt(Fpr x) {
+Fpr detail::fpr_sqrt_emu(Fpr x) {
   assert(!x.sign() || x.is_zero());
   if (x.biased_exponent() == 0) return Fpr::from_bits(0);
   std::uint64_t xm = x.significand();
@@ -240,7 +234,7 @@ Fpr fpr_sqrt(Fpr x) {
   return make_fpr(0, e / 2 - 28, m);
 }
 
-Fpr fpr_scaled(std::int64_t i, int sc) {
+Fpr detail::fpr_scaled_emu(std::int64_t i, int sc) {
   if (i == 0) return Fpr::from_bits(0);
   const unsigned s = i < 0;
   std::uint64_t m = s ? ~static_cast<std::uint64_t>(i) + 1 : static_cast<std::uint64_t>(i);
@@ -256,9 +250,7 @@ Fpr fpr_scaled(std::int64_t i, int sc) {
   return make_fpr(s, e, m);
 }
 
-Fpr fpr_of(std::int64_t i) { return fpr_scaled(i, 0); }
-
-std::int64_t fpr_trunc(Fpr x) {
+std::int64_t detail::fpr_trunc_emu(Fpr x) {
   if (x.biased_exponent() == 0) return 0;
   const int e = static_cast<int>(x.biased_exponent()) - 1075;  // value = xm * 2^e
   const std::uint64_t xm = x.significand();
@@ -273,7 +265,7 @@ std::int64_t fpr_trunc(Fpr x) {
   return x.sign() ? -r : r;
 }
 
-std::int64_t fpr_rint(Fpr x) {
+std::int64_t detail::fpr_rint_emu(Fpr x) {
   if (x.biased_exponent() == 0) return 0;
   const int e = static_cast<int>(x.biased_exponent()) - 1075;
   const std::uint64_t xm = x.significand();
@@ -295,8 +287,8 @@ std::int64_t fpr_rint(Fpr x) {
   return x.sign() ? -r : r;
 }
 
-std::int64_t fpr_floor(Fpr x) {
-  const std::int64_t t = fpr_trunc(x);
+std::int64_t detail::fpr_floor_emu(Fpr x) {
+  const std::int64_t t = fpr_trunc_emu(x);
   if (!x.sign()) return t;
   // Negative: subtract 1 when x has a fractional part.
   const int e = static_cast<int>(x.biased_exponent()) - 1075;

@@ -15,9 +15,17 @@
 // the host FPU.
 
 #include <bit>
+#include <cfloat>
 #include <cstdint>
+#include <limits>
 
 #include "fpr/leakage.h"
+
+// The native fast path below relies on the host doing binary64 with no
+// excess precision (no x87 evaluation) and on no FMA contraction, which
+// fd_fpr's PUBLIC -ffp-contract=off gives every consumer.
+static_assert(std::numeric_limits<double>::is_iec559, "fpr: host double must be IEEE-754 binary64");
+static_assert(FLT_EVAL_METHOD == 0, "fpr: host must evaluate double arithmetic in double");
 
 namespace fd::fpr {
 
@@ -102,24 +110,134 @@ inline constexpr unsigned kMantHighBits = 28;
 
 // Arithmetic (round-to-nearest-even; subnormal inputs/outputs flushed to
 // zero; NaN/Inf behaviour unspecified, as in FALCON's FPEMU).
-[[nodiscard]] Fpr fpr_add(Fpr x, Fpr y);
-[[nodiscard]] Fpr fpr_sub(Fpr x, Fpr y);
-[[nodiscard]] Fpr fpr_mul(Fpr x, Fpr y);
-[[nodiscard]] Fpr fpr_div(Fpr x, Fpr y);
-[[nodiscard]] Fpr fpr_sqrt(Fpr x);
-[[nodiscard]] Fpr fpr_neg(Fpr x);
+//
+// The emulated bodies live in detail::*_emu (fpr.cpp). The public ops
+// below return the host FPU's binary64 result instead whenever nobody
+// can observe the difference (DESIGN.md section 19):
+//  - fpr_add/fpr_sub/fpr_mul leak their intermediates, so they go native
+//    only while the thread has no data route (no sink, or a windowed
+//    sink outside its trigger window);
+//  - the other ops never leak and always go native;
+// and in both cases only when every operand is a normal number and the
+// result's biased exponent is 2..2046. There FPEMU and IEEE-754 RNE
+// binary64 agree bit for bit; everywhere else (zeros, subnormals,
+// underflow, overflow, out-of-range integers) the emulation runs.
+namespace detail {
+[[nodiscard]] Fpr fpr_add_emu(Fpr x, Fpr y);
+[[nodiscard]] Fpr fpr_mul_emu(Fpr x, Fpr y);
+[[nodiscard]] Fpr fpr_div_emu(Fpr x, Fpr y);
+[[nodiscard]] Fpr fpr_sqrt_emu(Fpr x);
+[[nodiscard]] Fpr fpr_scaled_emu(std::int64_t i, int sc);
+[[nodiscard]] std::int64_t fpr_rint_emu(Fpr x);
+[[nodiscard]] std::int64_t fpr_trunc_emu(Fpr x);
+[[nodiscard]] std::int64_t fpr_floor_emu(Fpr x);
+
+inline constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
+inline constexpr unsigned kExp2p52 = 1075;  // biased exponent of 2^52
+inline constexpr unsigned kExp2p63 = 1086;  // biased exponent of 2^63
+
+// Biased exponent 1..limit-1: a nonzero normal x with |x| < 2^(limit-1023).
+[[nodiscard]] constexpr bool normal_below(Fpr x, unsigned limit) {
+  return x.biased_exponent() - 1U < limit - 1U;
+}
+// A nonzero, normal, finite operand.
+[[nodiscard]] constexpr bool native_operand(Fpr x) { return normal_below(x, 2047); }
+// Biased exponent 2..2046: a result FPEMU neither flushes nor overflows,
+// with one binade of margin below the smallest normal.
+[[nodiscard]] constexpr bool native_result(Fpr r) { return r.biased_exponent() - 2U < 2045U; }
+// |i| <= 2^53: converts to binary64 exactly.
+[[nodiscard]] constexpr bool exact_int(std::int64_t i) {
+  return static_cast<std::uint64_t>(i) + (std::uint64_t{1} << 53) <= (std::uint64_t{1} << 54);
+}
+// No data route: leaking ops have nobody to leak to.
+[[nodiscard]] inline bool unobserved() { return tl_route.data == nullptr; }
+}  // namespace detail
+
+[[nodiscard]] inline Fpr fpr_neg(Fpr x) { return Fpr::from_bits(x.bits() ^ detail::kSignBit); }
+
+[[nodiscard]] inline Fpr fpr_add(Fpr x, Fpr y) {
+  if (detail::unobserved() && detail::native_operand(x) && detail::native_operand(y)) {
+    const Fpr r = Fpr::from_double(x.to_double() + y.to_double());
+    if (detail::native_result(r)) return r;
+  }
+  return detail::fpr_add_emu(x, y);
+}
+
+[[nodiscard]] inline Fpr fpr_sub(Fpr x, Fpr y) { return fpr_add(x, fpr_neg(y)); }
+
+[[nodiscard]] inline Fpr fpr_mul(Fpr x, Fpr y) {
+  if (detail::unobserved() && detail::native_operand(x) && detail::native_operand(y)) {
+    const Fpr r = Fpr::from_double(x.to_double() * y.to_double());
+    if (detail::native_result(r)) return r;
+  }
+  return detail::fpr_mul_emu(x, y);
+}
+
+[[nodiscard]] inline Fpr fpr_div(Fpr x, Fpr y) {
+  if (detail::native_operand(x) && detail::native_operand(y)) {
+    const Fpr r = Fpr::from_double(x.to_double() / y.to_double());
+    if (detail::native_result(r)) return r;
+  }
+  return detail::fpr_div_emu(x, y);
+}
+
+[[nodiscard]] inline Fpr fpr_sqrt(Fpr x) {
+  // Negative operands keep FPEMU's sqrt(|x|) instead of a NaN.
+  if (!x.sign() && detail::native_operand(x)) {
+    const Fpr r = Fpr::from_double(__builtin_sqrt(x.to_double()));
+    if (detail::native_result(r)) return r;
+  }
+  return detail::fpr_sqrt_emu(x);
+}
+
 [[nodiscard]] Fpr fpr_half(Fpr x);    // x * 0.5 (exponent decrement)
 [[nodiscard]] Fpr fpr_double(Fpr x);  // x * 2   (exponent increment)
 [[nodiscard]] inline Fpr fpr_sqr(Fpr x) { return fpr_mul(x, x); }
-[[nodiscard]] Fpr fpr_inv(Fpr x);
+[[nodiscard]] inline Fpr fpr_inv(Fpr x) { return fpr_div(Fpr::from_double(1.0), x); }
 
 // Conversions.
-[[nodiscard]] Fpr fpr_of(std::int64_t i);
+[[nodiscard]] inline Fpr fpr_of(std::int64_t i) {
+  if (detail::exact_int(i)) return Fpr::from_double(static_cast<double>(i));
+  return detail::fpr_scaled_emu(i, 0);
+}
+
 // i * 2^sc, as FALCON's fpr_scaled.
-[[nodiscard]] Fpr fpr_scaled(std::int64_t i, int sc);
-[[nodiscard]] std::int64_t fpr_rint(Fpr x);   // round to nearest even
-[[nodiscard]] std::int64_t fpr_trunc(Fpr x);  // round toward zero
-[[nodiscard]] std::int64_t fpr_floor(Fpr x);  // round toward -inf
+[[nodiscard]] inline Fpr fpr_scaled(std::int64_t i, int sc) {
+  if (detail::exact_int(i) && sc >= -1022 && sc <= 1023) {
+    const double p2 = Fpr::from_bits(static_cast<std::uint64_t>(sc + 1023) << 52).to_double();
+    const Fpr r = Fpr::from_double(static_cast<double>(i) * p2);
+    if (detail::native_result(r)) return r;
+  }
+  return detail::fpr_scaled_emu(i, sc);
+}
+
+// Round to nearest even. Natively for |x| < 2^52: adding and removing
+// 2^52 (with x's sign) rounds away the fraction under RNE.
+[[nodiscard]] inline std::int64_t fpr_rint(Fpr x) {
+  if (detail::normal_below(x, detail::kExp2p52)) {
+    const double big =
+        Fpr::from_bits((x.bits() & detail::kSignBit) | (std::uint64_t{detail::kExp2p52} << 52))
+            .to_double();
+    return static_cast<std::int64_t>((x.to_double() + big) - big);
+  }
+  return detail::fpr_rint_emu(x);
+}
+
+// Round toward zero (callers keep |x| < 2^63).
+[[nodiscard]] inline std::int64_t fpr_trunc(Fpr x) {
+  if (detail::normal_below(x, detail::kExp2p63)) return static_cast<std::int64_t>(x.to_double());
+  return detail::fpr_trunc_emu(x);
+}
+
+// Round toward -inf (callers keep |x| < 2^63).
+[[nodiscard]] inline std::int64_t fpr_floor(Fpr x) {
+  if (detail::normal_below(x, detail::kExp2p63)) {
+    const double d = x.to_double();
+    const auto t = static_cast<std::int64_t>(d);
+    return t - static_cast<std::int64_t>(d < static_cast<double>(t));
+  }
+  return detail::fpr_floor_emu(x);
+}
 
 // Comparison: x < y (total order on the values; -0 < +0).
 [[nodiscard]] bool fpr_lt(Fpr x, Fpr y);

@@ -58,8 +58,10 @@ class EmDeviceModel {
             static_cast<float>(config_.alpha * hw);
       }
     }
-    for (auto& v : t.samples) {
-      v += static_cast<float>(config_.noise_sigma * noise_rng_.gaussian());
+    noise_.resize(t.samples.size());
+    noise_rng_.gaussians(noise_);
+    for (std::size_t i = 0; i < t.samples.size(); ++i) {
+      t.samples[i] += static_cast<float>(config_.noise_sigma * noise_[i]);
     }
     return t;
   }
@@ -67,6 +69,7 @@ class EmDeviceModel {
  private:
   DeviceConfig config_;
   ChaCha20Prng noise_rng_;
+  std::vector<double> noise_;  // one trace's unit normals, reused
 };
 
 // Fixed layout of one captured window: the signing code performs four

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <set>
+#include <vector>
 
 #include "attack/extend_prune.h"
 #include "attack/template_attack.h"
@@ -119,6 +122,52 @@ TEST(Candidates, Deterministic) {
   EXPECT_EQ(a, b);
   const auto c = MantissaCandidates::adversarial(0x123456, false, 50, 43);
   EXPECT_NE(a, c);
+}
+
+// The candidate generator as it was written over a std::set: the sorted
+// vector must stop on the same draw and return the same list.
+std::vector<std::uint32_t> adversarial_set_reference(std::uint32_t truth, bool high,
+                                                     std::size_t random_count,
+                                                     std::uint64_t seed) {
+  const std::uint32_t lo_bound = high ? (1U << 27) : 0;
+  const std::uint32_t hi_bound = high ? (1U << 28) : (1U << 25);
+  const auto in_range = [&](std::uint32_t v) { return v >= lo_bound && v < hi_bound; };
+  std::set<std::uint32_t> cand;
+  const auto add_shift_family = [&](std::uint32_t v) {
+    cand.insert(v);
+    for (int k = 1; k <= 6; ++k) {
+      const std::uint64_t left = static_cast<std::uint64_t>(v) << k;
+      if (left < hi_bound && in_range(static_cast<std::uint32_t>(left))) {
+        cand.insert(static_cast<std::uint32_t>(left));
+      }
+      const std::uint32_t right = v >> k;
+      if ((static_cast<std::uint64_t>(right) << k) == v && in_range(right)) cand.insert(right);
+    }
+  };
+  add_shift_family(truth);
+  ChaCha20Prng rng(seed);
+  while (cand.size() < random_count + 1) {
+    add_shift_family(lo_bound + static_cast<std::uint32_t>(rng.uniform(hi_bound - lo_bound)));
+  }
+  return {cand.begin(), cand.end()};
+}
+
+TEST(Candidates, SortedVectorMatchesSetReference) {
+  const std::size_t counts[] = {0, 1, 7, 150, 400};
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    for (const bool high : {false, true}) {
+      ChaCha20Prng pick(seed * 2 + (high ? 1 : 0));
+      // Truths with long shift families (trailing zeros) and without.
+      std::uint32_t truth = high ? (1U << 27) | static_cast<std::uint32_t>(pick.uniform(1U << 27))
+                                 : static_cast<std::uint32_t>(pick.uniform(1U << 25));
+      if (seed % 3 == 0) truth &= ~0x7FU;
+      if (truth == 0) truth = 1;
+      const std::size_t count = counts[seed % std::size(counts)];
+      ASSERT_EQ(MantissaCandidates::adversarial(truth, high, count, seed),
+                adversarial_set_reference(truth, high, count, seed))
+          << "seed " << seed << (high ? " high" : " low");
+    }
+  }
 }
 
 TEST(Dataset, TruncationLimitsTraces) {

@@ -136,6 +136,26 @@ TEST(ChaCha20, BlockKeystreamMatchesPerCounterBlocks) {
   EXPECT_GT(bytes, std::size_t{64 * 8 * 20});  // many refills crossed
 }
 
+TEST(Gaussian, BulkDrawsMatchRepeatedCalls) {
+  // Lengths across the block size, odd and even, after a pending spare
+  // and without one; then the two sources must still be in step.
+  constexpr std::size_t kSizes[] = {0, 1, 2, 3, 63, 64, 127, 128, 129, 1000, 4097};
+  ChaCha20Prng bulk(std::uint64_t{0x6A55});
+  ChaCha20Prng one(std::uint64_t{0x6A55});
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t n : kSizes) {
+      std::vector<double> got(n);
+      bulk.gaussians(got);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = one.gaussian();
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want))
+            << "round " << round << " length " << n << " index " << i;
+      }
+    }
+    ASSERT_EQ(bulk.next_u64(), one.next_u64()) << "round " << round;
+  }
+}
+
 TEST(ChaCha20, EmptyFillDrawsNothing) {
   ChaCha20Prng a(std::uint64_t{3});
   ChaCha20Prng b(std::uint64_t{3});

@@ -251,6 +251,84 @@ TEST(GatedCapture, PlainSignerRow1) { expect_windowed_matches_ungated(&falcon::s
 TEST(GatedCapture, MaskedSignerRow0) { expect_windowed_matches_ungated(&falcon::sign_masked, 0); }
 TEST(GatedCapture, MaskedSignerRow1) { expect_windowed_matches_ungated(&falcon::sign_masked, 1); }
 
+// --- event streams: every leak() of a signing run, pinned ------------------
+//
+// FNV-1a 64 over (tag, value) of each event a FullRecorder sees during
+// one fixed-seed signing, recorded before ops went native outside
+// trigger windows (DESIGN.md section 19). An ungated sink keeps every op
+// on the emulated path, so the stream must not change by one event.
+
+struct StreamDigest {
+  std::size_t events = 0;
+  std::uint64_t fnv = 0xCBF29CE484222325ULL;
+};
+
+StreamDigest signing_stream_digest(unsigned logn, std::uint64_t key_seed) {
+  ChaCha20Prng krng(key_seed);
+  const auto kp = falcon::keygen(logn, krng);
+  FullRecorder all;
+  {
+    ChaCha20Prng rng(key_seed ^ 0x5161);
+    fpr::ScopedLeakageSink scope(&all);
+    (void)falcon::sign(kp.sk, "event stream", rng);
+  }
+  StreamDigest d;
+  d.events = all.events().size();
+  for (const auto& ev : all.events()) {
+    std::uint8_t b[9] = {static_cast<std::uint8_t>(ev.tag)};
+    for (int i = 0; i < 8; ++i) b[1 + i] = static_cast<std::uint8_t>(ev.value >> (8 * i));
+    for (const std::uint8_t x : b) {
+      d.fnv ^= x;
+      d.fnv *= 0x100000001B3ULL;
+    }
+  }
+  return d;
+}
+
+TEST(EventStream, Falcon16SigningUnderFullRecorder) {
+  const StreamDigest d = signing_stream_digest(4, 0xE5E4);
+  EXPECT_EQ(d.events, 21176U);
+  EXPECT_EQ(d.fnv, 0x75C4093FB1977D4FULL);
+}
+
+TEST(EventStream, Falcon512SigningUnderFullRecorder) {
+  const StreamDigest d = signing_stream_digest(9, 0xE5E9);
+  EXPECT_EQ(d.events, 1187835U);
+  EXPECT_EQ(d.fnv, 0xFF3DC3C76F26D6F2ULL);
+}
+
+// Every trigger window of a real signing, as the windowed recorder keeps
+// it: four fpr_mul blocks of 17 events, then one fpr_sub and one fpr_add
+// of 3 each.
+TEST(EventStream, WindowsHold17EventsPerMulAnd3PerAdd) {
+  ChaCha20Prng krng(0xE5E5);
+  const auto kp = falcon::keygen(4, krng);
+  const std::size_t hn = kp.sk.params.n >> 1;
+  for (unsigned row = 0; row < 2; ++row) {
+    LastWindowRecorder rec(hn, row);
+    rec.start_run();
+    {
+      ChaCha20Prng rng(0x5162 + row);
+      fpr::ScopedLeakageSink scope(&rec);
+      (void)falcon::sign(kp.sk, "windows", rng);
+    }
+    for (std::size_t s = 0; s < hn; ++s) {
+      const auto& w = rec.window(s);
+      ASSERT_EQ(w.size(), window::kEventsPerWindow) << "row " << row << " slot " << s;
+      for (unsigned m = 0; m < 4; ++m) {
+        EXPECT_EQ(w[window::mul_base(m) + window::kOffSign].tag, LeakageTag::kMulSign);
+        EXPECT_EQ(w[window::mul_base(m) + window::kOffResult].tag, LeakageTag::kMulResult);
+      }
+      for (unsigned a = 0; a < 2; ++a) {
+        const std::size_t base = 4 * window::kEventsPerMul + a * window::kEventsPerAdd;
+        EXPECT_EQ(w[base].tag, LeakageTag::kAddAlignShift);
+        EXPECT_EQ(w[base + 1].tag, LeakageTag::kAddMantSum);
+        EXPECT_EQ(w[base + 2].tag, LeakageTag::kAddResult);
+      }
+    }
+  }
+}
+
 TEST(GatedCapture, RecordersAreWindowedFullRecorderIsNot) {
   EXPECT_TRUE(LastWindowRecorder(4).windowed());
   EXPECT_TRUE(EventWindowRecorder(0).windowed());
