@@ -19,6 +19,7 @@ std::optional<falcon::SecretKey> forge_key(std::span<const std::int32_t> f,
                                            const falcon::PublicKey& pk) {
   const unsigned logn = pk.params.logn;
   const std::size_t n = pk.params.n;
+  if (f.size() != n || pk.h.size() != n) return std::nullopt;
 
   // g = h * f mod q; a correct f makes every centered coefficient small.
   std::vector<std::int32_t> g(n);

@@ -110,7 +110,8 @@ struct RowRecoveryResult {
 
 // Given a recovered f, completes the attack: derives g from the public
 // key, solves NTRU, expands a signing key, and checks a forged signature
-// against the victim public key. Returns the forged secret key on success.
+// against the victim public key. Returns the forged secret key on success,
+// nullopt when f is wrong or f or pk.h is not of length pk.params.n.
 [[nodiscard]] std::optional<falcon::SecretKey> forge_key(std::span<const std::int32_t> f,
                                                          const falcon::PublicKey& pk);
 

@@ -109,6 +109,14 @@ BigInt::BigInt(std::int64_t v) {
   if (limbs_.empty()) negative_ = false;
 }
 
+BigInt BigInt::from_magnitude(bool negative, std::span<const std::uint32_t> limbs) {
+  while (!limbs.empty() && limbs.back() == 0) limbs = limbs.first(limbs.size() - 1);
+  BigInt r;
+  r.limbs_.assign(limbs.begin(), limbs.end());
+  r.negative_ = negative && !r.limbs_.empty();
+  return r;
+}
+
 BigInt BigInt::from_decimal(const std::string& s) {
   if (s.empty()) throw std::invalid_argument("BigInt::from_decimal: empty string");
   std::size_t i = 0;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <compare>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,12 @@ class BigInt {
   BigInt(std::int64_t v);  // NOLINT(google-explicit-constructor) - ints are values
   // Parses an optionally '-'-prefixed decimal string. Throws std::invalid_argument.
   static BigInt from_decimal(const std::string& s);
+  // (negative ? -1 : 1) * |limbs| for little-endian 32-bit limbs; leading
+  // zero limbs are allowed.
+  static BigInt from_magnitude(bool negative, std::span<const std::uint32_t> limbs);
+
+  // |x| as little-endian 32-bit limbs without leading zeros (empty for 0).
+  [[nodiscard]] std::span<const std::uint32_t> magnitude() const { return limbs_; }
 
   [[nodiscard]] bool is_zero() const { return limbs_.empty(); }
   [[nodiscard]] bool is_negative() const { return negative_; }

@@ -1,6 +1,5 @@
 #include "falcon/keygen.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -67,6 +66,33 @@ std::vector<std::uint32_t> to_zq(std::span<const std::int32_t> poly) {
 
 }  // namespace
 
+bool ntru_equation_holds(std::span<const std::int32_t> f, std::span<const std::int32_t> g,
+                         std::span<const std::int32_t> big_f,
+                         std::span<const std::int32_t> big_g) {
+  const std::size_t n = f.size();
+  if (g.size() != n || big_f.size() != n || big_g.size() != n || n == 0) return false;
+  constexpr std::int64_t kMaxFG = std::int64_t{1} << 30;
+  std::int64_t l1_f = 0, l1_g = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::llabs(big_f[i]) >= kMaxFG || std::llabs(big_g[i]) >= kMaxFG) return false;
+    l1_f += std::llabs(f[i]);
+    l1_g += std::llabs(g[i]);
+    if (l1_f >= kMaxFG * 2 || l1_g >= kMaxFG * 2) return false;
+  }
+  // Every partial sum is at most (l1_f + l1_g) * 2^30 < 2^62 in magnitude.
+  std::vector<std::int64_t> r(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t fi = f[i], gi = g[i];
+    for (std::size_t j = 0; j < n - i; ++j) r[i + j] += fi * big_g[j] - gi * big_f[j];
+    for (std::size_t j = n - i; j < n; ++j) r[i + j - n] -= fi * big_g[j] - gi * big_f[j];
+  }
+  if (r[0] != static_cast<std::int64_t>(kQ)) return false;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (r[i] != 0) return false;
+  }
+  return true;
+}
+
 bool compute_public_key(PublicKey& pk, std::span<const std::int32_t> f,
                         std::span<const std::int32_t> g, unsigned logn) {
   const auto inv_f = zq::poly_inverse(to_zq(f), logn);
@@ -79,7 +105,9 @@ bool compute_public_key(PublicKey& pk, std::span<const std::int32_t> f,
 bool expand_secret_key(SecretKey& sk) {
   const unsigned logn = sk.params.logn;
   const std::size_t n = sk.params.n;
-  assert(sk.f.size() == n && sk.g.size() == n && sk.big_f.size() == n && sk.big_g.size() == n);
+  if (sk.f.size() != n || sk.g.size() != n || sk.big_f.size() != n || sk.big_g.size() != n) {
+    return false;
+  }
 
   // Basis rows in FFT representation: [[g, -f], [G, -F]].
   sk.b00 = to_fft(sk.g, logn);
@@ -143,25 +171,23 @@ KeyPair keygen(unsigned logn, RandomSource& rng) {
     auto sol = ntru_solve(zf, zg, kQ);
     if (!sol) continue;
 
-    // Validate f*G - g*F == q and that F, G fit comfortably in int32.
-    {
-      const ZPoly lhs = zpoly_sub(zpoly_mul(zf, sol->big_g), zpoly_mul(zg, sol->big_f));
-      if (lhs[0] != BigInt(static_cast<std::int64_t>(kQ))) continue;
-      bool ok = true;
-      for (std::size_t i = 1; i < params.n && ok; ++i) ok = lhs[i].is_zero();
-      for (std::size_t i = 0; i < params.n && ok; ++i) {
-        ok = sol->big_f[i].fits_int64() && sol->big_g[i].fits_int64() &&
-             std::llabs(sol->big_f[i].to_int64()) < (1LL << 30) &&
-             std::llabs(sol->big_g[i].to_int64()) < (1LL << 30);
-      }
-      if (!ok) continue;
+    // F, G must fit comfortably in int32; then f*G - g*F == q exactly.
+    bool small = true;
+    for (std::size_t i = 0; i < params.n && small; ++i) {
+      small = sol->big_f[i].fits_int64() && sol->big_g[i].fits_int64() &&
+              std::llabs(sol->big_f[i].to_int64()) < (1LL << 30) &&
+              std::llabs(sol->big_g[i].to_int64()) < (1LL << 30);
     }
+    if (!small) continue;
     kp.sk.big_f.resize(params.n);
     kp.sk.big_g.resize(params.n);
     for (std::size_t i = 0; i < params.n; ++i) {
       kp.sk.big_f[i] = static_cast<std::int32_t>(sol->big_f[i].to_int64());
       kp.sk.big_g[i] = static_cast<std::int32_t>(sol->big_g[i].to_int64());
     }
+    // The Gram-Schmidt check bounds ||(f, g)||^2 below 2^15, so the
+    // coefficient sums of f and g stay far below the int64 guard.
+    if (!ntru_equation_holds(kp.sk.f, kp.sk.g, kp.sk.big_f, kp.sk.big_g)) continue;
 
     if (!compute_public_key(kp.pk, kp.sk.f, kp.sk.g, logn)) continue;
     if (!expand_secret_key(kp.sk)) continue;

@@ -21,6 +21,15 @@ namespace fd::falcon {
 // admissible range (never happens for honestly generated keys).
 [[nodiscard]] bool expand_secret_key(SecretKey& sk);
 
+// True iff f*G - g*F == q in Z[x]/(x^n + 1), computed exactly in int64.
+// Inputs that could leave int64 are rejected without computing: a
+// coefficient of F or G of magnitude 2^30 or more, or an f or g whose
+// coefficient magnitudes sum to 2^31 or more.
+[[nodiscard]] bool ntru_equation_holds(std::span<const std::int32_t> f,
+                                       std::span<const std::int32_t> g,
+                                       std::span<const std::int32_t> big_f,
+                                       std::span<const std::int32_t> big_g);
+
 // Computes h = g * f^(-1) mod q; returns false when f is not invertible.
 [[nodiscard]] bool compute_public_key(PublicKey& pk, std::span<const std::int32_t> f,
                                       std::span<const std::int32_t> g, unsigned logn);

@@ -1,7 +1,9 @@
 #include "falcon/ntru_solve.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
 
 #include "fft/fft.h"
 
@@ -9,24 +11,138 @@ namespace fd::falcon {
 
 using fpr::Fpr;
 
-ZPoly zpoly_mul(const ZPoly& a, const ZPoly& b) {
+namespace {
+
+unsigned logn_of(std::size_t n) {
+  unsigned logn = 0;
+  while ((std::size_t{1} << logn) < n) ++logn;
+  return logn;
+}
+
+BigInt from_i128(__int128 v) {
+  const bool negative = v < 0;
+  unsigned __int128 m = static_cast<unsigned __int128>(v);
+  if (negative) m = ~m + 1;
+  std::uint32_t limbs[4];
+  for (auto& l : limbs) {
+    l = static_cast<std::uint32_t>(m);
+    m >>= 32;
+  }
+  return BigInt::from_magnitude(negative, limbs);
+}
+
+// Every |a_i|, |b_j| < 2^63 and n * max|a| * max|b| < 2^127: each term
+// and each partial sum of a product coefficient fits in __int128.
+ZPoly mul_i128(const ZPoly& a, const ZPoly& b) {
   const std::size_t n = a.size();
-  assert(b.size() == n);
-  ZPoly r(n, BigInt(0));
+  std::vector<std::int64_t> av(n), bv(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (a[i].is_zero()) continue;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (b[j].is_zero()) continue;
-      const BigInt p = a[i] * b[j];
-      const std::size_t k = i + j;
-      if (k < n) {
-        r[k] += p;
-      } else {
-        r[k - n] -= p;
-      }
-    }
+    av[i] = a[i].to_int64();
+    bv[i] = b[i].to_int64();
+  }
+  // r_k = sum_{i <= k} a_i b_{k-i} - sum_{i > k} a_i b_{n+k-i}, summed in
+  // a register.
+  ZPoly r(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    __int128 acc = 0;
+    for (std::size_t i = 0; i <= k; ++i) acc += static_cast<__int128>(av[i]) * bv[k - i];
+    for (std::size_t i = k + 1; i < n; ++i) acc -= static_cast<__int128>(av[i]) * bv[n + k - i];
+    r[k] = from_i128(acc);
   }
   return r;
+}
+
+std::size_t limbs64(const BigInt& c) { return (c.magnitude().size() + 1) / 2; }
+
+// |p[i]| as 64-bit limbs at out[i * w, i * w + limbs64(p[i])); zero above.
+void flatten(const ZPoly& p, std::size_t w, std::uint64_t* out) {
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const auto mag = p[i].magnitude();
+    for (std::size_t k = 0; k < mag.size(); ++k) {
+      out[i * w + k / 2] |= static_cast<std::uint64_t>(mag[k]) << (32 * (k & 1));
+    }
+  }
+}
+
+// acc += x * y over w limbs; the caller's bound keeps the sum below 2^(64 w).
+void mac(std::uint64_t* acc, std::size_t w, const std::uint64_t* x, std::size_t lx,
+         const std::uint64_t* y, std::size_t ly) {
+  for (std::size_t i = 0; i < lx; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < ly; ++j) {
+      const unsigned __int128 t = static_cast<unsigned __int128>(x[i]) * y[j] + acc[i + j] + carry;
+      acc[i + j] = static_cast<std::uint64_t>(t);
+      carry = static_cast<std::uint64_t>(t >> 64);
+    }
+    for (std::size_t k = i + ly; carry != 0 && k < w; ++k) {
+      acc[k] += carry;
+      carry = acc[k] < carry ? 1 : 0;
+    }
+  }
+}
+
+// Any sizes: each product coefficient gathers its positive and its
+// negative terms in two unsigned w-limb accumulators, w covering
+// bitlen(a) + bitlen(b) + logn bits, and takes their difference.
+ZPoly mul_wide(const ZPoly& a, const ZPoly& b, std::size_t ba, std::size_t bb, unsigned logn) {
+  const std::size_t n = a.size();
+  const std::size_t wa = (ba + 63) / 64;
+  const std::size_t wb = (bb + 63) / 64;
+  const std::size_t w = (ba + bb + logn + 63) / 64;
+  std::vector<std::uint64_t> buf(n * wa + n * wb + 2 * w, 0);
+  std::uint64_t* const fa = buf.data();
+  std::uint64_t* const fb = fa + n * wa;
+  std::uint64_t* const pos = fb + n * wb;
+  std::uint64_t* const neg = pos + w;
+  flatten(a, wa, fa);
+  flatten(b, wb, fb);
+  std::vector<std::uint32_t> mag(2 * w);
+  ZPoly r(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::fill(pos, neg + w, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool wrap = i > k;  // x^i * x^(n+k-i) = -x^k
+      const std::size_t j = wrap ? n + k - i : k - i;
+      const std::size_t la = limbs64(a[i]);
+      const std::size_t lb = limbs64(b[j]);
+      if (la == 0 || lb == 0) continue;
+      std::uint64_t* acc = (a[i].is_negative() != b[j].is_negative()) != wrap ? neg : pos;
+      // The longer operand in the inner loop: one carry chain per limb of
+      // the shorter one (a lift multiplies ~50 limbs by one).
+      if (la <= lb) {
+        mac(acc, w, fa + i * wa, la, fb + j * wb, lb);
+      } else {
+        mac(acc, w, fb + j * wb, lb, fa + i * wa, la);
+      }
+    }
+    const bool negative = std::lexicographical_compare(
+        std::make_reverse_iterator(pos + w), std::make_reverse_iterator(pos),
+        std::make_reverse_iterator(neg + w), std::make_reverse_iterator(neg));
+    const std::uint64_t* hi = negative ? neg : pos;
+    const std::uint64_t* lo = negative ? pos : neg;
+    std::uint64_t borrow = 0;
+    for (std::size_t l = 0; l < w; ++l) {
+      const std::uint64_t d = hi[l] - lo[l];
+      const std::uint64_t v = d - borrow;
+      borrow = (hi[l] < lo[l] ? 1 : 0) + (d < borrow ? 1 : 0);
+      mag[2 * l] = static_cast<std::uint32_t>(v);
+      mag[2 * l + 1] = static_cast<std::uint32_t>(v >> 32);
+    }
+    r[k] = BigInt::from_magnitude(negative, mag);
+  }
+  return r;
+}
+
+}  // namespace
+
+ZPoly zpoly_mul(const ZPoly& a, const ZPoly& b) {
+  if (a.size() != b.size()) throw std::invalid_argument("zpoly_mul: operand sizes differ");
+  const std::size_t ba = zpoly_max_bitlen(a);
+  const std::size_t bb = zpoly_max_bitlen(b);
+  if (ba == 0 || bb == 0) return ZPoly(a.size(), BigInt(0));
+  const unsigned logn = logn_of(a.size());
+  if (ba <= 63 && bb <= 63 && ba + bb + logn <= 127) return mul_i128(a, b);
+  return mul_wide(a, b, ba, bb, logn);
 }
 
 ZPoly zpoly_add(const ZPoly& a, const ZPoly& b) {
@@ -49,7 +165,9 @@ ZPoly zpoly_galois_conjugate(const ZPoly& f) {
 
 ZPoly zpoly_field_norm(const ZPoly& f) {
   const std::size_t n = f.size();
-  assert(n >= 2 && n % 2 == 0);
+  if (n < 2 || n % 2 != 0) {
+    throw std::invalid_argument("zpoly_field_norm: length not even and >= 2");
+  }
   const std::size_t hn = n / 2;
   ZPoly fe(hn), fo(hn);
   for (std::size_t i = 0; i < hn; ++i) {
@@ -85,12 +203,6 @@ double approx_shifted(const BigInt& c, std::size_t shift) {
   BigInt t = c;
   t >>= shift;
   return t.to_double();
-}
-
-unsigned logn_of(std::size_t n) {
-  unsigned logn = 0;
-  while ((std::size_t{1} << logn) < n) ++logn;
-  return logn;
 }
 
 // One Babai round at n == 1: exact nearest-integer quotient.
@@ -200,7 +312,7 @@ int zpoly_reduce(ZPoly& big_f, ZPoly& big_g, const ZPoly& f, const ZPoly& g) {
 
 std::optional<NtruSolution> ntru_solve(const ZPoly& f, const ZPoly& g, std::uint32_t q) {
   const std::size_t n = f.size();
-  assert(g.size() == n);
+  if (g.size() != n) throw std::invalid_argument("ntru_solve: f and g sizes differ");
 
   if (n == 1) {
     const auto [d, u, v] = BigInt::xgcd(f[0], g[0]);

@@ -14,7 +14,7 @@
 //
 // Exact arithmetic end to end; the FFT is only used to *choose* the
 // reduction coefficients, so a poor approximation can slow convergence
-// but never breaks the invariant f*G - g*F = q (asserted by the caller).
+// but never breaks the invariant f*G - g*F = q (checked by the caller).
 
 #include <cstdint>
 #include <optional>
@@ -32,12 +32,16 @@ struct NtruSolution {
 };
 
 // Negacyclic ring helpers (exposed for tests).
+// Exact product; sums in __int128 when the operands' bit lengths allow,
+// otherwise in 64-bit limbs, never a BigInt per term (DESIGN.md section
+// 20). Throws std::invalid_argument when the sizes differ.
 [[nodiscard]] ZPoly zpoly_mul(const ZPoly& a, const ZPoly& b);
 [[nodiscard]] ZPoly zpoly_add(const ZPoly& a, const ZPoly& b);
 [[nodiscard]] ZPoly zpoly_sub(const ZPoly& a, const ZPoly& b);
 // f(-x): negate odd coefficients.
 [[nodiscard]] ZPoly zpoly_galois_conjugate(const ZPoly& f);
-// N(f) of half length: fe^2 - x * fo^2.
+// N(f) of half length: fe^2 - x * fo^2. Throws std::invalid_argument
+// unless the length is even and at least 2.
 [[nodiscard]] ZPoly zpoly_field_norm(const ZPoly& f);
 // F'(x^2): interleave with zeros to double the length.
 [[nodiscard]] ZPoly zpoly_lift(const ZPoly& f);
@@ -48,7 +52,8 @@ struct NtruSolution {
 int zpoly_reduce(ZPoly& big_f, ZPoly& big_g, const ZPoly& f, const ZPoly& g);
 
 // Solve f*G - g*F = q. Returns nullopt when the recursion hits a
-// non-coprime resultant pair (keygen then resamples f, g).
+// non-coprime resultant pair (keygen then resamples f, g). Throws
+// std::invalid_argument when f and g differ in size.
 [[nodiscard]] std::optional<NtruSolution> ntru_solve(const ZPoly& f, const ZPoly& g,
                                                      std::uint32_t q);
 

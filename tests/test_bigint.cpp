@@ -228,5 +228,21 @@ TEST(BigInt, Int64Bounds) {
   EXPECT_EQ((-just_over).to_int64(), INT64_MIN);
 }
 
+TEST(BigInt, MagnitudeRoundTrip) {
+  ChaCha20Prng rng(0xB16B);
+  for (int t = 0; t < 200; ++t) {
+    const BigInt x = random_bigint(rng, 300);
+    const auto mag = x.magnitude();
+    EXPECT_TRUE(mag.empty() || mag.back() != 0);
+    EXPECT_EQ(BigInt::from_magnitude(x.is_negative(), mag), x);
+  }
+  const std::uint32_t padded[] = {5, 0, 0};
+  EXPECT_EQ(BigInt::from_magnitude(true, padded), BigInt(-5));
+  const std::uint32_t zeros[] = {0, 0};
+  EXPECT_EQ(BigInt::from_magnitude(true, zeros), BigInt(0));  // no negative zero
+  EXPECT_FALSE(BigInt::from_magnitude(true, zeros).is_negative());
+  EXPECT_TRUE(BigInt(0).magnitude().empty());
+}
+
 }  // namespace
 }  // namespace fd

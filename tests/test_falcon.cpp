@@ -159,6 +159,18 @@ TEST(Falcon, ExpandSecretKeyRejectsGarbage) {
   EXPECT_FALSE(expand_secret_key(sk));
 }
 
+TEST(Falcon, ExpandSecretKeyRejectsWrongSizes) {
+  ChaCha20Prng rng(0x8501);
+  const auto kp = keygen(4, rng);
+  for (auto member : {&SecretKey::f, &SecretKey::g, &SecretKey::big_f, &SecretKey::big_g}) {
+    SecretKey sk = kp.sk;
+    (sk.*member).pop_back();
+    EXPECT_FALSE(expand_secret_key(sk));
+  }
+  SecretKey sk = kp.sk;
+  EXPECT_TRUE(expand_secret_key(sk));
+}
+
 TEST(Falcon, CrossKeyVerificationFails) {
   ChaCha20Prng rng(0x8500);
   const KeyPair kp1 = keygen(4, rng);

@@ -70,5 +70,36 @@ TEST(ForgeKey, SucceedsWithTrueF) {
   EXPECT_TRUE(falcon::verify(victim.pk, "arbitrary attacker message", sig));
 }
 
+TEST(ForgeKey, ReproducesVictimFGAtLogn9) {
+  // NTRUSolve is deterministic in (f, g): the forger's F, G are the
+  // victim's own at FALCON-512.
+  ChaCha20Prng rng("victim key seed");
+  const auto victim = falcon::keygen(9, rng);
+  const auto forged = forge_key(victim.sk.f, victim.pk);
+  ASSERT_TRUE(forged.has_value());
+  EXPECT_EQ(forged->g, victim.sk.g);
+  EXPECT_EQ(forged->big_f, victim.sk.big_f);
+  EXPECT_EQ(forged->big_g, victim.sk.big_g);
+}
+
+TEST(ForgeKey, RejectsFOfWrongLength) {
+  ChaCha20Prng rng(0xC005);
+  const auto victim = falcon::keygen(4, rng);
+  auto short_f = victim.sk.f;
+  short_f.pop_back();
+  EXPECT_FALSE(forge_key(short_f, victim.pk).has_value());
+  auto long_f = victim.sk.f;
+  long_f.push_back(0);
+  EXPECT_FALSE(forge_key(long_f, victim.pk).has_value());
+}
+
+TEST(ForgeKey, RejectsPublicKeyOfWrongLength) {
+  ChaCha20Prng rng(0xC006);
+  const auto victim = falcon::keygen(4, rng);
+  auto pk = victim.pk;
+  pk.h.pop_back();
+  EXPECT_FALSE(forge_key(victim.sk.f, pk).has_value());
+}
+
 }  // namespace
 }  // namespace fd::attack

@@ -39,6 +39,8 @@ BENCHES = [
     # Parallel surfaces incl. the process fleet over pipes and TCP
     # loopback (small shape: logn 3, 160 traces keeps the suite fast).
     ("bench_parallel_scaling", ["3", "160"]),
+    # NTRUSolve and keygen at FALCON-256 (the forge and set-up layer).
+    ("bench_ntru_solve", ["8"]),
 ]
 
 
