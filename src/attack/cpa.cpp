@@ -28,14 +28,13 @@ double confidence_z(double confidence) {
 }
 
 CpaEngine::CpaEngine(std::size_t num_guesses, std::size_t num_samples,
-                     CpaKernelConfig kernel, CpaRankMode rank_mode)
-    : mode_(rank_mode), kernel_(num_guesses, num_samples, kernel) {
+                     CpaKernelConfig kernel)
+    : kernel_(num_guesses, num_samples, kernel) {
   sums_.reset(num_guesses, num_samples);
 }
 
-CpaEngine::CpaEngine(CpaSums sums, CpaKernelConfig kernel, CpaRankMode rank_mode)
-    : mode_(rank_mode),
-      kernel_(sums.num_guesses, sums.num_samples, kernel),
+CpaEngine::CpaEngine(CpaSums sums, CpaKernelConfig kernel)
+    : kernel_(sums.num_guesses, sums.num_samples, kernel),
       sums_(std::move(sums)) {}
 
 void CpaEngine::add_trace(std::span<const double> hypotheses, std::span<const float> samples) {
@@ -47,19 +46,18 @@ double CpaEngine::correlation(std::size_t guess, std::size_t sample) const {
   return sums_.correlation(guess, sample);
 }
 
-double cpa_peak(const CpaSums& sums, std::size_t guess, CpaRankMode mode) {
+double cpa_peak(const CpaSums& sums, std::size_t guess) {
   double best = -2.0;
   for (std::size_t s = 0; s < sums.num_samples; ++s) {
-    const double r = sums.correlation(guess, s);
-    best = std::max(best, mode == CpaRankMode::kAbsPeak ? std::fabs(r) : r);
+    best = std::max(best, std::fabs(sums.correlation(guess, s)));
   }
   return best;
 }
 
-std::vector<std::size_t> cpa_ranking(const CpaSums& sums, CpaRankMode mode) {
+std::vector<std::size_t> cpa_ranking(const CpaSums& sums) {
   const std::size_t g_ = sums.num_guesses;
   std::vector<double> peaks(g_);
-  for (std::size_t g = 0; g < g_; ++g) peaks[g] = cpa_peak(sums, g, mode);
+  for (std::size_t g = 0; g < g_; ++g) peaks[g] = cpa_peak(sums, g);
   std::vector<std::size_t> order(g_);
   for (std::size_t g = 0; g < g_; ++g) order[g] = g;
   std::stable_sort(order.begin(), order.end(),
@@ -69,12 +67,12 @@ std::vector<std::size_t> cpa_ranking(const CpaSums& sums, CpaRankMode mode) {
 
 double CpaEngine::peak(std::size_t guess) const {
   kernel_.flush(sums_);
-  return cpa_peak(sums_, guess, mode_);
+  return cpa_peak(sums_, guess);
 }
 
 std::vector<std::size_t> CpaEngine::ranking() const {
   kernel_.flush(sums_);
-  return cpa_ranking(sums_, mode_);
+  return cpa_ranking(sums_);
 }
 
 StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,

@@ -32,37 +32,27 @@ namespace fd::attack {
   return confidence_z(confidence) / std::sqrt(static_cast<double>(num_traces));
 }
 
-// How peak()/ranking() score a guess across sample points.
-enum class CpaRankMode {
-  // Paper-faithful: rank by max |r|. An inverted leakage model (HW
-  // anti-correlated with the measured amplitude) leaks exactly as much
-  // as the upright one; signed ranking is blind to it.
-  kAbsPeak,
-  // Legacy behavior: rank by the signed maximum correlation.
-  kSignedMax,
-};
-
 // Peak score / descending ranking over an already-flushed CpaSums --
 // the scoring arithmetic of CpaEngine factored out so any owner of a
 // fold (the engine, the distinguisher backend, a deserialized fleet
-// shard) ranks identically by construction. `sums` must have no
-// batched tail pending in its kernel; CpaEngine flushes before
-// delegating here.
-[[nodiscard]] double cpa_peak(const CpaSums& sums, std::size_t guess, CpaRankMode mode);
-[[nodiscard]] std::vector<std::size_t> cpa_ranking(const CpaSums& sums, CpaRankMode mode);
+// shard) ranks identically by construction. A guess scores its max |r|
+// over the sample points: an inverted leakage model (HW anti-correlated
+// with the measured amplitude) leaks exactly as much as the upright
+// one. `sums` must have no batched tail pending in its kernel;
+// CpaEngine flushes before delegating here.
+[[nodiscard]] double cpa_peak(const CpaSums& sums, std::size_t guess);
+[[nodiscard]] std::vector<std::size_t> cpa_ranking(const CpaSums& sums);
 
 // Incremental Pearson-correlation accumulator over G guesses x S samples.
 class CpaEngine {
  public:
   explicit CpaEngine(std::size_t num_guesses, std::size_t num_samples,
-                     CpaKernelConfig kernel = {},
-                     CpaRankMode rank_mode = CpaRankMode::kAbsPeak);
+                     CpaKernelConfig kernel = {});
 
   // Adopts an already-accumulated fold (e.g. sharded CpaBatchKernel
   // folds recombined through merge_cpa_sums): the engine continues from
   // those statistics as if it had folded every trace itself.
-  explicit CpaEngine(CpaSums sums, CpaKernelConfig kernel = {},
-                     CpaRankMode rank_mode = CpaRankMode::kAbsPeak);
+  explicit CpaEngine(CpaSums sums, CpaKernelConfig kernel = {});
 
   // hypotheses: G predicted leakage values; samples: S trace samples.
   void add_trace(std::span<const double> hypotheses, std::span<const float> samples);
@@ -70,20 +60,17 @@ class CpaEngine {
   [[nodiscard]] std::size_t num_traces() const { return sums_.traces; }
   [[nodiscard]] std::size_t num_guesses() const { return sums_.num_guesses; }
   [[nodiscard]] std::size_t num_samples() const { return sums_.num_samples; }
-  [[nodiscard]] CpaRankMode rank_mode() const { return mode_; }
   [[nodiscard]] const CpaKernelConfig& kernel_config() const { return kernel_.config(); }
 
   // Pearson r for one (guess, sample); 0 when either side is constant.
   // Reads flush any batched tail first, so they are always exact.
   [[nodiscard]] double correlation(std::size_t guess, std::size_t sample) const;
-  // The "leakiest point" score: max over samples of |r| (kAbsPeak,
-  // returned as the magnitude) or of signed r (kSignedMax).
+  // The "leakiest point" score: max over samples of |r|.
   [[nodiscard]] double peak(std::size_t guess) const;
   // Guess indices sorted by descending peak().
   [[nodiscard]] std::vector<std::size_t> ranking() const;
 
  private:
-  CpaRankMode mode_;
   // Reads must fold the buffered tail; the buffer is pure caching
   // state, so it is mutable behind the const accessors.
   mutable CpaBatchKernel kernel_;

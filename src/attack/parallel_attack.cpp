@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
+#include <numeric>
 
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
@@ -12,12 +12,65 @@ namespace fd::attack {
 
 namespace {
 
-// One count per record-reading pass an attack-layer caller starts over
-// an archive. The single-pass pins (tests, DESIGN.md section 11) watch
-// this counter; capture-side readers (shard merging, record counting)
-// deliberately don't feed it.
-void count_archive_scan() {
-  obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
+// The one component fan-out. sets[s] holds slot s (hn slots; only the
+// slots of `components` need records). Each listed component screens
+// its slot's set through the gate -- a private copy when the gate is
+// on, the shared set in place when it is off (screen_trace_set is then
+// a no-op) -- and attacks it. A bad id, an empty slot or a slot the
+// gate emptied records the first error and skips that component; the
+// others still run. One component per chunk: component attacks are the
+// coarse unit of work (seconds each at paper sizes), so finer chunking
+// buys nothing and per-index chunks keep the static plan balanced.
+bool fan_out(const std::vector<sca::TraceSet>& sets, const QualityConfig& gate,
+             unsigned jitter_max, const ComponentConfigFn& config_for,
+             exec::ThreadPool* pool, std::span<const std::size_t> components,
+             std::vector<ComponentResult>& results,
+             std::vector<std::size_t>& accepted_traces, QualityReport& total,
+             std::string& error) {
+  const std::size_t hn = sets.size();
+  const std::size_t n = hn * 2;
+  std::mutex mu;  // guards error and the aggregate report
+  const auto fail = [&](std::string msg) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (error.empty()) error = std::move(msg);
+  };
+  exec::parallel_for_chunks(pool, components.size(), components.size(),
+                            [&](exec::ChunkRange r, std::size_t) {
+    for (std::size_t k = r.begin; k < r.end; ++k) {
+      const std::size_t idx = components[k];
+      if (idx >= n) {
+        fail("component id " + std::to_string(idx) + " out of range");
+        continue;
+      }
+      const ComponentIndex ci = component_index(idx, hn);
+      if (sets[ci.slot].traces.empty()) {
+        fail("no records for slot " + std::to_string(ci.slot));
+        continue;
+      }
+      sca::TraceSet screened;
+      const sca::TraceSet* set = &sets[ci.slot];
+      QualityReport rep;
+      if (gate.enabled) {
+        screened = *set;
+        rep = screen_trace_set(screened, gate, jitter_max);
+        set = &screened;
+      } else {
+        rep.total = rep.accepted = set->traces.size();
+      }
+      if (set->traces.empty()) {
+        fail("quality gate rejected every trace of slot " + std::to_string(ci.slot));
+        continue;
+      }
+      const ComponentDataset ds = build_component_dataset(*set, ci.imag);
+      results[idx] = attack_component(ds, config_for(ci));
+      accepted_traces[idx] = set->traces.size();
+      std::lock_guard<std::mutex> lock(mu);
+      total.add(rep);
+    }
+  });
+  if (!error.empty()) return false;
+  obs::MetricsRegistry::global().counter("attack.components").add(components.size());
+  return true;
 }
 
 }  // namespace
@@ -26,97 +79,16 @@ std::vector<ComponentResult> attack_all_components_parallel(
     const std::vector<sca::TraceSet>& sets, const ComponentConfigFn& config_for,
     exec::ThreadPool* pool) {
   obs::Span span("attack.all_components");
-  const std::size_t hn = sets.size();
-  const std::size_t n = hn * 2;
+  const std::size_t n = sets.size() * 2;
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
   std::vector<ComponentResult> results(n);
-  // One component per chunk: component attacks are the coarse unit of
-  // work (seconds each at paper sizes), so finer chunking buys nothing
-  // and per-index chunks keep the static plan trivially balanced.
-  exec::parallel_for_chunks(pool, n, n, [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t idx = r.begin; idx < r.end; ++idx) {
-      const ComponentIndex ci = component_index(idx, hn);
-      const ComponentDataset ds = build_component_dataset(sets[ci.slot], ci.imag);
-      results[idx] = attack_component(ds, config_for(ci));
-    }
-  });
-  obs::MetricsRegistry::global().counter("attack.components").add(n);
+  std::vector<std::size_t> accepted(n);
+  QualityReport report;
+  std::string error;
+  (void)fan_out(sets, QualityConfig{}, 0, config_for, pool, all, results, accepted, report,
+                error);
   return results;
-}
-
-bool attack_all_components_from_archive(const std::string& archive_path,
-                                        const ComponentConfigFn& config_for,
-                                        exec::ThreadPool* pool,
-                                        std::vector<ComponentResult>& out,
-                                        std::string* error, bool single_pass) {
-  obs::Span span("attack.all_components.archive");
-  std::size_t hn = 0;
-  {
-    tracestore::ArchiveReader probe;
-    if (!probe.open(archive_path)) {
-      if (error != nullptr) *error = probe.error();
-      return false;
-    }
-    hn = probe.meta().num_slots;
-  }
-  const std::size_t n = hn * 2;
-  out.assign(n, ComponentResult{});
-
-  if (single_pass) {
-    // One serial demux scan, then the attacks fan out in memory.
-    tracestore::ArchiveReader reader;
-    if (!reader.open(archive_path)) {
-      if (error != nullptr) *error = reader.error();
-      return false;
-    }
-    count_archive_scan();
-    std::vector<sca::TraceSet> sets;
-    if (!sca::load_all_trace_sets(reader, sets)) {
-      if (error != nullptr) *error = "failed to demux archive records";
-      return false;
-    }
-    for (std::size_t slot = 0; slot < hn; ++slot) {
-      if (sets[slot].traces.empty()) {
-        if (error != nullptr) *error = "no records for slot " + std::to_string(slot);
-        return false;
-      }
-    }
-    exec::parallel_for_chunks(pool, n, n, [&](exec::ChunkRange r, std::size_t) {
-      for (std::size_t idx = r.begin; idx < r.end; ++idx) {
-        const ComponentIndex ci = component_index(idx, hn);
-        const ComponentDataset ds = build_component_dataset(sets[ci.slot], ci.imag);
-        out[idx] = attack_component(ds, config_for(ci));
-      }
-    });
-    obs::MetricsRegistry::global().counter("attack.components").add(n);
-    return true;
-  }
-
-  std::mutex err_mu;
-  std::string first_error;
-  exec::parallel_for_chunks(pool, n, n, [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t idx = r.begin; idx < r.end; ++idx) {
-      const ComponentIndex ci = component_index(idx, hn);
-      tracestore::ArchiveReader reader;  // private reader per task
-      if (!reader.open(archive_path)) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.empty()) first_error = reader.error();
-        continue;
-      }
-      if (!attack_component_from_archive(reader, ci.slot, ci.imag, config_for(ci),
-                                         out[idx])) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.empty()) {
-          first_error = "no records for slot " + std::to_string(ci.slot);
-        }
-      }
-    }
-  });
-  if (!first_error.empty()) {
-    if (error != nullptr) *error = first_error;
-    return false;
-  }
-  obs::MetricsRegistry::global().counter("attack.components").add(n);
-  return true;
 }
 
 bool attack_components_gated(const std::string& archive_path, const QualityConfig& gate,
@@ -124,144 +96,42 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
                              std::span<const std::size_t> components,
                              std::vector<ComponentResult>& results,
                              std::vector<std::size_t>& accepted_traces,
-                             QualityReport* quality, std::string* error, bool single_pass) {
+                             QualityReport* quality, std::string* error) {
   obs::Span span("attack.components.gated");
-  std::size_t hn = 0;
-  unsigned jitter_max = 0;
-  {
-    tracestore::ArchiveReader probe;
-    if (!probe.open(archive_path)) {
-      if (error != nullptr) *error = probe.error();
-      return false;
-    }
-    hn = probe.meta().num_slots;
-    jitter_max = probe.meta().jitter_max;
+  tracestore::ArchiveReader reader;
+  if (!reader.open(archive_path)) {
+    if (error != nullptr) *error = reader.error();
+    return false;
   }
+  const std::size_t hn = reader.meta().num_slots;
   const std::size_t n = hn * 2;
   if (results.size() != n) results.assign(n, ComponentResult{});
   if (accepted_traces.size() != n) accepted_traces.assign(n, 0);
 
-  std::mutex mu;  // guards first_error and the aggregate report
-  std::string first_error;
+  // The requested components' unique slots, demultiplexed in ONE scan
+  // and filed by slot; the fan-out reports out-of-range ids.
+  std::vector<std::size_t> slots;
+  for (const std::size_t idx : components) {
+    if (idx < n) slots.push_back(component_index(idx, hn).slot);
+  }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
+  std::vector<sca::TraceSet> loaded;
+  if (!sca::load_trace_sets_for(reader, slots, loaded)) {
+    if (error != nullptr) *error = "failed to demux archive records";
+    return false;
+  }
+  std::vector<sca::TraceSet> sets(hn);
+  for (sca::TraceSet& set : loaded) sets[set.slot] = std::move(set);
+
   QualityReport total;
-
-  // Single-pass demux: collect the requested components' unique slots,
-  // fill them in ONE serial archive scan, then screen/attack private
-  // copies in parallel. The screened copy per component keeps results
-  // and the aggregate report identical to the per-component path.
-  std::vector<sca::TraceSet> slot_sets;
-  std::vector<std::size_t> slot_of;  // slot -> index into slot_sets
-  if (single_pass) {
-    std::vector<std::size_t> slots;
-    for (const std::size_t idx : components) {
-      if (idx >= n) {
-        if (first_error.empty()) {
-          first_error = "component id " + std::to_string(idx) + " out of range";
-        }
-        continue;
-      }
-      slots.push_back(component_index(idx, hn).slot);
-    }
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    tracestore::ArchiveReader reader;
-    if (!reader.open(archive_path)) {
-      if (error != nullptr) *error = reader.error();
-      return false;
-    }
-    count_archive_scan();
-    if (!sca::load_trace_sets_for(reader, slots, slot_sets)) {
-      if (error != nullptr) *error = "failed to demux archive records";
-      return false;
-    }
-    slot_of.assign(hn, static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < slots.size(); ++i) slot_of[slots[i]] = i;
-  }
-
-  exec::parallel_for_chunks(pool, components.size(), components.size(),
-                            [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t k = r.begin; k < r.end; ++k) {
-      const std::size_t idx = components[k];
-      if (idx >= n) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.empty()) {
-          first_error = "component id " + std::to_string(idx) + " out of range";
-        }
-        continue;
-      }
-      const ComponentIndex ci = component_index(idx, hn);
-      sca::TraceSet set;
-      if (single_pass) {
-        set = slot_sets[slot_of[ci.slot]];  // private screened copy
-      } else {
-        tracestore::ArchiveReader reader;  // private reader per task
-        if (!reader.open(archive_path)) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first_error.empty()) first_error = reader.error();
-          continue;
-        }
-        count_archive_scan();
-        if (!sca::load_trace_set(reader, ci.slot, set)) set.traces.clear();
-      }
-      if (set.traces.empty()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.empty()) {
-          first_error = "no records for slot " + std::to_string(ci.slot);
-        }
-        continue;
-      }
-      const QualityReport rep = screen_trace_set(set, gate, jitter_max);
-      if (set.traces.empty()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.empty()) {
-          first_error =
-              "quality gate rejected every trace of slot " + std::to_string(ci.slot);
-        }
-        continue;
-      }
-      const ComponentDataset ds = build_component_dataset(set, ci.imag);
-      results[idx] = attack_component(ds, config_for(ci));
-      accepted_traces[idx] = set.traces.size();
-      std::lock_guard<std::mutex> lock(mu);
-      total.add(rep);
-    }
-  });
-  if (quality != nullptr) *quality = total;
-  if (!first_error.empty()) {
-    if (error != nullptr) *error = first_error;
-    return false;
-  }
-  obs::MetricsRegistry::global().counter("attack.components").add(components.size());
-  return true;
-}
-
-bool run_cpa_streaming_many(const std::string& archive_path,
-                            std::span<const StreamingCpaSpec> specs, exec::ThreadPool* pool,
-                            std::vector<CpaEngine>& results, std::string* error) {
-  obs::Span span("attack.cpa_many");
-  std::vector<std::optional<CpaEngine>> slots(specs.size());
-  std::mutex err_mu;
   std::string first_error;
-  exec::parallel_for_chunks(pool, specs.size(), specs.size(),
-                            [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      tracestore::ArchiveReader reader;
-      if (!reader.open(archive_path)) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.empty()) first_error = reader.error();
-        continue;
-      }
-      slots[i].emplace(run_cpa_streaming(reader, specs[i]));
-    }
-  });
-  if (!first_error.empty()) {
-    if (error != nullptr) *error = first_error;
-    return false;
-  }
-  results.clear();
-  results.reserve(specs.size());
-  for (auto& s : slots) results.push_back(std::move(*s));  // index order
-  return true;
+  const bool ok = fan_out(sets, gate, reader.meta().jitter_max, config_for, pool, components,
+                          results, accepted_traces, total, first_error);
+  if (quality != nullptr) *quality = total;
+  if (!ok && error != nullptr) *error = first_error;
+  return ok;
 }
 
 }  // namespace fd::attack

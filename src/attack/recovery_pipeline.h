@@ -71,12 +71,6 @@ struct RecoveryPipelineConfig {
   RemeasureConfig remeasure;
   bool adaptive = false;          // confidence gating + re-measurement
 
-  // Demultiplex each attack round's slots in ONE archive scan instead
-  // of one scan per component (attack_components_gated's single_pass).
-  // Bit-identical either way -- pure I/O strategy, excluded from the
-  // checkpoint's experiment hash.
-  bool single_pass = true;
-
   bool checkpoint = false;        // persist .fdckpt progress
   bool resume = false;            // reuse a compatible .fdckpt + archive
   std::size_t checkpoint_every = 8;  // components per checkpointed batch

@@ -1,8 +1,8 @@
 #include "attack/streaming_cpa.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -23,11 +23,13 @@ class CpaFold {
   explicit CpaFold(const StreamingCpaSpec& spec)
       : spec_(spec),
         sharded_(spec.fold_shards > 1),
-        engine_(spec.guesses.size(), spec.sample_offsets.size(), spec.kernel,
-                spec.rank_mode),
+        engine_(spec.guesses.size(), spec.sample_offsets.size(), spec.kernel),
         hyps_(spec.guesses.size()),
         samps_(spec.sample_offsets.size()) {
-    assert(!spec.guesses.empty() && !spec.sample_offsets.empty() && spec.model);
+    if (spec.guesses.empty() || spec.sample_offsets.empty() || !spec.model) {
+      throw std::invalid_argument(
+          "StreamingCpaSpec: needs guesses, sample offsets and a model");
+    }
   }
 
   void add_window(fpr::Fpr known_re, fpr::Fpr known_im, std::span<const float> samples) {
@@ -140,13 +142,13 @@ class CpaFold {
           return sums;
         },
         [](CpaSums acc, CpaSums src) {
-          // Shards share one shape by construction.
-          const bool ok = merge_cpa_sums(acc, src);
-          assert(ok);
-          (void)ok;
+          // Shards share the spec's shape, so this cannot fire.
+          if (!merge_cpa_sums(acc, src)) {
+            throw std::invalid_argument("CpaFold: shard folds differ in shape");
+          }
           return acc;
         });
-    engine_ = CpaEngine(std::move(merged), spec_.kernel, spec_.rank_mode);
+    engine_ = CpaEngine(std::move(merged), spec_.kernel);
     defer_ops_.clear();
     defer_samps_.clear();
   }
@@ -162,26 +164,41 @@ class CpaFold {
   bool snapshot_emitted_ = false;
 };
 
-void count_archive_scan() {
-  obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
-}
-
 }  // namespace
+
+void demux_archive(tracestore::ArchiveReader& reader, std::span<const DemuxTarget> targets,
+                   const WindowSink& sink) {
+  std::size_t max_slot = 0;
+  for (const DemuxTarget& t : targets) max_slot = std::max(max_slot, t.slot);
+  // Slot -> interested target indices (targets may share a slot).
+  std::vector<std::vector<std::size_t>> by_slot(max_slot + 1);
+  for (std::size_t i = 0; i < targets.size(); ++i) by_slot[targets[i].slot].push_back(i);
+
+  // The scan can stop early only once every target has a budget and
+  // has used it up.
+  const bool all_budgeted = std::all_of(targets.begin(), targets.end(),
+                                        [](const DemuxTarget& t) { return t.max_traces != 0; });
+  std::size_t unsaturated = targets.size();
+  std::vector<std::size_t> used(targets.size(), 0);
+
+  reader.rewind();
+  if (!targets.empty()) obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
+  tracestore::TraceRecord rec;
+  while ((!all_budgeted || unsaturated > 0) && reader.next(rec)) {
+    if (rec.slot >= by_slot.size()) continue;
+    for (const std::size_t i : by_slot[rec.slot]) {
+      const std::size_t budget = targets[i].max_traces;
+      if (budget != 0 && used[i] == budget) continue;
+      sink(i, fpr::Fpr::from_bits(rec.known_re_bits), fpr::Fpr::from_bits(rec.known_im_bits),
+           rec.samples);
+      if (++used[i] == budget) --unsaturated;
+    }
+  }
+}
 
 CpaEngine run_cpa_streaming(tracestore::ArchiveReader& reader,
                             const StreamingCpaSpec& spec) {
-  CpaFold fold(spec);
-  reader.rewind();
-  count_archive_scan();
-  tracestore::TraceRecord rec;
-  std::size_t used = 0;
-  while ((spec.max_traces == 0 || used < spec.max_traces) && reader.next(rec)) {
-    if (rec.slot != spec.slot) continue;
-    fold.add_window(fpr::Fpr::from_bits(rec.known_re_bits),
-                    fpr::Fpr::from_bits(rec.known_im_bits), rec.samples);
-    ++used;
-  }
-  return fold.take();
+  return std::move(run_cpa_streaming_multi(reader, {&spec, 1}).front());
 }
 
 std::vector<CpaEngine> run_cpa_streaming_multi(tracestore::ArchiveReader& reader,
@@ -189,41 +206,15 @@ std::vector<CpaEngine> run_cpa_streaming_multi(tracestore::ArchiveReader& reader
   // One fold per spec; CpaFold pins a reference to its spec, so folds
   // live behind stable pointers.
   std::vector<std::unique_ptr<CpaFold>> folds;
-  folds.reserve(specs.size());
-  std::size_t max_slot = 0;
+  std::vector<DemuxTarget> targets;
   for (const auto& spec : specs) {
     folds.push_back(std::make_unique<CpaFold>(spec));
-    max_slot = std::max(max_slot, spec.slot);
+    targets.push_back({spec.slot, spec.max_traces});
   }
-  // Slot -> interested spec indices (specs may share a slot).
-  std::vector<std::vector<std::size_t>> by_slot(max_slot + 1);
-  for (std::size_t i = 0; i < specs.size(); ++i) by_slot[specs[i].slot].push_back(i);
-
-  std::vector<std::size_t> used(specs.size(), 0);
-  // The scan can stop early only if every spec has a trace budget.
-  std::size_t unsaturated = 0;
-  for (const auto& spec : specs) {
-    if (spec.max_traces == 0) unsaturated = specs.size() + 1;  // never early-exit
-  }
-  if (unsaturated == 0) unsaturated = specs.size();
-
-  reader.rewind();
-  if (!specs.empty()) count_archive_scan();
-  tracestore::TraceRecord rec;
-  while (unsaturated > 0 && reader.next(rec)) {
-    if (rec.slot >= by_slot.size()) continue;
-    for (const std::size_t i : by_slot[rec.slot]) {
-      const auto& spec = specs[i];
-      if (spec.max_traces != 0 && used[i] >= spec.max_traces) continue;
-      folds[i]->add_window(fpr::Fpr::from_bits(rec.known_re_bits),
-                           fpr::Fpr::from_bits(rec.known_im_bits), rec.samples);
-      ++used[i];
-      if (spec.max_traces != 0 && used[i] == spec.max_traces && unsaturated <= specs.size()) {
-        --unsaturated;
-      }
-    }
-  }
-
+  demux_archive(reader, targets,
+                [&](std::size_t i, fpr::Fpr re, fpr::Fpr im, std::span<const float> samples) {
+                  folds[i]->add_window(re, im, samples);
+                });
   std::vector<CpaEngine> out;
   out.reserve(specs.size());
   for (auto& fold : folds) out.push_back(fold->take());
@@ -240,17 +231,6 @@ CpaEngine run_cpa_inmemory(const sca::TraceSet& set, const StreamingCpaSpec& spe
     fold.add_window(ct.known_re, ct.known_im, ct.trace.samples);
   }
   return fold.take();
-}
-
-bool attack_component_from_archive(tracestore::ArchiveReader& reader, std::size_t slot,
-                                   bool imag_part, const ComponentAttackConfig& config,
-                                   ComponentResult& out) {
-  sca::TraceSet set;
-  count_archive_scan();
-  if (!sca::load_trace_set(reader, slot, set) || set.traces.empty()) return false;
-  const ComponentDataset ds = build_component_dataset(set, imag_part);
-  out = attack_component(ds, config);
-  return true;
 }
 
 }  // namespace fd::attack

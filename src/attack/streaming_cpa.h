@@ -20,7 +20,9 @@
 // archive pass demultiplexes records by slot into per-spec folds, and
 // each spec's engine is bit-identical to what a dedicated
 // run_cpa_streaming pass would have produced, because the records of
-// one slot arrive in the same order either way.
+// one slot arrive in the same order either way. That pass is
+// demux_archive, the attack layer's one archive demux; the
+// backend-generic folds of distinguisher/streaming.h run on it too.
 
 #include <cstdint>
 #include <functional>
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "attack/cpa.h"
-#include "attack/extend_prune.h"
 #include "attack/hypothesis.h"
 #include "sca/campaign.h"
 #include "tracestore/archive.h"
@@ -50,9 +51,8 @@ struct StreamingCpaSpec {
   std::function<double(std::uint32_t, const KnownOperand&)> model;
   std::size_t max_traces = 0;  // 0 = every trace in the archive
   // Accumulation kernel (batch size is part of the statistics'
-  // identity, see cpa_kernel.h) and ranking mode of the engine.
+  // identity, see cpa_kernel.h).
   CpaKernelConfig kernel;
-  CpaRankMode rank_mode = CpaRankMode::kAbsPeak;
 
   // Trace-stream fold sharding. fold_shards <= 1 reproduces the
   // historical incremental fold bit for bit. With fold_shards > 1 the
@@ -90,19 +90,38 @@ struct StreamingCpaSpec {
   std::string label;              // event tag, e.g. "slot3.im"
 };
 
+// One demux target: a slot and its trace budget.
+struct DemuxTarget {
+  std::size_t slot = 0;
+  std::size_t max_traces = 0;  // 0 = every record of the slot
+};
+
+// Receives record `target`'s window: the known operand halves and the
+// samples of one archive record routed to targets[target].
+using WindowSink = std::function<void(std::size_t target, fpr::Fpr known_re,
+                                      fpr::Fpr known_im, std::span<const float> samples)>;
+
+// The attack layer's one archive demux: ONE rewind+scan hands every
+// record of targets[i].slot, in archive order, to sink(i, ...) until
+// targets[i].max_traces records have gone to it. Targets may share a
+// slot; each then receives the same records. The scan stops early once
+// every target has a budget and has used it up, and it counts one
+// "attack.archive.scans" (none for an empty target list).
+void demux_archive(tracestore::ArchiveReader& reader, std::span<const DemuxTarget> targets,
+                   const WindowSink& sink);
+
 // Streams the archive once (rewinding first) and returns the filled
 // accumulator; ranking()/correlation() behave exactly as in the
 // in-memory path. Guess i of the engine is spec.guesses[i].
 [[nodiscard]] CpaEngine run_cpa_streaming(tracestore::ArchiveReader& reader,
                                           const StreamingCpaSpec& spec);
 
-// Single-pass multi-component driver: ONE rewind+scan of the archive
-// demultiplexes records by slot into a fold per spec. result[i] is
-// bit-identical to run_cpa_streaming(reader, specs[i]) -- at 1 archive
-// pass instead of specs.size(). Specs may share a slot (e.g. the Re and
-// Im components of one FFT coefficient); each fold then consumes the
-// same records independently. Per-spec max_traces is honored, and the
-// scan stops early once every spec is saturated.
+// Single-pass multi-component driver: ONE demux_archive pass with a
+// fold per spec. result[i] is bit-identical to
+// run_cpa_streaming(reader, specs[i]) -- at 1 archive pass instead of
+// specs.size(). Specs may share a slot (e.g. the Re and Im components
+// of one FFT coefficient). A spec with no guesses, no sample offsets or
+// no model throws std::invalid_argument.
 [[nodiscard]] std::vector<CpaEngine> run_cpa_streaming_multi(
     tracestore::ArchiveReader& reader, std::span<const StreamingCpaSpec> specs);
 
@@ -110,13 +129,5 @@ struct StreamingCpaSpec {
 // streamed path must reproduce bit for bit.
 [[nodiscard]] CpaEngine run_cpa_inmemory(const sca::TraceSet& set,
                                          const StreamingCpaSpec& spec);
-
-// Capture-once/attack-many convenience: reload one slot's traces from
-// the archive and run the full extend-and-prune component attack on
-// them. Memory is bounded by that single slot's records.
-[[nodiscard]] bool attack_component_from_archive(tracestore::ArchiveReader& reader,
-                                                 std::size_t slot, bool imag_part,
-                                                 const ComponentAttackConfig& config,
-                                                 ComponentResult& out);
 
 }  // namespace fd::attack

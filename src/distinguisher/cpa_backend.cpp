@@ -7,9 +7,8 @@ namespace fd::distinguisher {
 using attack::CpaSums;
 
 CpaDistinguisher::CpaDistinguisher(std::size_t num_guesses, std::size_t num_samples,
-                                   attack::CpaKernelConfig kernel,
-                                   attack::CpaRankMode rank_mode)
-    : mode_(rank_mode), kernel_(num_guesses, num_samples, kernel) {
+                                   attack::CpaKernelConfig kernel)
+    : kernel_(num_guesses, num_samples, kernel) {
   sums_.reset(num_guesses, num_samples);
 }
 
@@ -34,12 +33,12 @@ void CpaDistinguisher::merge(const Distinguisher& other) {
 
 double CpaDistinguisher::score(std::size_t guess) const {
   kernel_.flush(sums_);
-  return attack::cpa_peak(sums_, guess, mode_);
+  return attack::cpa_peak(sums_, guess);
 }
 
 std::vector<std::size_t> CpaDistinguisher::ranking() const {
   kernel_.flush(sums_);
-  return attack::cpa_ranking(sums_, mode_);
+  return attack::cpa_ranking(sums_);
 }
 
 double CpaDistinguisher::correlation(std::size_t guess, std::size_t sample) const {
@@ -50,7 +49,7 @@ double CpaDistinguisher::correlation(std::size_t guess, std::size_t sample) cons
 void CpaDistinguisher::serialize(std::vector<std::uint8_t>& out) const {
   kernel_.flush(sums_);
   out.push_back(static_cast<std::uint8_t>(Backend::kCpa));
-  out.push_back(static_cast<std::uint8_t>(mode_));
+  out.push_back(0);  // mode byte: |r| ranking is the only mode
   wire::put_u64(out, kernel_.config().batch_traces);
   attack::serialize_cpa_sums(out, sums_);
 }
@@ -61,14 +60,13 @@ std::unique_ptr<Distinguisher> CpaDistinguisher::deserialize(
   if (c.u8() != static_cast<std::uint8_t>(Backend::kCpa)) return nullptr;
   const std::uint8_t mode = c.u8();
   const std::uint64_t batch = c.u64();
-  if (c.fail || mode > 1) return nullptr;
+  if (c.fail || mode != 0) return nullptr;
   CpaSums sums;
   std::size_t sums_off = c.off;
   if (!attack::deserialize_cpa_sums(bytes.subspan(offset), sums_off, sums)) return nullptr;
   attack::CpaKernelConfig kc;
   kc.batch_traces = static_cast<std::size_t>(batch);
-  auto out = std::make_unique<CpaDistinguisher>(sums.num_guesses, sums.num_samples, kc,
-                                                static_cast<attack::CpaRankMode>(mode));
+  auto out = std::make_unique<CpaDistinguisher>(sums.num_guesses, sums.num_samples, kc);
   out->sums_ = std::move(sums);
   offset += sums_off;
   return out;

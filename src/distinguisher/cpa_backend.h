@@ -20,8 +20,7 @@ namespace fd::distinguisher {
 class CpaDistinguisher final : public Distinguisher {
  public:
   CpaDistinguisher(std::size_t num_guesses, std::size_t num_samples,
-                   attack::CpaKernelConfig kernel = {},
-                   attack::CpaRankMode rank_mode = attack::CpaRankMode::kAbsPeak);
+                   attack::CpaKernelConfig kernel = {});
 
   [[nodiscard]] std::uint8_t backend_id() const override {
     return static_cast<std::uint8_t>(Backend::kCpa);
@@ -41,6 +40,8 @@ class CpaDistinguisher final : public Distinguisher {
   [[nodiscard]] double score_sd(std::size_t) const override { return 0.0; }
   [[nodiscard]] std::vector<std::size_t> ranking() const override;
 
+  // Layout: backend id, a mode byte (always 0; deserialize rejects any
+  // other value), the kernel batch as u64, then serialize_cpa_sums.
   void serialize(std::vector<std::uint8_t>& out) const override;
   [[nodiscard]] static std::unique_ptr<Distinguisher> deserialize(
       std::span<const std::uint8_t> bytes, std::size_t& offset);
@@ -50,7 +51,6 @@ class CpaDistinguisher final : public Distinguisher {
   [[nodiscard]] double correlation(std::size_t guess, std::size_t sample) const;
 
  private:
-  attack::CpaRankMode mode_;
   // Reads flush the batched tail, as in CpaEngine.
   mutable attack::CpaBatchKernel kernel_;
   mutable attack::CpaSums sums_;

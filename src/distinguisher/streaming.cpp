@@ -1,8 +1,8 @@
 #include "distinguisher/streaming.h"
 
-#include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
+#include "attack/streaming_cpa.h"
 #include "obs/metrics.h"
 #include "sca/device.h"
 
@@ -25,10 +25,15 @@ class Fold {
         dist_(std::move(dist)),
         hyps_(spec.guesses.size() * dist_->hyp_stride()),
         samps_(spec.sample_offsets.size()) {
-    assert(!spec.guesses.empty() && !spec.sample_offsets.empty() && spec.model);
-    assert(dist_->num_guesses() == spec.guesses.size());
-    assert(dist_->hyp_stride() == 1 ||
-           dist_->hyp_stride() == spec.sample_offsets.size());
+    if (spec.guesses.empty() || spec.sample_offsets.empty() || !spec.model) {
+      throw std::invalid_argument("StreamingSpec: needs guesses, sample offsets and a model");
+    }
+    if (dist_->num_guesses() != spec.guesses.size()) {
+      throw std::invalid_argument("StreamingSpec: distinguisher guess count differs");
+    }
+    if (dist_->hyp_stride() != 1 && dist_->hyp_stride() != spec.sample_offsets.size()) {
+      throw std::invalid_argument("StreamingSpec: hyp_stride is neither 1 nor the offset count");
+    }
   }
 
   void add_window(fpr::Fpr known_re, fpr::Fpr known_im, std::span<const float> samples) {
@@ -74,69 +79,28 @@ class Fold {
   std::size_t windows_ = 0;
 };
 
-void count_archive_scan() {
-  obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
-}
-
 }  // namespace
 
 std::unique_ptr<Distinguisher> run_streaming(tracestore::ArchiveReader& reader,
                                              const StreamingSpec& spec,
                                              const DistinguisherFactory& make) {
-  Fold fold(spec, make(spec));
-  reader.rewind();
-  count_archive_scan();
-  tracestore::TraceRecord rec;
-  std::size_t used = 0;
-  while ((spec.max_traces == 0 || used < spec.max_traces) && reader.next(rec)) {
-    if (rec.slot != spec.slot) continue;
-    fold.add_window(fpr::Fpr::from_bits(rec.known_re_bits),
-                    fpr::Fpr::from_bits(rec.known_im_bits), rec.samples);
-    ++used;
-  }
-  return fold.take();
+  return std::move(run_streaming_multi(reader, {&spec, 1}, make).front());
 }
 
 std::vector<std::unique_ptr<Distinguisher>> run_streaming_multi(
     tracestore::ArchiveReader& reader, std::span<const StreamingSpec> specs,
     const DistinguisherFactory& make) {
   std::vector<std::unique_ptr<Fold>> folds;
-  folds.reserve(specs.size());
-  std::size_t max_slot = 0;
+  std::vector<attack::DemuxTarget> targets;
   for (const auto& spec : specs) {
     folds.push_back(std::make_unique<Fold>(spec, make(spec)));
-    max_slot = std::max(max_slot, spec.slot);
+    targets.push_back({spec.slot, spec.max_traces});
   }
-  std::vector<std::vector<std::size_t>> by_slot(max_slot + 1);
-  for (std::size_t i = 0; i < specs.size(); ++i) by_slot[specs[i].slot].push_back(i);
-
-  std::vector<std::size_t> used(specs.size(), 0);
-  // Early exit only once every spec has (and hits) a trace budget --
-  // the same bookkeeping as run_cpa_streaming_multi.
-  std::size_t unsaturated = 0;
-  for (const auto& spec : specs) {
-    if (spec.max_traces == 0) unsaturated = specs.size() + 1;  // never early-exit
-  }
-  if (unsaturated == 0) unsaturated = specs.size();
-
-  reader.rewind();
-  if (!specs.empty()) count_archive_scan();
-  tracestore::TraceRecord rec;
-  while (unsaturated > 0 && reader.next(rec)) {
-    if (rec.slot >= by_slot.size()) continue;
-    for (const std::size_t i : by_slot[rec.slot]) {
-      const auto& spec = specs[i];
-      if (spec.max_traces != 0 && used[i] >= spec.max_traces) continue;
-      folds[i]->add_window(fpr::Fpr::from_bits(rec.known_re_bits),
-                           fpr::Fpr::from_bits(rec.known_im_bits), rec.samples);
-      ++used[i];
-      if (spec.max_traces != 0 && used[i] == spec.max_traces &&
-          unsaturated <= specs.size()) {
-        --unsaturated;
-      }
-    }
-  }
-
+  attack::demux_archive(
+      reader, targets,
+      [&](std::size_t i, fpr::Fpr re, fpr::Fpr im, std::span<const float> samples) {
+        folds[i]->add_window(re, im, samples);
+      });
   std::vector<std::unique_ptr<Distinguisher>> out;
   out.reserve(folds.size());
   for (auto& fold : folds) out.push_back(fold->take());

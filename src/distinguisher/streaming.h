@@ -6,10 +6,9 @@
 // fold the CPA path uses: for each record of the target slot, both
 // fpr_mul views contribute one observation (hypotheses recomputed from
 // that view's known operand, samples gathered at the spec's offsets).
-// run_streaming_multi demultiplexes ONE rewind+scan into a fold per
-// spec with the exact used/early-exit bookkeeping of
-// run_cpa_streaming_multi, and both entry points charge the same
-// "attack.archive.scans" counter.
+// The pass is attack::demux_archive, the same demux (routing, budgets,
+// early exit, "attack.archive.scans" count) run_cpa_streaming_multi
+// runs on.
 //
 // Determinism contract: with a CpaDistinguisher factory and an
 // offset-independent model, the fold's add-trace sequence is identical
@@ -57,8 +56,11 @@ using DistinguisherFactory =
 
 // Single-pass multi-component demux: ONE rewind+scan, a fold per spec;
 // result[i] is bit-identical to run_streaming(reader, specs[i], make)
-// at 1 archive pass instead of specs.size(). Per-spec max_traces is
-// honored and the scan stops early once every budgeted spec saturates.
+// at 1 archive pass instead of specs.size(). Throws
+// std::invalid_argument when a spec has no guesses, no sample offsets
+// or no model, or when make() returns a distinguisher whose guess count
+// differs from the spec's or whose hyp_stride() is neither 1 nor the
+// spec's offset count.
 [[nodiscard]] std::vector<std::unique_ptr<Distinguisher>> run_streaming_multi(
     tracestore::ArchiveReader& reader, std::span<const StreamingSpec> specs,
     const DistinguisherFactory& make);

@@ -123,7 +123,6 @@ class Coordinator {
     session_.attack = cfg_.pipeline.attack;
     session_.faults = cfg_.pipeline.faults;
     session_.quality = cfg_.pipeline.quality;
-    session_.single_pass = cfg_.pipeline.single_pass;
     session_.checkpoint_every = cfg_.pipeline.checkpoint_every;
     session_.heartbeat_interval_ms = cfg_.heartbeat_interval_ms;
     session_.profile_interval_ms =

@@ -59,9 +59,9 @@ struct FleetConfig {
   // The experiment, in single-process pipeline terms. Honoured fields:
   // attack (threads = PER-WORKER pool size), capture_shards,
   // archive_path, keep_archive, faults, quality, remeasure, adaptive,
-  // single_pass, checkpoint_every (worker persist cadence). The
-  // pipeline's own checkpoint/resume flags are ignored -- fleet
-  // checkpointing is per-shard and always on.
+  // checkpoint_every (worker persist cadence). The pipeline's own
+  // checkpoint/resume flags are ignored -- fleet checkpointing is
+  // per-shard and always on.
   attack::RecoveryPipelineConfig pipeline;
 
   unsigned logn = 5;

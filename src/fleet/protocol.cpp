@@ -205,7 +205,6 @@ void encode_session(std::vector<std::uint8_t>& out, const SessionConfig& cfg) {
   put_u32(out, q.max_lag);
   put_f64(out, q.min_alignment_corr);
   put_u32(out, q.refine_iters);
-  out.push_back(cfg.single_pass ? 1 : 0);
   put_u64(out, cfg.checkpoint_every);
   put_u64(out, cfg.session_hash);
   put_u64(out, cfg.heartbeat_interval_ms);
@@ -261,7 +260,6 @@ bool decode_session(std::span<const std::uint8_t> bytes, SessionConfig& out) {
   q.max_lag = c.u32();
   q.min_alignment_corr = c.f64();
   q.refine_iters = c.u32();
-  out.single_pass = c.u8() != 0;
   out.checkpoint_every = static_cast<std::size_t>(c.u64());
   out.session_hash = c.u64();
   out.heartbeat_interval_ms = static_cast<std::size_t>(c.u64());

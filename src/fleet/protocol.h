@@ -95,7 +95,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x4C464446;  // "FDFL" little-endia
 // gains the bad_fold failure-injection hook (worker sends a
 // mismatched-shape kFold frame, the coordinator must treat it as a
 // corrupt peer and reassign).
-inline constexpr std::uint16_t kProtocolVersion = 5;
+// v6: SessionConfig drops the single_pass byte that sat between the
+// quality config and checkpoint_every (every attack round demuxes its
+// slots in one archive scan).
+inline constexpr std::uint16_t kProtocolVersion = 6;
 inline constexpr std::size_t kFrameHeaderSize = 16;
 // Largest payload a peer will accept. Generous for real traffic (an
 // n = 1024 attack shard's results are ~100 KB) yet small enough that a
@@ -160,7 +163,6 @@ struct SessionConfig {
   attack::KeyRecoveryConfig attack;  // attack.threads = worker-internal pool
   sca::FaultConfig faults;
   attack::QualityConfig quality;
-  bool single_pass = true;
   std::size_t checkpoint_every = 8;      // worker sub-batch + persist cadence
   std::uint64_t session_hash = 0;        // binds worker checkpoints to the run
   std::size_t heartbeat_interval_ms = 50;

@@ -292,8 +292,7 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
     attack::QualityReport q;
     std::string err;
     if (!attack::attack_components_gated(archive_path, s.cfg.quality, config_for,
-                                         s.pool.get(), batch, results, accepted, &q, &err,
-                                         s.cfg.single_pass)) {
+                                         s.pool.get(), batch, results, accepted, &q, &err)) {
       res.error = "attack: " + err;
       return res;
     }

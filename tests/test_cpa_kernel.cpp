@@ -7,15 +7,13 @@
 //     drives the legacy unshifted moment form dn*sum2 - sum*sum
 //     negative (the old code silently returned r = 0) while the shifted
 //     kernel still recovers the key guess;
-//   - ranking modes: |r| ranking catches inverted leakage that signed
-//     ranking is blind to;
+//   - |r| ranking catches inverted leakage;
 //   - a foreign-layout window (samples too short for the spec's views)
 //     folds nothing and does not advance the window count;
 //   - single-pass drivers: run_cpa_streaming_multi equals per-spec
-//     run_cpa_streaming at ONE reader scan, single-pass
-//     attack_components_gated equals the legacy per-component path at
-//     one archive scan per call, and the whole pipeline attack round
-//     costs exactly one archive pass;
+//     run_cpa_streaming at ONE reader scan, attack_components_gated
+//     costs one archive scan per call, and the whole pipeline attack
+//     round costs exactly one archive pass;
 //   - product-hypothesis scan: a ProductModel scores every guess
 //     bit-identically to the equivalent per-cell callback at every
 //     dispatch level, over ranges and lists, sharded or not, and
@@ -137,9 +135,8 @@ double exact_pearson(const SyntheticCpa& s, std::size_t g, std::size_t c) {
   return static_cast<double>(cov / std::sqrt(vh * vt));
 }
 
-CpaEngine fold_synthetic(const SyntheticCpa& s, CpaKernelConfig kernel,
-                         CpaRankMode mode = CpaRankMode::kAbsPeak) {
-  CpaEngine engine(s.num_guesses, s.num_samples, kernel, mode);
+CpaEngine fold_synthetic(const SyntheticCpa& s, CpaKernelConfig kernel) {
+  CpaEngine engine(s.num_guesses, s.num_samples, kernel);
   for (std::size_t d = 0; d < s.hyps.size(); ++d) engine.add_trace(s.hyps[d], s.samples[d]);
   return engine;
 }
@@ -307,31 +304,19 @@ TEST(CpaKernel, CorrelationIsShiftInvariantBitForBit) {
   EXPECT_EQ(a.ranking(), b.ranking());
 }
 
-// --- ranking modes ---------------------------------------------------------
+// --- |r| ranking -----------------------------------------------------------
 
 TEST(CpaKernel, AbsPeakRankingCatchesInvertedLeakage) {
   // Inverted device: amplitude DROPS with the Hamming weight. The truth
-  // correlates near -1; signed ranking prefers any wrong guess with a
-  // small positive fluctuation, |r| ranking is polarity-blind.
+  // correlates near -1; |r| ranking is polarity-blind.
   auto s = make_synthetic(500, 16, 1, 0.5, 0.0, 1.0, 0x1EAF);
   for (std::size_t d = 0; d < s.samples.size(); ++d) {
     s.samples[d][0] = 200.0f - s.samples[d][0];
   }
-  const CpaEngine by_abs = fold_synthetic(s, {}, CpaRankMode::kAbsPeak);
-  const CpaEngine by_sign = fold_synthetic(s, {}, CpaRankMode::kSignedMax);
-
-  // Same accumulated statistics either way...
-  for (std::size_t g = 0; g < s.num_guesses; ++g) {
-    EXPECT_EQ(by_abs.correlation(g, 0), by_sign.correlation(g, 0));
-  }
+  const CpaEngine by_abs = fold_synthetic(s, {});
   EXPECT_LT(by_abs.correlation(0, 0), -0.9);  // the leak really is inverted
-
-  // ...but only |r| ranking finds the key.
-  EXPECT_EQ(by_abs.rank_mode(), CpaRankMode::kAbsPeak);
   EXPECT_EQ(by_abs.ranking().front(), 0U);
   EXPECT_GT(by_abs.peak(0), 0.9);
-  EXPECT_NE(by_sign.ranking().front(), 0U);
-  EXPECT_LT(by_sign.peak(0), 0.0);
 }
 
 // --- foreign-layout windows (satellite bugfix) -----------------------------
@@ -442,44 +427,18 @@ TEST(CpaKernel, SinglePassGatedMatchesLegacyAtOneScan) {
   const std::vector<std::size_t> components = {0, 3, 11};
   auto& scans = obs::MetricsRegistry::global().counter("attack.archive.scans");
 
-  std::vector<ComponentResult> res_sp, res_legacy;
-  std::vector<std::size_t> acc_sp, acc_legacy;
-  QualityReport q_sp, q_legacy;
+  std::vector<ComponentResult> res_sp;
+  std::vector<std::size_t> acc_sp;
+  QualityReport q_sp;
   std::string err;
 
   const std::uint64_t before_sp = scans.value();
   ASSERT_TRUE(attack_components_gated(tmp.path, gate, config_for, nullptr, components,
-                                      res_sp, acc_sp, &q_sp, &err, /*single_pass=*/true))
+                                      res_sp, acc_sp, &q_sp, &err))
       << err;
   if (FD_OBS_ENABLED) {
     EXPECT_EQ(scans.value() - before_sp, 1U);  // one demux scan for all 3
   }
-
-  const std::uint64_t before_legacy = scans.value();
-  ASSERT_TRUE(attack_components_gated(tmp.path, gate, config_for, nullptr, components,
-                                      res_legacy, acc_legacy, &q_legacy, &err,
-                                      /*single_pass=*/false))
-      << err;
-  if (FD_OBS_ENABLED) {
-    EXPECT_EQ(scans.value() - before_legacy, components.size());
-  }
-
-  // Bit-identical results, accepted-trace counts, and gate report.
-  ASSERT_EQ(res_sp.size(), res_legacy.size());
-  for (const std::size_t idx : components) {
-    EXPECT_EQ(res_sp[idx].bits, res_legacy[idx].bits) << "component " << idx;
-    EXPECT_EQ(res_sp[idx].sign, res_legacy[idx].sign);
-    EXPECT_EQ(res_sp[idx].exponent, res_legacy[idx].exponent);
-    EXPECT_EQ(res_sp[idx].x0, res_legacy[idx].x0);
-    EXPECT_EQ(res_sp[idx].x1, res_legacy[idx].x1);
-    EXPECT_EQ(acc_sp[idx], acc_legacy[idx]);
-  }
-  EXPECT_EQ(q_sp.total, q_legacy.total);
-  EXPECT_EQ(q_sp.accepted, q_legacy.accepted);
-  EXPECT_EQ(q_sp.rejected_saturated, q_legacy.rejected_saturated);
-  EXPECT_EQ(q_sp.rejected_energy, q_legacy.rejected_energy);
-  EXPECT_EQ(q_sp.rejected_alignment, q_legacy.rejected_alignment);
-  EXPECT_EQ(q_sp.realigned, q_legacy.realigned);
 }
 
 // --- the pipeline's one-pass-per-round pin ---------------------------------

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -285,6 +286,96 @@ TEST(Serde, EveryBackendRoundTripsItsFoldBitExactly) {
     a.merge(b);
     EXPECT_EQ(bytes_of(a), bytes_of(serial));
   }
+}
+
+// FNV-1a over a byte string.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(Serde, CpaFoldBytesPinnedAndOnlyModeZeroParses) {
+  // A CPA fold's checkpoint / kFold bytes: backend id, a mode byte that
+  // is always 0, the kernel batch, then the sums. Pinned so the layout
+  // stays what earlier checkpoints and fleet peers wrote.
+  const Stream st(12, 2, 1, 90, 0x5E01);
+  dg::CpaDistinguisher d(st.guesses, st.columns);
+  st.feed(d, 0, st.hyp.size());
+  std::vector<std::uint8_t> bytes = bytes_of(d);
+  ASSERT_EQ(bytes.size(), 570U);
+  EXPECT_EQ(bytes[0], static_cast<std::uint8_t>(dg::Backend::kCpa));
+  EXPECT_EQ(bytes[1], 0U);
+  EXPECT_EQ(fnv1a(bytes), 0x5594172896993F8DULL);
+
+  // Mode 1 (a signed-peak ranking once) no longer parses.
+  bytes[1] = 1;
+  std::size_t off = 0;
+  EXPECT_EQ(dg::deserialize_distinguisher(bytes, off), nullptr);
+}
+
+// --- demux input checks (checked in every build mode) ---------------------
+
+dg::StreamingSpec checked_spec() {
+  dg::StreamingSpec s;
+  s.sample_offsets = {sca::window::kOffExpSum, sca::window::kOffExpSum};
+  for (std::uint32_t e = 1005; e <= 1010; ++e) s.guesses.push_back(e);
+  s.model = [](std::uint32_t g, const attack::KnownOperand& k, std::size_t) {
+    return attack::hyp_exponent(g, k);
+  };
+  return s;
+}
+
+std::unique_ptr<dg::Distinguisher> make_cpa(const dg::StreamingSpec& s) {
+  return std::make_unique<dg::CpaDistinguisher>(s.guesses.size(), s.sample_offsets.size());
+}
+
+TEST(StreamingDemux, RejectsSpecWithoutGuesses) {
+  auto s = checked_spec();
+  s.guesses.clear();
+  tracestore::ArchiveReader reader;
+  EXPECT_THROW((void)dg::run_streaming(reader, s, make_cpa), std::invalid_argument);
+}
+
+TEST(StreamingDemux, RejectsSpecWithoutSampleOffsets) {
+  auto s = checked_spec();
+  s.sample_offsets.clear();
+  tracestore::ArchiveReader reader;
+  EXPECT_THROW((void)dg::run_streaming(reader, s, make_cpa), std::invalid_argument);
+}
+
+TEST(StreamingDemux, RejectsSpecWithoutModel) {
+  auto s = checked_spec();
+  s.model = nullptr;
+  tracestore::ArchiveReader reader;
+  EXPECT_THROW((void)dg::run_streaming(reader, s, make_cpa), std::invalid_argument);
+}
+
+TEST(StreamingDemux, RejectsDistinguisherWithOtherGuessCount) {
+  const auto s = checked_spec();
+  const dg::DistinguisherFactory wrong = [](const dg::StreamingSpec& spec) {
+    return std::make_unique<dg::CpaDistinguisher>(spec.guesses.size() + 1,
+                                                  spec.sample_offsets.size());
+  };
+  tracestore::ArchiveReader reader;
+  EXPECT_THROW((void)dg::run_streaming(reader, s, wrong), std::invalid_argument);
+}
+
+TEST(StreamingDemux, RejectsHypStrideNeitherOneNorColumnCount) {
+  // A profiled backend fitted on 3 columns, fed a 2-offset spec:
+  // hyp_stride() = 3 is neither the broadcast 1 nor the spec's 2.
+  const auto s = checked_spec();
+  const dg::DistinguisherFactory wrong = [](const dg::StreamingSpec& spec) {
+    return std::make_unique<dg::TemplateDistinguisher>(
+        spec.guesses.size(), std::vector<double>{1.0, 0.8, 1.2},
+        std::vector<double>{0.1, -0.2, 0.0},
+        std::vector<double>{2.0, 0.1, 0.0, 0.1, 1.5, 0.2, 0.0, 0.2, 1.8});
+  };
+  tracestore::ArchiveReader reader;
+  EXPECT_THROW((void)dg::run_streaming(reader, s, wrong), std::invalid_argument);
 }
 
 // --- LR training determinism ---------------------------------------------

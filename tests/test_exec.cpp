@@ -1,18 +1,21 @@
 // The exec engine's determinism contract, pinned.
 //
 // Mechanics first (pool lifecycle, backpressure, nested submission,
-// chunk plans, seed splitting, job-graph ordering), then the two
+// chunk plans, seed splitting, job-graph ordering), then the
 // end-to-end pins the rest of the repo builds on:
 //   - sharded capture produces BYTE-identical merged archives at 1, 2,
 //     and 7 workers (and with no pool at all);
 //   - the parallel all-component attack returns results identical to
-//     the serial loop at every worker count.
+//     the serial loop at every worker count;
+//   - the component fan-out (archive and in-memory) returns results
+//     pinned to digests of the implementation it replaced.
 // Worker count must never leak into results; only the shard count (a
 // config value, part of the experiment's identity) may.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "attack/hypothesis.h"
 #include "attack/key_recovery.h"
 #include "attack/parallel_attack.h"
 #include "common/rng.h"
@@ -289,7 +291,7 @@ TEST(ExecDeterminism, ParallelComponentAttackMatchesSerialExactly) {
     return attack::component_attack_config(kp.sk, cfg, /*row=*/0, ci.slot, ci.imag);
   };
 
-  const auto serial = attack::attack_all_components_serial(sets, config_for);
+  const auto serial = attack::attack_all_components_parallel(sets, config_for, nullptr);
   ASSERT_EQ(serial.size(), kp.sk.params.n);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
@@ -310,7 +312,7 @@ TEST(ExecDeterminism, ParallelComponentAttackMatchesSerialExactly) {
 TEST(ExecDeterminism, ArchiveAttackAndStreamingManyMatchSerial) {
   ChaCha20Prng rng("exec archive pin");
   const auto kp = falcon::keygen(3, rng);
-  const std::size_t hn = kp.sk.params.n >> 1;
+  const std::size_t n = kp.sk.params.n;
 
   TempFile archive("exec_archive_pin.fdtrace");
   sca::CampaignConfig camp;
@@ -326,45 +328,141 @@ TEST(ExecDeterminism, ArchiveAttackAndStreamingManyMatchSerial) {
     return attack::component_attack_config(kp.sk, cfg, /*row=*/0, ci.slot, ci.imag);
   };
 
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
   std::vector<attack::ComponentResult> serial, parallel;
+  std::vector<std::size_t> acc_serial, acc_parallel;
   std::string error;
-  ASSERT_TRUE(attack::attack_all_components_from_archive(archive.path, config_for, nullptr,
-                                                         serial, &error))
+  ASSERT_TRUE(attack::attack_components_gated(archive.path, attack::QualityConfig{},
+                                              config_for, nullptr, all, serial, acc_serial,
+                                              nullptr, &error))
       << error;
   exec::ThreadPool pool(2);
-  ASSERT_TRUE(attack::attack_all_components_from_archive(archive.path, config_for, &pool,
-                                                         parallel, &error))
+  ASSERT_TRUE(attack::attack_components_gated(archive.path, attack::QualityConfig{},
+                                              config_for, &pool, all, parallel, acc_parallel,
+                                              nullptr, &error))
       << error;
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t idx = 0; idx < serial.size(); ++idx) {
     EXPECT_EQ(parallel[idx].bits, serial[idx].bits) << "component " << idx;
   }
+  EXPECT_EQ(acc_parallel, acc_serial);
+}
 
-  // run_cpa_streaming_many == one run_cpa_streaming per spec.
-  std::vector<attack::StreamingCpaSpec> specs;
-  for (std::size_t slot = 0; slot < hn; ++slot) {
-    const auto truth = attack::KnownOperand::from(kp.sk.b01[slot]);
-    attack::StreamingCpaSpec spec;
-    spec.slot = slot;
-    spec.sample_offsets = {sca::window::kOffAccZ1a};
-    spec.guesses = attack::MantissaCandidates::adversarial(truth.y0, false, 20, 0xA78 + slot);
-    spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {
-      return attack::hyp_low_add_z1a(guess, k);
-    };
-    specs.push_back(std::move(spec));
-  }
-  std::vector<attack::CpaEngine> many;
-  ASSERT_TRUE(attack::run_cpa_streaming_many(archive.path, specs, &pool, many, &error))
-      << error;
-  ASSERT_EQ(many.size(), specs.size());
-  for (std::size_t slot = 0; slot < specs.size(); ++slot) {
-    tracestore::ArchiveReader reader;
-    ASSERT_TRUE(reader.open(archive.path));
-    const auto one = attack::run_cpa_streaming(reader, specs[slot]);
-    EXPECT_EQ(many[slot].ranking(), one.ranking()) << "slot " << slot;
-    for (std::size_t g = 0; g < specs[slot].guesses.size(); ++g) {
-      EXPECT_EQ(many[slot].peak(g), one.peak(g)) << "slot " << slot << " guess " << g;
+// --- component fan-out results pinned ---------------------------------------
+
+// FNV-1a over everything a gated attack hands back for `components`:
+// each component's decisions, its accepted-trace count (when given),
+// and the aggregate gate report (when given).
+std::uint64_t fan_out_digest(const std::vector<attack::ComponentResult>& results,
+                             const std::vector<std::size_t>& components,
+                             const std::vector<std::size_t>* accepted,
+                             const attack::QualityReport* quality) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
     }
+  };
+  for (const std::size_t idx : components) {
+    const attack::ComponentResult& r = results[idx];
+    mix(r.bits);
+    mix(r.sign ? 1 : 0);
+    mix(r.exponent);
+    mix(r.x0);
+    mix(r.x1);
+    if (accepted != nullptr) mix((*accepted)[idx]);
+  }
+  if (quality != nullptr) {
+    mix(quality->total);
+    mix(quality->accepted);
+    mix(quality->rejected_saturated);
+    mix(quality->rejected_energy);
+    mix(quality->rejected_alignment);
+    mix(quality->realigned);
+  }
+  return h;
+}
+
+TEST(ParallelAttack, ResultsPinnedToParent) {
+  // A faulted, jittered FALCON-16 capture, so the gate rejects traces
+  // on saturation, energy and alignment and realigns the rest. The
+  // digests were computed with the earlier fan-out (a demux plus a
+  // private copy of the slot per component, and a separate in-memory
+  // loop); any change to what a component sees or decides moves them.
+  // Every case must match at no pool and at a 3-worker pool.
+  ChaCha20Prng rng("parallel attack pin");
+  const auto kp = falcon::keygen(4, rng);
+  const std::size_t n = kp.sk.params.n;
+  const std::size_t hn = n >> 1;
+
+  TempFile archive("exec_fan_out_pin.fdtrace");
+  sca::CampaignConfig camp;
+  camp.num_traces = 300;
+  camp.device.noise_sigma = 2.0;
+  camp.device.jitter_max = 2;
+  camp.seed = 0xFA2;
+  camp.faults.desync_rate = 0.05;
+  camp.faults.saturate_rate = 0.03;
+  camp.faults.glitch_rate = 0.02;
+  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, camp, archive.path).ok);
+
+  attack::KeyRecoveryConfig cfg;
+  cfg.seed = 0xFA2;
+  cfg.adversarial_random = 40;
+  const auto config_for = [&](const attack::ComponentIndex& ci) {
+    return attack::component_attack_config(kp.sk, cfg, /*row=*/0, ci.slot, ci.imag);
+  };
+
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  const std::vector<std::size_t> subset = {0, 3, 11};
+
+  struct Case {
+    bool gate;
+    const std::vector<std::size_t>* components;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {false, &subset, 0x14AAFCFFC76364C7ULL},
+      {false, &all, 0x2FB17A0B40C2FB2EULL},
+      {true, &subset, 0xA69775C0BCFC80CFULL},
+      {true, &all, 0x016A7C235EAF27C5ULL},
+  };
+  exec::ThreadPool pool(3);
+  for (const Case& c : cases) {
+    attack::QualityConfig gate;
+    gate.enabled = c.gate;
+    for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+      std::vector<attack::ComponentResult> results;
+      std::vector<std::size_t> accepted;
+      attack::QualityReport quality;
+      std::string error;
+      ASSERT_TRUE(attack::attack_components_gated(archive.path, gate, config_for, p,
+                                                  *c.components, results, accepted,
+                                                  &quality, &error))
+          << error;
+      EXPECT_EQ(fan_out_digest(results, *c.components, &accepted, &quality), c.digest)
+          << "gate " << c.gate << ", " << c.components->size() << " components, "
+          << (p != nullptr ? "3-worker pool" : "no pool");
+    }
+  }
+
+  // The in-memory fan-out over the same slot sets.
+  std::vector<sca::TraceSet> sets;
+  {
+    tracestore::ArchiveReader reader;
+    ASSERT_TRUE(reader.open(archive.path)) << reader.error();
+    std::vector<std::size_t> slots(hn);
+    for (std::size_t s = 0; s < hn; ++s) slots[s] = s;
+    ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, sets));
+  }
+  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    const auto results = attack::attack_all_components_parallel(sets, config_for, p);
+    ASSERT_EQ(results.size(), n);
+    EXPECT_EQ(fan_out_digest(results, all, nullptr, nullptr), 0x7638CF326BBE227EULL)
+        << (p != nullptr ? "3-worker pool" : "no pool");
   }
 }
 

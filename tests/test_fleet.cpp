@@ -191,6 +191,20 @@ TEST(FleetProtocol, BadVersionAndOversizeLengthRejected) {
   }
 }
 
+TEST(FleetProtocol, SessionRejectsParentLayoutWithSinglePassByte) {
+  // Protocol v5 carried a single_pass byte between the quality config
+  // and the six u64 fields that end the payload; v6 has none, so a v5
+  // payload is one byte long and must not decode.
+  EXPECT_EQ(fleet::kProtocolVersion, 6U);
+  fleet::SessionConfig s;
+  std::vector<std::uint8_t> bytes;
+  fleet::encode_session(bytes, s);
+  fleet::SessionConfig back;
+  ASSERT_TRUE(fleet::decode_session(bytes, back));
+  bytes.insert(bytes.end() - 6 * 8, std::uint8_t{1});
+  EXPECT_FALSE(fleet::decode_session(bytes, back));
+}
+
 TEST(FleetProtocol, SessionRoundTrip) {
   fleet::SessionConfig s;
   s.logn = 7;
@@ -225,7 +239,6 @@ TEST(FleetProtocol, SessionRoundTrip) {
   s.quality.max_lag = 3;
   s.quality.min_alignment_corr = 0.625;
   s.quality.refine_iters = 4;
-  s.single_pass = false;
   s.checkpoint_every = 3;
   s.session_hash = 0x1122334455667788ULL;
   s.heartbeat_interval_ms = 123;
@@ -268,7 +281,6 @@ TEST(FleetProtocol, SessionRoundTrip) {
   EXPECT_EQ(back.quality.max_lag, s.quality.max_lag);
   EXPECT_EQ(back.quality.min_alignment_corr, s.quality.min_alignment_corr);
   EXPECT_EQ(back.quality.refine_iters, s.quality.refine_iters);
-  EXPECT_EQ(back.single_pass, s.single_pass);
   EXPECT_EQ(back.checkpoint_every, s.checkpoint_every);
   EXPECT_EQ(back.session_hash, s.session_hash);
   EXPECT_EQ(back.heartbeat_interval_ms, s.heartbeat_interval_ms);

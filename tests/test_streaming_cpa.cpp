@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "attack/parallel_attack.h"
 #include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
@@ -63,8 +66,10 @@ TEST(StreamingCpa, ArchiveReproducesInMemoryCampaignBitExactly) {
   EXPECT_EQ(reader.meta().logn, 4U);
   EXPECT_EQ(reader.meta().seed, cfg.seed);
 
+  std::vector<std::size_t> slots(sets.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) slots[s] = s;
   std::vector<sca::TraceSet> loaded;
-  ASSERT_TRUE(sca::load_all_trace_sets(reader, loaded));
+  ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, loaded));
   ASSERT_EQ(loaded.size(), sets.size());
   for (std::size_t s = 0; s < sets.size(); ++s) {
     ASSERT_EQ(loaded[s].traces.size(), sets[s].traces.size()) << "slot " << s;
@@ -125,23 +130,34 @@ TEST(StreamingCpa, StreamedComponentAttackMatchesInMemory) {
   const std::size_t slot = 3;
   TempFile tmp("sc_component.fdtrace");
   ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, cfg, tmp.path).ok);
-  tracestore::ArchiveReader reader;
-  ASSERT_TRUE(reader.open(tmp.path));
 
   const auto sets = sca::run_full_campaign(kp.sk, cfg);
 
-  for (const bool imag : {false, true}) {
-    const Fpr truth = kp.sk.b01[slot + (imag ? kp.sk.params.n / 2 : 0)];
-    const KnownOperand split = KnownOperand::from(truth);
+  const auto config_for = [&](const ComponentIndex& ci) {
+    const KnownOperand split = KnownOperand::from(kp.sk.b01[ci.idx]);
     ComponentAttackConfig cac;
     cac.low_candidates = MantissaCandidates::adversarial(split.y0, false, 100, 21);
     cac.high_candidates = MantissaCandidates::adversarial(split.y1, true, 100, 22);
+    return cac;
+  };
+  const std::size_t hn = kp.sk.params.n / 2;
+  const std::vector<std::size_t> components = {slot, slot + hn};
+  std::vector<ComponentResult> results;
+  std::vector<std::size_t> accepted;
+  std::string err;
+  ASSERT_TRUE(attack_components_gated(tmp.path, QualityConfig{}, config_for, nullptr,
+                                      components, results, accepted, nullptr, &err))
+      << err;
+
+  for (const bool imag : {false, true}) {
+    const Fpr truth = kp.sk.b01[slot + (imag ? hn : 0)];
+    const KnownOperand split = KnownOperand::from(truth);
+    const ComponentAttackConfig cac = config_for(component_index(slot + (imag ? hn : 0), hn));
 
     const ComponentDataset mem_ds = build_component_dataset(sets[slot], imag);
     const ComponentResult mem = attack_component(mem_ds, cac);
 
-    ComponentResult disk;
-    ASSERT_TRUE(attack_component_from_archive(reader, slot, imag, cac, disk));
+    const ComponentResult& disk = results[slot + (imag ? hn : 0)];
 
     EXPECT_EQ(disk.bits, mem.bits) << "imag=" << imag;
     EXPECT_EQ(disk.sign, mem.sign);
@@ -154,6 +170,26 @@ TEST(StreamingCpa, StreamedComponentAttackMatchesInMemory) {
     EXPECT_EQ(disk.x0, split.y0) << "imag=" << imag;
     EXPECT_EQ(disk.x1, split.y1) << "imag=" << imag;
   }
+}
+
+// A spec the fold cannot run is rejected in every build mode.
+TEST(StreamingCpa, RejectsSpecWithoutGuesses) {
+  auto spec = exponent_spec(0);
+  spec.guesses.clear();
+  EXPECT_THROW((void)run_cpa_inmemory(sca::TraceSet{}, spec), std::invalid_argument);
+}
+
+TEST(StreamingCpa, RejectsSpecWithoutSampleOffsets) {
+  auto spec = exponent_spec(0);
+  spec.sample_offsets.clear();
+  EXPECT_THROW((void)run_cpa_inmemory(sca::TraceSet{}, spec), std::invalid_argument);
+}
+
+TEST(StreamingCpa, RejectsSpecWithoutModel) {
+  auto spec = exponent_spec(0);
+  spec.model = nullptr;
+  tracestore::ArchiveReader reader;  // rejected before any scan
+  EXPECT_THROW((void)run_cpa_streaming(reader, spec), std::invalid_argument);
 }
 
 TEST(StreamingCpa, ReaderMemoryIndependentOfCampaignSize) {
