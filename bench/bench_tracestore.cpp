@@ -2,8 +2,10 @@
 // .fdtrace format, a one-shard merge (what a single-shard sharded
 // capture pays after its capture), streamed-CPA (disk) vs in-memory CPA
 // wall time on the same seeded campaign -- the cost of
-// capture-once/attack-many -- and the per-query capture cost at
-// FALCON-512 (sign + gated windows + trace synthesis + archive append).
+// capture-once/attack-many -- the per-query capture cost at
+// FALCON-512 (sign + gated windows + trace synthesis + archive append),
+// and the three kernels under it: the ChaCha20 keystream of the trace
+// noise, one query's synthesis alone, and the chunk CRC32.
 //
 //   ./bench_tracestore [logn] [num_traces] [--json <path>]
 
@@ -18,6 +20,8 @@
 #include "common/rng.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
+#include "sca/capture.h"
+#include "sca/device.h"
 #include "tracestore/archive.h"
 
 using namespace fd;
@@ -169,6 +173,67 @@ int main(int argc, char** argv) {
     std::printf("capture/query  %8.3f ms (logn=%u, %zu queries, %zu records)\n", query_ms,
                 kCaptureLogn, kQueries, cap9.records);
     harness.report("capture_query", params9, query_ms, 1e3 / query_ms, "queries/s");
+
+    // One query's windows (recorded once), synthesized kSynthQueries
+    // times: the synthesis layer alone, no signing, no archive.
+    constexpr std::size_t kSynthQueries = 8;
+    const std::size_t hn = kp9.sk.params.n >> 1;
+    sca::LastWindowRecorder recorder(hn);
+    {
+      ChaCha20Prng victim_rng(0xA2C41A);
+      recorder.start_run();
+      fpr::ScopedLeakageSink scope(&recorder);
+      (void)falcon::sign(kp9.sk, "synth probe", victim_rng);
+    }
+    sca::EmDeviceModel device(cfg9.device, 0xA2C41B);
+    std::vector<float> samples;
+    std::size_t noise_samples = 0;
+    t0 = Clock::now();
+    for (std::size_t q = 0; q < kSynthQueries; ++q) {
+      for (std::size_t s = 0; s < hn; ++s) {
+        device.synthesize_into(recorder.window(s), samples);
+        noise_samples += samples.size();
+      }
+    }
+    const double synth_ms = seconds_since(t0) * 1e3 / kSynthQueries;
+    std::snprintf(params9, sizeof params9, "logn=%u windows=%zu", kCaptureLogn, hn);
+    std::printf("synth/query    %8.3f ms (logn=%u, %zu windows)\n", synth_ms, kCaptureLogn, hn);
+    harness.report("synth_query", params9, synth_ms * kSynthQueries,
+                   1e3 / synth_ms, "queries/s");
+
+    // One query's noise keystream (16 bytes per pair of Gaussians),
+    // drawn kKeystreamPasses times into the same buffer.
+    constexpr std::size_t kKeystreamPasses = 32;
+    std::vector<std::uint8_t> keystream(noise_samples / kSynthQueries * 8);
+    ChaCha20Prng ks(std::uint64_t{0xA2C41C});
+    t0 = Clock::now();
+    for (std::size_t i = 0; i < kKeystreamPasses; ++i) ks.fill(keystream);
+    const double ks_ms = seconds_since(t0) * 1e3;
+    const double ks_gbps =
+        static_cast<double>(keystream.size() * kKeystreamPasses) / ks_ms / 1e6;
+    char params_ks[64];
+    std::snprintf(params_ks, sizeof params_ks, "bytes=%zu passes=%zu", keystream.size(),
+                  kKeystreamPasses);
+    std::printf("keystream      %8.3f ms (%zu x %zu B, %.2f GB/s)\n", ks_ms, kKeystreamPasses,
+                keystream.size(), ks_gbps);
+    harness.report("keystream", params_ks, ks_ms, ks_gbps, "GB/s");
+  }
+
+  // Chunk CRC32 over one 64 KiB payload, repeated: 32 MiB per timing.
+  {
+    constexpr std::size_t kChunkBytes = 64 * 1024;
+    constexpr std::size_t kPasses = 512;
+    std::vector<std::uint8_t> chunk(kChunkBytes);
+    ChaCha20Prng(std::uint64_t{0xA2C41D}).fill(chunk);
+    std::uint32_t crc = 0;
+    t0 = Clock::now();
+    for (std::size_t i = 0; i < kPasses; ++i) crc = tracestore::crc32(chunk, crc);
+    const double crc_ms = seconds_since(t0) * 1e3;
+    const double gbps = static_cast<double>(kChunkBytes * kPasses) / crc_ms / 1e6;
+    char params_crc[64];
+    std::snprintf(params_crc, sizeof params_crc, "chunk=%zu passes=%zu", kChunkBytes, kPasses);
+    std::printf("crc32          %8.3f ms (%.2f GB/s, crc %08x)\n", crc_ms, gbps, crc);
+    harness.report("crc32", params_crc, crc_ms, gbps, "GB/s");
   }
 
   std::remove(path);

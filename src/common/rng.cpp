@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "common/shake256.h"
 
@@ -130,10 +131,13 @@ constexpr std::uint32_t kSigma[4] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206
 // kLanes consecutive RFC 7539 blocks (counters counter .. counter +
 // kLanes - 1, mod 2^32) in one pass: state word w of lane l is x[w][l],
 // so each quarter-round step is one loop over the lanes that the
-// compiler turns into vector adds, xors and shifts.
+// compiler turns into vector adds, xors and shifts. Always inlined, so
+// each target-attributed body below vectorizes it for its own ISA.
 template <std::size_t kLanes>
-void chacha_blocks(const std::uint32_t key[8], std::uint32_t counter,
-                   const std::uint32_t nonce[3], std::uint8_t* out) {
+[[gnu::always_inline]] inline void chacha_blocks(const std::uint32_t key[8],
+                                                 std::uint32_t counter,
+                                                 const std::uint32_t nonce[3],
+                                                 std::uint8_t* out) {
   const std::uint32_t s[16] = {kSigma[0], kSigma[1], kSigma[2], kSigma[3],
                                key[0],    key[1],    key[2],    key[3],
                                key[4],    key[5],    key[6],    key[7],
@@ -169,7 +173,48 @@ void chacha_blocks(const std::uint32_t key[8], std::uint32_t counter,
   }
 }
 
+constexpr std::size_t kBodyBlocks = 16;
+
+void blocks16_portable(const std::uint32_t key[8], std::uint32_t counter,
+                       const std::uint32_t nonce[3], std::uint8_t* out) {
+  chacha_blocks<kBodyBlocks>(key, counter, nonce, out);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// The same lane program at 8 and 16 lanes per vector register.
+__attribute__((target("avx2"))) void blocks16_avx2(const std::uint32_t key[8],
+                                                   std::uint32_t counter,
+                                                   const std::uint32_t nonce[3],
+                                                   std::uint8_t* out) {
+  chacha_blocks<kBodyBlocks>(key, counter, nonce, out);
+}
+
+__attribute__((target("avx512f,avx512vl"))) void blocks16_avx512(const std::uint32_t key[8],
+                                                                 std::uint32_t counter,
+                                                                 const std::uint32_t nonce[3],
+                                                                 std::uint8_t* out) {
+  chacha_blocks<kBodyBlocks>(key, counter, nonce, out);
+}
+#endif
+
+std::vector<detail::ChaChaBody> supported_chacha_bodies() {
+  std::vector<detail::ChaChaBody> bodies = {{"portable", blocks16_portable}};
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) bodies.push_back({"avx2", blocks16_avx2});
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl")) {
+    bodies.push_back({"avx512", blocks16_avx512});
+  }
+#endif
+  return bodies;
+}
+
 }  // namespace
+
+std::span<const detail::ChaChaBody> detail::chacha_bodies() {
+  static const std::vector<ChaChaBody> bodies = supported_chacha_bodies();
+  return bodies;
+}
 
 // The one-block reference: the RFC 7539 test vector pins it, and the
 // keystream tests pin the lane-parallel refill against it.
@@ -232,7 +277,9 @@ void ChaCha20Prng::seed_from(std::span<const std::uint8_t> material) {
 }
 
 void ChaCha20Prng::refill() {
-  chacha_blocks<kRefillBlocks>(key_, counter_, nonce_, buf_);
+  static_assert(kRefillBlocks == kBodyBlocks);
+  static const auto blocks16 = detail::chacha_bodies().back().blocks16;
+  blocks16(key_, counter_, nonce_, buf_);
   counter_ += static_cast<std::uint32_t>(kRefillBlocks);
   buf_pos_ = 0;
 }

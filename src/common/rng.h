@@ -36,9 +36,12 @@ class RandomSource {
 
 // ChaCha20 keystream generator (RFC 7539 block function, counter mode).
 // The keystream is block(counter 0) || block(1) || ...; refills compute
-// kRefillBlocks consecutive blocks at once (one per lane), and every
-// draw copies whole spans out of that buffer. Buffering changes only
-// when a block is computed, never which bytes a draw returns.
+// kRefillBlocks consecutive blocks at once (one per lane, 1 KiB), and
+// every draw copies whole spans out of that buffer. Buffering changes
+// only when a block is computed, never which bytes a draw returns. The
+// refill body is picked once per process from what the CPU supports
+// (AVX-512, AVX2, else portable); every body writes the same bytes as
+// block() at each counter.
 class ChaCha20Prng final : public RandomSource {
  public:
   // Seeds key and nonce by squeezing SHAKE256(seed_material).
@@ -54,7 +57,7 @@ class ChaCha20Prng final : public RandomSource {
                     const std::uint32_t nonce[3], std::uint8_t out[64]);
 
  private:
-  static constexpr std::size_t kRefillBlocks = 8;
+  static constexpr std::size_t kRefillBlocks = 16;
 
   void seed_from(std::span<const std::uint8_t> material);
   void refill();
@@ -65,5 +68,22 @@ class ChaCha20Prng final : public RandomSource {
   std::uint8_t buf_[64 * kRefillBlocks];
   std::size_t buf_pos_ = sizeof(buf_);
 };
+
+namespace detail {
+
+// One ChaCha20 refill body: writes the 16 blocks at counters counter ..
+// counter + 15 (mod 2^32) to out[0 .. 1024).
+struct ChaChaBody {
+  const char* name;
+  void (*blocks16)(const std::uint32_t key[8], std::uint32_t counter,
+                   const std::uint32_t nonce[3], std::uint8_t* out);
+};
+
+// The portable body first, then every SIMD body this CPU runs; the last
+// entry is the one refills use. Exposed so tests can hold each body to
+// ChaCha20Prng::block().
+[[nodiscard]] std::span<const ChaChaBody> chacha_bodies();
+
+}  // namespace detail
 
 }  // namespace fd

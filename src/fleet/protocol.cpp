@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "sca/device.h"
 #include "tracestore/archive.h"
 
 namespace fd::fleet {
@@ -266,8 +267,8 @@ bool decode_session(std::span<const std::uint8_t> bytes, SessionConfig& out) {
   out.trace_id = c.u64();
   out.profile_interval_ms = static_cast<std::size_t>(c.u64());
   out.stage_chunk_bytes = static_cast<std::size_t>(c.u64());
-  return c.done() && out.logn >= 1 && out.logn <= 10 && out.stage_chunk_bytes >= 1 &&
-         out.stage_chunk_bytes <= kMaxPayload / 2;
+  return c.done() && out.logn >= 1 && out.logn <= 10 && a.device.valid() &&
+         out.stage_chunk_bytes >= 1 && out.stage_chunk_bytes <= kMaxPayload / 2;
 }
 
 // --- TaskSpec --------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sca/campaign.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -21,11 +22,13 @@ namespace fd::sca {
 namespace {
 
 using fpr::Fpr;
+using Clock = std::chrono::steady_clock;
 
 // Per-campaign telemetry shared by the in-memory and archive capture
 // loops: query/record/retry counters, end-of-campaign throughput
-// gauges, and the user-facing progress callback. The callback fires in
-// every build; the metric calls compile to no-ops under FD_OBS=OFF.
+// gauges, the capture layer times, and the user-facing progress
+// callback. The callback fires in every build; the metric calls compile
+// to no-ops under FD_OBS=OFF.
 class CampaignTelemetry {
  public:
   CampaignTelemetry(const CampaignConfig& config, std::string_view mode)
@@ -48,18 +51,34 @@ class CampaignTelemetry {
     }
   }
 
-  void finish(std::size_t queries, std::size_t records) {
+  // Layer clocks, one pair per query each (a query has up to 512
+  // windows; a per-window clock would cost more than it measures):
+  // signing, and the query's window synthesis plus archive appends.
+  void add_sign(Clock::duration d) { sign_ += d; }
+  void add_synth(Clock::duration d) { synth_ += d; }
+
+  // `flush_us` is the archive writer's chunk-flush time (CRC plus
+  // write); all but the last chunk's flush falls inside synth_us.
+  void finish(std::size_t queries, std::size_t records, double flush_us = 0.0) {
     const double us = span_.elapsed_us();
+    const double sign_us = std::chrono::duration<double, std::micro>(sign_).count();
+    const double synth_us = std::chrono::duration<double, std::micro>(synth_).count();
+    auto& reg = obs::MetricsRegistry::global();
     if (us > 0.0) {
-      auto& reg = obs::MetricsRegistry::global();
       reg.gauge("sca.campaign.queries_per_s").set(static_cast<double>(queries) * 1e6 / us);
       reg.gauge("sca.campaign.records_per_s").set(static_cast<double>(records) * 1e6 / us);
     }
+    reg.counter("sca.campaign.sign_us").add(static_cast<std::uint64_t>(sign_us));
+    reg.counter("sca.campaign.synth_us").add(static_cast<std::uint64_t>(synth_us));
+    reg.counter("sca.campaign.flush_us").add(static_cast<std::uint64_t>(flush_us));
     obs::event("sca.campaign")
         .with("mode", mode_)
         .with("queries", queries)
         .with("records", records)
         .with("wall_us", us)
+        .with("sign_us", sign_us)
+        .with("synth_us", synth_us)
+        .with("flush_us", flush_us)
         .emit();
   }
 
@@ -70,6 +89,8 @@ class CampaignTelemetry {
   obs::Counter& queries_;
   obs::Counter& records_;
   obs::Counter& retries_;
+  Clock::duration sign_{};
+  Clock::duration synth_{};
 };
 
 // Adversary-side recomputation of FFT(c)[*] from public data.
@@ -150,15 +171,17 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
   CampaignTelemetry telemetry(config, "archive");
   const FaultPlan fplan(config.faults);
   tracestore::ArchiveWriter writer;
-  tracestore::TraceRecord rec;
+  tracestore::TraceRecord rec;  // its samples buffer is reused by every window
   for (std::size_t d = 0; d < config.num_traces; ++d) {
     const std::string message = "trace-" + std::to_string(d);
     recorder.start_run();
     falcon::Signature sig;
+    const Clock::time_point sign_start = Clock::now();
     {
       fpr::ScopedLeakageSink scope(&recorder);
       sig = signer(sk, message, victim_rng);
     }
+    telemetry.add_sign(Clock::now() - sign_start);
     const std::uint64_t gq = config.fault_query_offset + d;
     const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
     if (qf.drop) {
@@ -177,34 +200,34 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
       obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
     }
     const auto cf = known_fft_of_hash(sig, message, logn);
+    const Clock::time_point synth_start = Clock::now();
     for (std::size_t s = 0; s < hn; ++s) {
-      Trace trace = device.synthesize(recorder.window(s));
+      device.synthesize_into(recorder.window(s), rec.samples);
       if (!writer.is_open()) {
         // First captured window fixes the archive's trace length.
-        const auto meta =
-            make_archive_meta(sk, config, trace.samples.size(), traces_per_chunk);
+        const auto meta = make_archive_meta(sk, config, rec.samples.size(), traces_per_chunk);
         if (!writer.open(path, meta)) {
           out.error = writer.error();
           return out;
         }
       }
-      if (trace.samples.size() != writer.meta().samples_per_trace) {
+      if (rec.samples.size() != writer.meta().samples_per_trace) {
         out.error = "signer produced a ragged window length at query " +
                     std::to_string(d) + ", slot " + std::to_string(s);
         return out;
       }
-      if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, trace.samples);
+      if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, rec.samples);
       rec.slot = static_cast<std::uint32_t>(s);
       rec.index = static_cast<std::uint32_t>(d);
       rec.known_re_bits = cf[s].bits();
       rec.known_im_bits = cf[s + hn].bits();
-      rec.samples = std::move(trace.samples);
       if (!writer.append(rec)) {
         out.error = writer.error();
         return out;
       }
       ++out.records;
     }
+    telemetry.add_synth(Clock::now() - synth_start);
     ++out.queries;
     telemetry.on_query(recorder, d + 1, hn);
   }
@@ -227,7 +250,7 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
     out.error = writer.error();
     return out;
   }
-  telemetry.finish(out.queries, out.records);
+  telemetry.finish(out.queries, out.records, writer.flush_us());
   if (config.faults.chunk_corrupt_rate > 0.0) {
     std::string cerr;
     if (!corrupt_archive_chunks(path, fplan, nullptr, &cerr)) {
@@ -386,10 +409,12 @@ std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
     const std::string message = "trace-" + std::to_string(d);
     recorder.start_run();
     falcon::Signature sig;
+    const Clock::time_point sign_start = Clock::now();
     {
       fpr::ScopedLeakageSink scope(&recorder);
       sig = signer(sk, message, victim_rng);
     }
+    telemetry.add_sign(Clock::now() - sign_start);
     const std::uint64_t gq = config.fault_query_offset + d;
     const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
     if (qf.drop) {
@@ -404,14 +429,16 @@ std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
       obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
     }
     const auto cf = known_fft_of_hash(sig, message, logn);
+    const Clock::time_point synth_start = Clock::now();
     for (std::size_t s = 0; s < hn; ++s) {
       CapturedTrace ct;
-      ct.trace = device.synthesize(recorder.window(s));
+      device.synthesize_into(recorder.window(s), ct.trace.samples);
       if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, ct.trace.samples);
       ct.known_re = cf[s];
       ct.known_im = cf[s + hn];
       sets[s].traces.push_back(std::move(ct));
     }
+    telemetry.add_synth(Clock::now() - synth_start);
     ++captured;
     telemetry.on_query(recorder, d + 1, hn);
   }

@@ -17,60 +17,16 @@
 //  - extra noise:     noise amplification.
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
 #include "fpr/leakage.h"
+#include "tracestore/archive.h"
 
 namespace fd::sca {
-
-struct Trace {
-  std::vector<float> samples;
-};
-
-struct DeviceConfig {
-  double alpha = 1.0;           // amplitude per Hamming-weight unit
-  double noise_sigma = 12.0;    // additive Gaussian noise, same units
-  unsigned samples_per_event = 1;
-  unsigned jitter_max = 0;      // uniform [0, jitter_max] shift per trace
-  bool constant_weight = false; // hiding countermeasure
-};
-
-class EmDeviceModel {
- public:
-  explicit EmDeviceModel(DeviceConfig config, std::uint64_t noise_seed = 0x0DEC0DE)
-      : config_(config), noise_rng_(noise_seed) {}
-
-  [[nodiscard]] const DeviceConfig& config() const { return config_; }
-
-  // Synthesizes one noisy trace from a captured event window.
-  [[nodiscard]] Trace synthesize(const std::vector<fpr::LeakageEvent>& events) {
-    const unsigned spe = config_.samples_per_event;
-    const std::size_t jitter =
-        config_.jitter_max == 0 ? 0 : noise_rng_.uniform(config_.jitter_max + 1);
-    Trace t;
-    t.samples.assign(events.size() * spe + config_.jitter_max, 0.0F);
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const int hw = config_.constant_weight ? 32 : std::popcount(events[i].value);
-      for (unsigned s = 0; s < spe; ++s) {
-        t.samples[i * spe + s + jitter] =
-            static_cast<float>(config_.alpha * hw);
-      }
-    }
-    noise_.resize(t.samples.size());
-    noise_rng_.gaussians(noise_);
-    for (std::size_t i = 0; i < t.samples.size(); ++i) {
-      t.samples[i] += static_cast<float>(config_.noise_sigma * noise_[i]);
-    }
-    return t;
-  }
-
- private:
-  DeviceConfig config_;
-  ChaCha20Prng noise_rng_;
-  std::vector<double> noise_;  // one trace's unit normals, reused
-};
 
 // Fixed layout of one captured window: the signing code performs four
 // fpr_mul (secret x known: re*re, im*im, re*im, im*re) followed by one
@@ -81,6 +37,12 @@ namespace window {
 inline constexpr std::size_t kEventsPerMul = 17;
 inline constexpr std::size_t kEventsPerAdd = 3;
 inline constexpr std::size_t kEventsPerWindow = 4 * kEventsPerMul + 2 * kEventsPerAdd;
+
+// Most samples one synthesized window may have (kEventsPerWindow ·
+// samples_per_event + jitter_max). Real captures use a few hundred; at
+// 2^20 a window's float samples and double noise stay near 12 MiB.
+inline constexpr std::uint64_t kMaxSamples = std::uint64_t{1} << 20;
+static_assert(kMaxSamples <= tracestore::kMaxSamplesPerTrace);
 
 // Offsets of tagged events inside one fpr_mul block.
 inline constexpr std::size_t kOffSign = 0;
@@ -111,5 +73,71 @@ inline constexpr std::size_t kOffResult = 16;
   return imag_part ? (which == 0 ? 1 : 3) : (which == 0 ? 0 : 2);
 }
 }  // namespace window
+
+struct Trace {
+  std::vector<float> samples;
+};
+
+struct DeviceConfig {
+  double alpha = 1.0;           // amplitude per Hamming-weight unit
+  double noise_sigma = 12.0;    // additive Gaussian noise, same units
+  unsigned samples_per_event = 1;
+  unsigned jitter_max = 0;      // uniform [0, jitter_max] shift per trace
+  bool constant_weight = false; // hiding countermeasure
+
+  // False for a config no trace can be synthesized from: zero samples
+  // per event, a window above window::kMaxSamples, or a non-finite alpha
+  // or noise_sigma. The window bound also rejects the one jitter_max
+  // whose + 1 wraps (2^32 - 1).
+  [[nodiscard]] bool valid() const {
+    const std::uint64_t window_samples =
+        std::uint64_t{window::kEventsPerWindow} * samples_per_event + jitter_max;
+    return samples_per_event != 0 && window_samples <= window::kMaxSamples &&
+           std::isfinite(alpha) && std::isfinite(noise_sigma);
+  }
+};
+
+class EmDeviceModel {
+ public:
+  // Throws std::invalid_argument when !config.valid().
+  explicit EmDeviceModel(DeviceConfig config, std::uint64_t noise_seed = 0x0DEC0DE)
+      : config_(config), noise_rng_(noise_seed) {
+    if (!config_.valid()) throw std::invalid_argument("EmDeviceModel: invalid DeviceConfig");
+  }
+
+  [[nodiscard]] const DeviceConfig& config() const { return config_; }
+
+  // Synthesizes one noisy trace from a captured event window into `out`,
+  // reusing its capacity: the jitter uniform is drawn first, then one
+  // Gaussian per sample.
+  void synthesize_into(const std::vector<fpr::LeakageEvent>& events, std::vector<float>& out) {
+    const unsigned spe = config_.samples_per_event;
+    const std::size_t jitter =
+        config_.jitter_max == 0 ? 0 : noise_rng_.uniform(config_.jitter_max + 1);
+    out.assign(events.size() * spe + config_.jitter_max, 0.0F);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const int hw = config_.constant_weight ? 32 : std::popcount(events[i].value);
+      for (unsigned s = 0; s < spe; ++s) {
+        out[i * spe + s + jitter] = static_cast<float>(config_.alpha * hw);
+      }
+    }
+    noise_.resize(out.size());
+    noise_rng_.gaussians(noise_);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += static_cast<float>(config_.noise_sigma * noise_[i]);
+    }
+  }
+
+  [[nodiscard]] Trace synthesize(const std::vector<fpr::LeakageEvent>& events) {
+    Trace t;
+    synthesize_into(events, t.samples);
+    return t;
+  }
+
+ private:
+  DeviceConfig config_;
+  ChaCha20Prng noise_rng_;
+  std::vector<double> noise_;  // one trace's unit normals, reused
+};
 
 }  // namespace fd::sca

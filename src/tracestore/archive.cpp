@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <memory>
 
 #include "obs/metrics.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace fd::tracestore {
 
@@ -101,15 +106,9 @@ void decode_record(const std::uint8_t* p, std::size_t num_samples, TraceRecord& 
   }
 }
 
-// Largest record (24 + 4 * samples_per_trace bytes) a header may
-// describe. Held to 32 bits, a u32 record count times the record size
-// cannot overflow 64 bits; anything larger is a corrupt or hostile
-// header, refused before any buffer is sized from it.
-constexpr std::uint64_t kMaxRecordBytes = 0xFFFFFFFFULL;
-
-bool geometry_fits(const ArchiveMeta& m) {
-  return 24 + 4 * static_cast<std::uint64_t>(m.samples_per_trace) <= kMaxRecordBytes;
-}
+// A header with more samples per trace is corrupt or hostile, refused
+// before any buffer is sized from it.
+bool geometry_fits(const ArchiveMeta& m) { return m.samples_per_trace <= kMaxSamplesPerTrace; }
 
 std::vector<std::uint8_t> encode_header(const ArchiveMeta& m) {
   std::vector<std::uint8_t> out;
@@ -179,14 +178,22 @@ bool decode_header(std::span<const std::uint8_t> buf, ArchiveMeta& m, std::strin
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  // Slicing-by-8: t[k][b] is the CRC register after byte b followed by k
-  // zero bytes, so eight input bytes fold in with eight table lookups.
+// --- CRC32 ----------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint32_t kCrcPoly = 0xEDB88320U;  // IEEE 802.3, bit-reflected
+
+// Slicing-by-8 over the CRC register `c` (already pre-inverted): t[k][b]
+// is the register after byte b followed by k zero bytes, so eight input
+// bytes fold in with eight table lookups. The reference every other
+// body must match, and the tail of each.
+std::uint32_t slice8_update(std::uint32_t c, const std::uint8_t* p, std::size_t n) {
   static const auto t = [] {
     std::array<std::array<std::uint32_t, 256>, 8> tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
       tab[0][i] = c;
     }
     for (std::size_t k = 1; k < 8; ++k) {
@@ -196,9 +203,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
     }
     return tab;
   }();
-  std::uint32_t c = seed ^ 0xFFFFFFFFU;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
   for (; n >= 8; p += 8, n -= 8) {
     const std::uint32_t lo = get_u32(p) ^ c;
     const std::uint32_t hi = get_u32(p + 4);
@@ -206,7 +210,131 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
         t[3][hi & 0xFFU] ^ t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
   }
   for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFU;
+  return c;
+}
+
+std::uint32_t crc32_slicing8(std::span<const std::uint8_t> data, std::uint32_t seed) {
+  return slice8_update(seed ^ 0xFFFFFFFFU, data.data(), data.size()) ^ 0xFFFFFFFFU;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// x^k mod P with bit 31 standing for x^0 (the reflected domain), shifted
+// up one bit: the form a 64x64 carry-less multiply of reflected
+// operands needs. These are the folding distances below.
+constexpr std::uint64_t xpow_mod_p(unsigned k) {
+  std::uint32_t v = 0x80000000U;  // x^0
+  for (unsigned i = 0; i < k; ++i) v = (v & 1) ? (v >> 1) ^ kCrcPoly : v >> 1;
+  return std::uint64_t{v} << 1;
+}
+
+// floor(x^64 / P), bit-reflected over its 33 bits: the Barrett
+// reduction's quotient constant.
+constexpr std::uint64_t barrett_mu() {
+  std::uint64_t p = 0;  // P without its x^32 term, in normal bit order
+  for (int i = 0; i < 32; ++i) {
+    if ((kCrcPoly >> i) & 1U) p |= std::uint64_t{1} << (31 - i);
+  }
+  std::uint64_t rem = p << 32;  // x^64 - x^32 * P
+  std::uint64_t q = std::uint64_t{1} << 32;
+  for (int b = 63; b >= 32; --b) {
+    if ((rem >> b) & 1U) {
+      rem ^= (std::uint64_t{1} << b) ^ (p << (b - 32));
+      q |= std::uint64_t{1} << (b - 32);
+    }
+  }
+  std::uint64_t mu = 0;
+  for (int i = 0; i < 33; ++i) {
+    if ((q >> i) & 1U) mu |= std::uint64_t{1} << (32 - i);
+  }
+  return mu;
+}
+
+constexpr std::uint64_t kFold4Lo = xpow_mod_p(4 * 128 + 32);  // 4x128-bit stride
+constexpr std::uint64_t kFold4Hi = xpow_mod_p(4 * 128 - 32);
+constexpr std::uint64_t kFold1Lo = xpow_mod_p(128 + 32);  // 128-bit stride
+constexpr std::uint64_t kFold1Hi = xpow_mod_p(128 - 32);
+constexpr std::uint64_t kFold64 = xpow_mod_p(64);
+constexpr std::uint64_t kPolyFull = (std::uint64_t{kCrcPoly} << 1) | 1U;  // P, reflected, 33 bits
+constexpr std::uint64_t kMu = barrett_mu();
+
+// a.lo * k.lo ^ a.hi * k.hi: one 128-bit lane folded forward by the
+// distance k encodes.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold_128(__m128i a, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00), _mm_clmulepi64_si128(a, k, 0x11));
+}
+
+// Carry-less folding (four 128-bit lanes, 64 bytes per step) over the
+// 16-byte-aligned-length head of the buffer, a 128-to-32-bit fold and a
+// Barrett reduction; slicing-by-8 takes the tail and any buffer under
+// 64 bytes.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_pclmul(
+    std::span<const std::uint8_t> data, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (n >= 64) {
+    const auto load = [](const std::uint8_t* q) {
+      return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+    };
+    __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    p += 64;
+    n -= 64;
+    const __m128i k4 = _mm_set_epi64x(static_cast<long long>(kFold4Hi),
+                                      static_cast<long long>(kFold4Lo));
+    for (; n >= 64; p += 64, n -= 64) {
+      x0 = _mm_xor_si128(fold_128(x0, k4), load(p));
+      x1 = _mm_xor_si128(fold_128(x1, k4), load(p + 16));
+      x2 = _mm_xor_si128(fold_128(x2, k4), load(p + 32));
+      x3 = _mm_xor_si128(fold_128(x3, k4), load(p + 48));
+    }
+    const __m128i k1 = _mm_set_epi64x(static_cast<long long>(kFold1Hi),
+                                      static_cast<long long>(kFold1Lo));
+    __m128i x = _mm_xor_si128(fold_128(x0, k1), x1);
+    x = _mm_xor_si128(fold_128(x, k1), x2);
+    x = _mm_xor_si128(fold_128(x, k1), x3);
+    for (; n >= 16; p += 16, n -= 16) x = _mm_xor_si128(fold_128(x, k1), load(p));
+    // 128 -> 64 bits: the low half moves 96 bits forward onto the high.
+    x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k1, 0x10));
+    // 64 -> 32 bits ahead of the reduction: the low word moves 64 bits.
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    const __m128i k64 = _mm_set_epi64x(0, static_cast<long long>(kFold64));
+    x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                      _mm_clmulepi64_si128(_mm_and_si128(x, low32), k64, 0x00));
+    // Barrett: q = low32(x) * mu, then x ^= low32(q) * P.
+    const __m128i pm = _mm_set_epi64x(static_cast<long long>(kMu),
+                                      static_cast<long long>(kPolyFull));
+    __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pm, 0x10);
+    q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), pm, 0x00);
+    c = static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, q), 1));
+  }
+  return slice8_update(c, p, n) ^ 0xFFFFFFFFU;
+}
+#endif
+
+std::vector<detail::Crc32Body> supported_crc32_bodies() {
+  std::vector<detail::Crc32Body> bodies = {{"slicing8", crc32_slicing8}};
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    bodies.push_back({"pclmul", crc32_pclmul});
+  }
+#endif
+  return bodies;
+}
+
+}  // namespace
+
+std::span<const detail::Crc32Body> detail::crc32_bodies() {
+  static const std::vector<Crc32Body> bodies = supported_crc32_bodies();
+  return bodies;
+}
+
+std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
+  static const auto body = detail::crc32_bodies().back().crc32;
+  return body(data, seed);
 }
 
 bool ArchiveMeta::compatible_with(const ArchiveMeta& other) const {
@@ -252,6 +380,7 @@ bool ArchiveWriter::open(const std::string& path, const ArchiveMeta& meta) {
   meta_.version = kFormatVersion;
   records_written_ = 0;
   pending_records_ = 0;
+  flush_us_ = 0.0;
   payload_.clear();
   const auto header = encode_header(meta_);
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
@@ -280,6 +409,7 @@ bool ArchiveWriter::append(const TraceRecord& rec) {
 
 bool ArchiveWriter::flush_chunk() {
   if (pending_records_ == 0) return true;
+  const auto start = std::chrono::steady_clock::now();
   std::vector<std::uint8_t> header;
   header.reserve(kChunkHeaderBytes);
   put_u32(header, kChunkMagic);
@@ -295,6 +425,8 @@ bool ArchiveWriter::flush_chunk() {
   write_bytes_counter().add(header.size() + payload_.size());
   payload_.clear();
   pending_records_ = 0;
+  flush_us_ +=
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start).count();
   return true;
 }
 

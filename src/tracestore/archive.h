@@ -58,13 +58,35 @@ inline constexpr std::size_t kHeaderBytes = 80;
 inline constexpr std::size_t kChunkHeaderBytes = 16;
 inline constexpr std::size_t kDefaultTracesPerChunk = 64;
 
+// Largest samples_per_trace a header may describe: one record (24 + 4 *
+// samples_per_trace bytes) is held to 32 bits, so a u32 record count
+// times the record size cannot overflow 64 bits.
+inline constexpr std::uint64_t kMaxSamplesPerTrace = (0xFFFFFFFFULL - 24) / 4;
+
 inline constexpr std::uint32_t kFlagConstantWeight = 1U << 0;
 inline constexpr std::uint32_t kFlagMerged = 1U << 1;
 
 // CRC32 (IEEE 802.3, reflected, init/final xor 0xFFFFFFFF), the policy
 // checksum of chunk payloads. Exposed for tests and external tooling.
+// The body is picked once per process: carry-less multiply folding
+// where the CPU has PCLMULQDQ, else slicing-by-8; both return the same
+// value for every input.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
                                   std::uint32_t seed = 0);
+
+namespace detail {
+
+struct Crc32Body {
+  const char* name;
+  std::uint32_t (*crc32)(std::span<const std::uint8_t> data, std::uint32_t seed);
+};
+
+// Slicing-by-8 first, then every faster body this CPU runs; the last
+// entry is the one crc32() uses. Exposed so tests can hold each body to
+// a bitwise reference.
+[[nodiscard]] std::span<const Crc32Body> crc32_bodies();
+
+}  // namespace detail
 
 // Capture context stored in the file header. Mirrors
 // sca::CampaignConfig + sca::DeviceConfig without depending on them:
@@ -134,6 +156,9 @@ class ArchiveWriter {
   [[nodiscard]] std::size_t records_written() const { return records_written_; }
   [[nodiscard]] const ArchiveMeta& meta() const { return meta_; }
   [[nodiscard]] const std::string& error() const { return error_; }
+  // Time spent flushing chunks (payload CRC plus write) since open(),
+  // one clock pair per chunk.
+  [[nodiscard]] double flush_us() const { return flush_us_; }
 
  private:
   bool flush_chunk();
@@ -144,6 +169,7 @@ class ArchiveWriter {
   std::vector<std::uint8_t> payload_;  // pending chunk payload
   std::size_t pending_records_ = 0;
   std::size_t records_written_ = 0;
+  double flush_us_ = 0.0;
   std::string error_;
 };
 

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -203,6 +204,49 @@ TEST(FleetProtocol, SessionRejectsParentLayoutWithSinglePassByte) {
   ASSERT_TRUE(fleet::decode_session(bytes, back));
   bytes.insert(bytes.end() - 6 * 8, std::uint8_t{1});
   EXPECT_FALSE(fleet::decode_session(bytes, back));
+}
+
+// A session frame whose device config EmDeviceModel would refuse never
+// decodes, so a worker never builds a capture it cannot run.
+bool session_decodes_with(void (*edit)(sca::DeviceConfig&)) {
+  fleet::SessionConfig s;
+  edit(s.attack.device);
+  std::vector<std::uint8_t> bytes;
+  fleet::encode_session(bytes, s);
+  fleet::SessionConfig back;
+  return fleet::decode_session(bytes, back);
+}
+
+TEST(FleetProtocol, SessionAcceptsValidDeviceConfig) {
+  EXPECT_TRUE(session_decodes_with([](sca::DeviceConfig& d) {
+    d.samples_per_event = 3;
+    d.jitter_max = 7;
+  }));
+}
+
+TEST(FleetProtocol, SessionRejectsZeroSamplesPerEvent) {
+  EXPECT_FALSE(session_decodes_with([](sca::DeviceConfig& d) { d.samples_per_event = 0; }));
+}
+
+TEST(FleetProtocol, SessionRejectsWrappingJitter) {
+  EXPECT_FALSE(session_decodes_with([](sca::DeviceConfig& d) { d.jitter_max = 0xFFFFFFFFU; }));
+}
+
+TEST(FleetProtocol, SessionRejectsWindowPastCap) {
+  // Under the archive record bound, but ~12 GiB of buffers in one window.
+  EXPECT_FALSE(
+      session_decodes_with([](sca::DeviceConfig& d) { d.samples_per_event = 14'000'000; }));
+  EXPECT_FALSE(session_decodes_with([](sca::DeviceConfig& d) {
+    d.jitter_max = static_cast<unsigned>(sca::window::kMaxSamples - sca::window::kEventsPerWindow + 1);
+  }));
+  EXPECT_TRUE(session_decodes_with([](sca::DeviceConfig& d) {
+    d.jitter_max = static_cast<unsigned>(sca::window::kMaxSamples - sca::window::kEventsPerWindow);
+  }));
+}
+
+TEST(FleetProtocol, SessionRejectsNonFiniteAlphaOrSigma) {
+  EXPECT_FALSE(session_decodes_with([](sca::DeviceConfig& d) { d.alpha = std::nan(""); }));
+  EXPECT_FALSE(session_decodes_with([](sca::DeviceConfig& d) { d.noise_sigma = INFINITY; }));
 }
 
 TEST(FleetProtocol, SessionRoundTrip) {

@@ -588,6 +588,43 @@ TEST(ObsDeterminism, FixedSeedCampaignTelemetryIsReproducible) {
   EXPECT_TRUE(saw_snapshot);
 }
 
+TEST(ObsCampaign, ArchiveCampaignReportsCaptureLayerTimes) {
+  // One sca.campaign event per campaign carries the per-layer times:
+  // signing and synthesis-plus-append inside the campaign's wall time,
+  // and the writer's chunk flushes; the counters carry the same sums.
+  if (!FD_OBS_ENABLED) GTEST_SKIP() << "built with FD_OBS=OFF";
+  ChaCha20Prng rng("obs capture layers key");
+  const auto kp = falcon::keygen(3, rng);
+  auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t sign_before = reg.counter("sca.campaign.sign_us").value();
+  obs::CollectingSink sink;
+  obs::ScopedTelemetrySink scope(&sink);
+  const std::string path = "obs_capture_layers.fdtrace";
+  const auto r = sca::run_campaign_to_archive(kp.sk, mini_config(0x0B7), path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(r.ok) << r.error;
+  const obs::Event* campaign = nullptr;
+  for (const auto& ev : sink.events()) {
+    if (ev.name == "sca.campaign") campaign = &ev;
+  }
+  ASSERT_NE(campaign, nullptr);
+  const auto field = [&](std::string_view key) {
+    for (const auto& [k, v] : campaign->fields) {
+      if (k == key) return v.as_double();
+    }
+    ADD_FAILURE() << "no field " << key;
+    return -1.0;
+  };
+  const double sign_us = field("sign_us");
+  const double synth_us = field("synth_us");
+  const double flush_us = field("flush_us");
+  EXPECT_GT(sign_us, 0.0);
+  EXPECT_GT(synth_us, 0.0);
+  EXPECT_GT(flush_us, 0.0);
+  EXPECT_LE(sign_us + synth_us, field("wall_us"));
+  EXPECT_GE(reg.counter("sca.campaign.sign_us").value(), sign_before + 1);
+}
+
 TEST(ObsDeterminism, InstrumentationDoesNotPerturbRankings) {
   // Valid in both FD_OBS modes: with the layer off this pins that the
   // no-op stubs leave the math untouched, which together with the ON run

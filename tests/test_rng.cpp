@@ -156,6 +156,43 @@ TEST(Gaussian, BulkDrawsMatchRepeatedCalls) {
   }
 }
 
+TEST(ChaCha20, EveryBodyMatchesBlockReference) {
+  // Each refill body this CPU runs (the portable one always) against 16
+  // calls of block(), at counters whose 16-block run crosses 2^32.
+  const auto bodies = detail::chacha_bodies();
+  ASSERT_FALSE(bodies.empty());
+  EXPECT_STREQ(bodies.front().name, "portable");
+  std::uint32_t key[8];
+  std::uint32_t nonce[3];
+  ChaCha20Prng material(std::uint64_t{0xB0D1E5});
+  for (std::uint32_t& k : key) k = static_cast<std::uint32_t>(material.next_u64());
+  for (std::uint32_t& n : nonce) n = static_cast<std::uint32_t>(material.next_u64());
+  for (const auto& body : bodies) {
+    for (const std::uint32_t counter :
+         {0U, 1U, 16U, 0x7FFFFFFFU, 0xFFFFFFF0U, 0xFFFFFFF1U, 0xFFFFFFF8U, 0xFFFFFFFFU}) {
+      std::uint8_t got[16 * 64];
+      body.blocks16(key, counter, nonce, got);
+      for (std::uint32_t b = 0; b < 16; ++b) {
+        std::uint8_t want[64];
+        ChaCha20Prng::block(key, counter + b, nonce, want);
+        ASSERT_EQ(std::vector<std::uint8_t>(got + 64 * b, got + 64 * (b + 1)),
+                  std::vector<std::uint8_t>(want, want + 64))
+            << body.name << " counter " << counter << " block " << b;
+      }
+    }
+  }
+  // Fills that straddle the 1 KiB refill buffer, through the dispatched
+  // body, against the per-block stream.
+  ChaCha20Prng fast(std::uint64_t{0xB0D1E6});
+  BlockStreamReference ref(std::uint64_t{0xB0D1E6});
+  for (const std::size_t n : {1000, 48, 1, 1023, 1024, 1025, 2047, 3000, 64, 5}) {
+    std::vector<std::uint8_t> a(n), b(n);
+    fast.fill(a);
+    ref.fill(b);
+    ASSERT_EQ(a, b) << "fill of " << n;
+  }
+}
+
 TEST(ChaCha20, EmptyFillDrawsNothing) {
   ChaCha20Prng a(std::uint64_t{3});
   ChaCha20Prng b(std::uint64_t{3});

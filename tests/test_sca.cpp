@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,74 @@ TEST(EmDeviceModel, JitterShiftsWindow) {
                                              0.0F;
   }
   EXPECT_TRUE(saw_shift);
+}
+
+TEST(EmDeviceModel, SynthesizeIntoMatchesSynthesize) {
+  DeviceConfig cfg;
+  cfg.noise_sigma = 3.0;
+  cfg.samples_per_event = 2;
+  cfg.jitter_max = 3;
+  EmDeviceModel fresh(cfg, 11);
+  EmDeviceModel reused(cfg, 11);
+  std::vector<float> out;
+  for (int i = 0; i < 20; ++i) {
+    const auto window = synthetic_window(0x1234 + static_cast<std::uint64_t>(i), 7);
+    const Trace want = fresh.synthesize(window);
+    reused.synthesize_into(window, out);
+    ASSERT_EQ(out, want.samples) << "window " << i;
+  }
+}
+
+// One rejection per flagged config: the predicate and the constructor
+// agree, so no model exists for a config synthesis cannot run on.
+void expect_rejected(const DeviceConfig& cfg) {
+  EXPECT_FALSE(cfg.valid());
+  EXPECT_THROW(EmDeviceModel{cfg}, std::invalid_argument);
+}
+
+TEST(DeviceConfig, DefaultsAndPaperKnobsAreValid) {
+  DeviceConfig cfg;
+  EXPECT_TRUE(cfg.valid());
+  cfg.samples_per_event = 4;
+  cfg.jitter_max = 8;
+  cfg.constant_weight = true;
+  cfg.noise_sigma = 0.0;
+  EXPECT_TRUE(cfg.valid());
+  EXPECT_NO_THROW(EmDeviceModel{cfg});
+}
+
+TEST(DeviceConfig, RejectsZeroSamplesPerEvent) {
+  DeviceConfig cfg;
+  cfg.samples_per_event = 0;
+  expect_rejected(cfg);
+}
+
+TEST(DeviceConfig, RejectsJitterWhosePlusOneWraps) {
+  DeviceConfig cfg;
+  cfg.jitter_max = 0xFFFFFFFFU;
+  expect_rejected(cfg);
+}
+
+TEST(DeviceConfig, RejectsWindowPastCap) {
+  DeviceConfig cfg;
+  cfg.samples_per_event = 14'000'000;  // 74 events -> 1.04e9 samples, under the archive bound
+  expect_rejected(cfg);
+  cfg.samples_per_event = 1;
+  cfg.jitter_max = static_cast<unsigned>(window::kMaxSamples - window::kEventsPerWindow + 1);
+  expect_rejected(cfg);
+  cfg.jitter_max = static_cast<unsigned>(window::kMaxSamples - window::kEventsPerWindow);
+  EXPECT_TRUE(cfg.valid());  // exactly at the cap
+}
+
+TEST(DeviceConfig, RejectsNonFiniteAlphaOrSigma) {
+  for (const double bad : {std::nan(""), double{INFINITY}, -double{INFINITY}}) {
+    DeviceConfig a;
+    a.alpha = bad;
+    expect_rejected(a);
+    DeviceConfig s;
+    s.noise_sigma = bad;
+    expect_rejected(s);
+  }
 }
 
 TEST(Campaign, WindowHasExpectedSchedule) {
@@ -337,7 +406,7 @@ TEST(GatedCapture, RecordersAreWindowedFullRecorderIsNot) {
 
 // --- golden archives: fixed-seed capture bytes, pinned --------------------
 //
-// FNV-1a 64 and size of the whole archive file for four fixed-seed
+// FNV-1a 64 and size of the whole archive file for six fixed-seed
 // captures. Any capture or codec change that alters one byte of a
 // captured or merged archive fails here; the gated windows, block
 // keystream and bulk codec (DESIGN.md §18) must not.
@@ -441,6 +510,44 @@ TEST(GoldenArchive, FaultPlanShardedMerge) {
   const Digest d = file_digest(out.path);
   EXPECT_EQ(d.bytes, 87392U);
   EXPECT_EQ(d.fnv, 0x02DEDE5C92EF6134ULL);
+}
+
+TEST(GoldenArchive, JitteredTwoSamplesPerEvent) {
+  // Jitter draws a uniform before each window's Gaussians, and two
+  // samples per event widen the window: the draw order and the
+  // per-sample float arithmetic are pinned here.
+  ChaCha20Prng rng(0x601DB);
+  const auto kp = falcon::keygen(4, rng);
+  CampaignConfig cfg;
+  cfg.num_traces = 30;
+  cfg.device.noise_sigma = 2.0;
+  cfg.device.samples_per_event = 2;
+  cfg.device.jitter_max = 5;
+  cfg.seed = 0x601B;
+  GoldenFile out("golden_jitter.fdtrace");
+  const auto r = run_campaign_to_archive(kp.sk, cfg, out.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records, 240U);
+  const Digest d = file_digest(out.path);
+  EXPECT_EQ(d.bytes, 152784U);
+  EXPECT_EQ(d.fnv, 0x136D16C11D801907ULL);
+}
+
+TEST(GoldenArchive, ConstantWeight) {
+  ChaCha20Prng rng(0x601DC);
+  const auto kp = falcon::keygen(4, rng);
+  CampaignConfig cfg;
+  cfg.num_traces = 30;
+  cfg.device.noise_sigma = 2.0;
+  cfg.device.constant_weight = true;
+  cfg.seed = 0x601C;
+  GoldenFile out("golden_constant.fdtrace");
+  const auto r = run_campaign_to_archive(kp.sk, cfg, out.path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records, 240U);
+  const Digest d = file_digest(out.path);
+  EXPECT_EQ(d.bytes, 76944U);
+  EXPECT_EQ(d.fnv, 0x6B674A0AF87F92E2ULL);
 }
 
 }  // namespace

@@ -134,6 +134,47 @@ TEST(Crc32, SlicingMatchesBitwiseAtEveryLengthAndOffset) {
   }
 }
 
+TEST(Crc32, EveryBodyMatchesBitwise) {
+  // Each body this CPU runs (slicing-by-8 always) at every length
+  // 0..4096 from every offset 0..15, on a chunk-sized buffer, and
+  // chained through seeds across bodies.
+  const auto bodies = detail::crc32_bodies();
+  ASSERT_FALSE(bodies.empty());
+  EXPECT_STREQ(bodies.front().name, "slicing8");
+  ChaCha20Prng rng(std::uint64_t{0xC3E});
+  std::vector<std::uint8_t> buf(75 * 1024);
+  rng.fill(buf);
+  for (std::size_t off = 0; off < 16; ++off) {
+    // want[len] = bitwise CRC of buf[off, off + len), one running pass.
+    std::vector<std::uint32_t> want(4097);
+    std::uint32_t c = 0xFFFFFFFFU;
+    want[0] = 0;
+    for (std::size_t len = 1; len <= 4096; ++len) {
+      c ^= buf[off + len - 1];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+      want[len] = c ^ 0xFFFFFFFFU;
+    }
+    for (const auto& body : bodies) {
+      for (std::size_t len = 0; len <= 4096; ++len) {
+        ASSERT_EQ(body.crc32({buf.data() + off, len}, 0), want[len])
+            << body.name << " offset " << off << " len " << len;
+      }
+    }
+  }
+  const std::uint32_t whole = crc32_bitwise(buf.data(), buf.size());
+  for (const auto& head : bodies) {
+    EXPECT_EQ(head.crc32(buf, 0), whole) << head.name;
+    for (const auto& tail : bodies) {
+      for (const std::size_t cut : {1, 15, 64, 65, 4099, 40000, 76799}) {
+        const std::uint32_t h = head.crc32({buf.data(), cut}, 0);
+        EXPECT_EQ(tail.crc32({buf.data() + cut, buf.size() - cut}, h), whole)
+            << head.name << " then " << tail.name << " cut " << cut;
+      }
+      EXPECT_EQ(tail.crc32({buf.data(), 0}, 0x12345678U), 0x12345678U) << tail.name;
+    }
+  }
+}
+
 TEST(Crc32, ChainedSeedEqualsOnePass) {
   ChaCha20Prng rng(std::uint64_t{0xC3D});
   std::vector<std::uint8_t> buf(777);

@@ -60,6 +60,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -181,6 +182,7 @@ bool parse(int argc, char** argv, Options& opt) {
       const char* v = value();
       if (v == nullptr) return false;
       opt.sigma = std::strtod(v, nullptr);
+      if (!std::isfinite(opt.sigma)) return false;
     } else if (arg == "--seed") {
       const char* v = value();
       if (v == nullptr) return false;
