@@ -101,19 +101,53 @@ StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,
   }
 }
 
-ProductColumns StreamingScan::product_columns(const ProductModel& model) const {
+HypothesisColumns StreamingScan::bind(const HypothesisModel& model,
+                                      std::vector<HypothesisColumn>& hyps) const {
+  const std::size_t columns = col_sum_.size();
+  const auto shape_error = [&](const std::string& what) {
+    return std::invalid_argument("StreamingScan: HypothesisModel " + what + ", the scan has " +
+                                 std::to_string(columns) + " columns x " + std::to_string(d_) +
+                                 " traces");
+  };
+  if (model.columns.size() != columns) {
+    throw shape_error("has " + std::to_string(model.columns.size()) + " columns");
+  }
+  hyps.resize(columns);
+  for (std::size_t c = 0; c < columns; ++c) {
+    const HypothesisModel::Column& col = model.columns[c];
+    hyps[c].kind = col.kind;
+    hyps[c].guess_or = col.guess_or;
+    for (std::size_t k = 0; k < leak_operands(col.kind); ++k) {
+      if (col.ops[k].size() != d_) {
+        throw shape_error("column " + std::to_string(c) + " operand " + std::to_string(k) +
+                          " has " + std::to_string(col.ops[k].size()) + " traces");
+      }
+      hyps[c].ops[k] = col.ops[k].data();
+    }
+  }
+  return kernel_input(hyps);
+}
+
+HypothesisColumns StreamingScan::bind(const ProductModel& model,
+                                      std::vector<HypothesisColumn>& hyps) const {
   if (model.multipliers.size() != cols_.size()) {
     throw std::invalid_argument("StreamingScan: ProductModel has " +
                                 std::to_string(model.multipliers.size()) +
                                 " multipliers, the scan " + std::to_string(col_sum_.size()) +
                                 " columns x " + std::to_string(d_) + " traces");
   }
-  ProductColumns in;
+  hyps.assign(col_sum_.size(), HypothesisColumn{});
+  for (std::size_t c = 0; c < hyps.size(); ++c) hyps[c].ops[0] = model.multipliers.data() + c * d_;
+  return kernel_input(hyps);
+}
+
+HypothesisColumns StreamingScan::kernel_input(const std::vector<HypothesisColumn>& hyps) const {
+  HypothesisColumns in;
   in.samples = cols_.data();
-  in.multipliers = model.multipliers.data();
+  in.hyps = hyps.data();
   in.col_sum = col_sum_.data();
   in.col_var = col_var_.data();
-  in.columns = col_sum_.size();
+  in.columns = hyps.size();
   in.traces = d_;
   in.batch_traces = kernel_.batch_traces == 0 ? 1 : kernel_.batch_traces;
   return in;

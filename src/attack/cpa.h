@@ -77,14 +77,25 @@ class CpaEngine {
   mutable CpaSums sums_;
 };
 
-// Hypotheses of the shape the mantissa extend phases scan:
+// Hypotheses as data: one leak kind and its per-trace known operands
+// per scan column (LeakKind in cpa_kernel.h). Passed to
+// StreamingScan::top_k / top_k_list in place of a model callback, it
+// routes the scan through hypothesis_scan_scores: hypotheses generated a
+// SIMD block of guesses at a time, scores bit-identical to a callback
+// returning the same hypotheses.
+struct HypothesisModel {
+  struct Column {
+    LeakKind kind = LeakKind::kProduct;
+    std::uint32_t guess_or = 0;           // kZ1b / kZu: x0's bits above 25
+    std::vector<std::uint32_t> ops[4];    // a, b, c, d: the first leak_operands(kind) are read
+  };
+  std::vector<Column> columns;            // one per scan column, in column order
+};
+
+// The all-product model of the mantissa extend phases:
 // h(guess, t, c) = popcount(guess * multipliers[c * traces + t]) -- the
 // Hamming weight of a partial product of the guessed mantissa half with
 // the known operand half of trace t (hyp_low_mul_* / hyp_high_mul_*).
-// Passed to StreamingScan::top_k / top_k_list in place of a model
-// callback, it routes the scan through product_scan_scores (cpa_kernel.h):
-// hypotheses generated a SIMD block of guesses at a time, scores
-// bit-identical to a callback returning the same popcounts.
 struct ProductModel {
   std::vector<std::uint32_t> multipliers;  // column-major: [column * traces + trace]
 };
@@ -97,8 +108,10 @@ struct ProductModel {
 // Columns are stored shifted by their first trace (doubles), and the
 // per-guess fold runs block-batched in the kernel's 4-lane order, so
 // scores are a pure function of (columns, kernel.batch_traces) -- same
-// contract as CpaEngine -- whether the model is a callback or a
-// ProductModel.
+// contract as CpaEngine -- whether the model is a callback, a
+// HypothesisModel or a ProductModel. The attack scores every phase
+// through a model; the callback form is the reference the kernel is
+// held to.
 class StreamingScan {
  public:
   // samples: column-major: samples[col][trace].
@@ -121,10 +134,11 @@ class StreamingScan {
     std::uint32_t guess;
     double score;
   };
-  // model: a ProductModel, or a callback model(guess, trace, col) ->
-  // predicted leakage. Returns the keep highest-scoring guesses in
-  // descending order. A ProductModel whose multipliers are not
-  // columns x traces throws std::invalid_argument.
+  // model: a HypothesisModel, a ProductModel, or a callback
+  // model(guess, trace, col) -> predicted leakage. Returns the keep
+  // highest-scoring guesses in descending order. A model whose shape is
+  // not the scan's -- one column per scan column, every operand array
+  // the kind reads `traces` long -- throws std::invalid_argument.
   template <typename ModelFn>
   [[nodiscard]] std::vector<Scored> top_k(std::uint64_t guess_begin, std::uint64_t guess_end,
                                           ModelFn&& model, std::size_t keep) const;
@@ -145,7 +159,12 @@ class StreamingScan {
   template <typename ModelFn, typename GuessAt>
   [[nodiscard]] std::vector<Scored> top_k_impl(std::uint64_t count, GuessAt&& guess_at,
                                                ModelFn&& model, std::size_t keep) const;
-  [[nodiscard]] ProductColumns product_columns(const ProductModel& model) const;
+  // The kernel's view of a model; `hyps` holds its columns.
+  [[nodiscard]] HypothesisColumns bind(const HypothesisModel& model,
+                                       std::vector<HypothesisColumn>& hyps) const;
+  [[nodiscard]] HypothesisColumns bind(const ProductModel& model,
+                                       std::vector<HypothesisColumn>& hyps) const;
+  [[nodiscard]] HypothesisColumns kernel_input(const std::vector<HypothesisColumn>& hyps) const;
 
   CpaKernelConfig kernel_;
   std::vector<double> cols_;                // column-major, shifted by the first trace
@@ -162,20 +181,23 @@ std::vector<StreamingScan::Scored> StreamingScan::top_k_impl(std::uint64_t count
                                                              GuessAt&& guess_at,
                                                              ModelFn&& model,
                                                              std::size_t keep) const {
-  constexpr bool kProducts = std::is_same_v<std::remove_cvref_t<ModelFn>, ProductModel>;
+  using Model = std::remove_cvref_t<ModelFn>;
+  constexpr bool kData =
+      std::is_same_v<Model, HypothesisModel> || std::is_same_v<Model, ProductModel>;
   const double dn = static_cast<double>(d_);
   const std::size_t bsz = kernel_.batch_traces == 0 ? 1 : kernel_.batch_traces;
-  ProductColumns products;
-  if constexpr (kProducts) products = product_columns(model);
-  // Scores guesses[0, n): a ProductModel in one lane-parallel kernel
-  // call; a callback guess by guess, each block of its hypotheses
+  std::vector<HypothesisColumn> hyps;
+  HypothesisColumns data;
+  if constexpr (kData) data = bind(model, hyps);
+  // Scores guesses[0, n): a model given as data in one lane-parallel
+  // kernel call; a callback guess by guess, each block of its hypotheses
   // shifted by the first trace's prediction (mirroring the column
   // shift, so the one-pass moment forms stay cancellation-safe under
   // arbitrary DC offsets) and folded in the lanes4 order.
   const auto score_chunk = [&](const std::uint32_t* guesses, std::size_t n, double* scores,
                                std::vector<double>& hblk) {
-    if constexpr (kProducts) {
-      product_scan_scores(products, {guesses, n}, scores);
+    if constexpr (kData) {
+      hypothesis_scan_scores(data, {guesses, n}, scores);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t guess = guesses[i];
@@ -211,7 +233,7 @@ std::vector<StreamingScan::Scored> StreamingScan::top_k_impl(std::uint64_t count
   const auto scan_range = [&](std::uint64_t begin, std::uint64_t end) {
     std::vector<Scored> best;
     best.reserve(keep + 1);
-    std::vector<double> hblk(kProducts ? 0 : bsz);
+    std::vector<double> hblk(kData ? 0 : bsz);
     std::uint32_t guesses[kScoreChunk];
     double scores[kScoreChunk];
     for (std::uint64_t g0 = begin; g0 < end; g0 += kScoreChunk) {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FD_CPA_HAVE_AVX2 1
@@ -197,38 +198,136 @@ void scalar_fold_s1(const double* hs, std::size_t guesses, std::size_t n, const 
   }
 }
 
-// The product-scan reference: per guess, literally StreamingScan's
-// callback fold with the popcount model inlined -- hypotheses shifted by
-// the first trace's, each block through scalar_fold_h, then
-// scan_pearson. The vector bodies below must reproduce it bit for bit.
-void scalar_product_scores(const ProductColumns& in, const std::uint32_t* guesses,
-                           std::size_t count, double* scores) {
-  const std::size_t d = in.traces;
-  const std::size_t bsz = in.batch_traces;
-  const double dn = static_cast<double>(d);
-  std::vector<double> hblk(bsz);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t g = guesses[i];
-    double score_sum = 0.0;
-    for (std::size_t c = 0; c < in.columns; ++c) {
-      const std::uint32_t* y = in.multipliers + c * d;
-      const double* col = in.samples + c * d;
-      double sh = 0.0, sh2 = 0.0, sht = 0.0;
-      if (d > 0) {
-        const double h0 = std::popcount(g * y[0]);
-        for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
-          const std::size_t n = std::min(bsz, d - t0);
-          for (std::size_t b = 0; b < n; ++b) hblk[b] = std::popcount(g * y[t0 + b]) - h0;
-          const HFold f = scalar_fold_h(hblk.data(), col + t0, n);
-          sh += f.sh;
-          sh2 += f.sh2;
-          sht += f.sht;
-        }
-      }
-      score_sum += scan_pearson(dn, sh, sh2, sht, in.col_sum[c], in.col_var[c]);
-    }
-    scores[i] = score_sum / static_cast<double>(in.columns);
+// --- hypothesis scan -------------------------------------------------------
+//
+// A guess is prepared once per column (the x the kind's formula starts
+// from, see cpa_kernel.h), then hyp_value gives the column's hypothesis
+// at trace t. The vector bodies below compute the same integers lane by
+// lane.
+
+constexpr std::uint64_t kM25 = (std::uint64_t{1} << 25) - 1;
+constexpr std::uint64_t kM32 = 0xFFFFFFFFULL;
+
+template <LeakKind K>
+std::uint64_t prepare_guess(std::uint32_t g, const HypothesisColumn& h) {
+  if constexpr (K == LeakKind::kSign) return g != 0 ? 1 : 0;
+  if constexpr (K == LeakKind::kZ1a) return g & kM25;
+  if constexpr (K == LeakKind::kZ1b || K == LeakKind::kZu) return g | h.guess_or;
+  return g;
+}
+
+template <LeakKind K>
+int hyp_value(std::uint64_t x, const HypothesisColumn& h, std::size_t t) {
+  const std::uint64_t a = h.ops[0][t];
+  if constexpr (K == LeakKind::kSign) {
+    return static_cast<int>(x ^ (a != 0 ? 1 : 0));
+  } else if constexpr (K == LeakKind::kExpSum) {
+    return std::popcount((x + a - 2100) & kM32);
+  } else if constexpr (K == LeakKind::kZ1a) {
+    return std::popcount((((x * a) >> 25) + (x * h.ops[1][t] & kM25)) & kM32);
+  } else if constexpr (K == LeakKind::kZ1b) {
+    return std::popcount((h.ops[1][t] + (x * a & kM25)) & kM32);
+  } else if constexpr (K == LeakKind::kZu) {
+    const std::uint64_t p = x * a;
+    const std::uint64_t z1b = (h.ops[2][t] + (p & kM25)) & kM32;
+    const std::uint64_t z2 = (h.ops[3][t] + (p >> 25)) & kM32;
+    return std::popcount(x * h.ops[1][t] + z2 + (z1b >> 25));
+  } else {
+    return std::popcount(x * a);
   }
+}
+
+// Runs body(std::integral_constant<LeakKind, k>) for the runtime kind k:
+// the scan's one switch on the kind, outside every body's trace loop.
+template <typename Body>
+decltype(auto) with_kind(LeakKind kind, Body&& body) {
+  switch (kind) {
+    case LeakKind::kSign:
+      return body(std::integral_constant<LeakKind, LeakKind::kSign>{});
+    case LeakKind::kExpSum:
+      return body(std::integral_constant<LeakKind, LeakKind::kExpSum>{});
+    case LeakKind::kZ1a:
+      return body(std::integral_constant<LeakKind, LeakKind::kZ1a>{});
+    case LeakKind::kZ1b:
+      return body(std::integral_constant<LeakKind, LeakKind::kZ1b>{});
+    case LeakKind::kZu:
+      return body(std::integral_constant<LeakKind, LeakKind::kZu>{});
+    case LeakKind::kProduct:
+      break;
+  }
+  return body(std::integral_constant<LeakKind, LeakKind::kProduct>{});
+}
+
+// Column c's (sh, sh2, sht) for one guess: literally StreamingScan's
+// callback fold with the hypothesis inlined -- shifted by the first
+// trace's, each block through scalar_fold_h.
+template <LeakKind K>
+HFold scalar_column_fold(const HypothesisColumns& in, std::size_t c, std::uint32_t guess,
+                         double* hblk) {
+  const std::size_t d = in.traces;
+  const HypothesisColumn& h = in.hyps[c];
+  const double* col = in.samples + c * d;
+  const std::uint64_t x = prepare_guess<K>(guess, h);
+  HFold sum;
+  if (d == 0) return sum;
+  const double h0 = hyp_value<K>(x, h, 0);
+  for (std::size_t t0 = 0; t0 < d; t0 += in.batch_traces) {
+    const std::size_t n = std::min(in.batch_traces, d - t0);
+    for (std::size_t b = 0; b < n; ++b) hblk[b] = hyp_value<K>(x, h, t0 + b) - h0;
+    const HFold f = scalar_fold_h(hblk, col + t0, n);
+    sum.sh += f.sh;
+    sum.sh2 += f.sh2;
+    sum.sht += f.sht;
+  }
+  return sum;
+}
+
+// Scores guesses W at a time, in chunks: column(kind, c, g, blocks, acc,
+// last) adds column c's scores of the guesses g[0, blocks * W) to acc,
+// columns in order, and the last column divides the sums by the column
+// count. A chunk that does not fill its last block is copied and padded
+// with its last guess; the padding lanes' scores are dropped.
+template <std::size_t W, typename Column>
+void score_blocks(const HypothesisColumns& in, const std::uint32_t* guesses, std::size_t count,
+                  double* scores, Column&& column) {
+  constexpr std::size_t kChunk = 512;
+  std::uint32_t padded[kChunk + W];
+  double padded_acc[kChunk + W];
+  for (std::size_t i0 = 0; i0 < count; i0 += kChunk) {
+    const std::size_t n = std::min(kChunk, count - i0);
+    const std::size_t blocks = (n + W - 1) / W;
+    const std::uint32_t* g = guesses + i0;
+    double* acc = scores + i0;
+    if (n % W != 0) {
+      std::copy(g, g + n, padded);
+      std::fill(padded + n, padded + blocks * W, g[n - 1]);
+      g = padded;
+      acc = padded_acc;
+    }
+    std::fill(acc, acc + blocks * W, 0.0);
+    for (std::size_t c = 0; c < in.columns; ++c) {
+      const bool last = c + 1 == in.columns;
+      with_kind(in.hyps[c].kind, [&](auto kind) { column(kind, c, g, blocks, acc, last); });
+    }
+    if (acc == padded_acc) std::copy(acc, acc + n, scores + i0);
+  }
+}
+
+// The hypothesis-scan reference; the vector bodies below must reproduce
+// it bit for bit.
+void scalar_hypothesis_scores(const HypothesisColumns& in, const std::uint32_t* guesses,
+                              std::size_t count, double* scores) {
+  const double dn = static_cast<double>(in.traces);
+  std::vector<double> hblk(in.batch_traces);
+  score_blocks<1>(in, guesses, count, scores,
+                  [&](auto kind, std::size_t c, const std::uint32_t* g, std::size_t n,
+                      double* acc, bool last) {
+                    for (std::size_t i = 0; i < n; ++i) {
+                      const HFold f = scalar_column_fold<kind.value>(in, c, g[i], hblk.data());
+                      acc[i] += scan_pearson(dn, f.sh, f.sh2, f.sht, in.col_sum[c], in.col_var[c]);
+                      if (last) acc[i] /= static_cast<double>(in.columns);
+                    }
+                  });
 }
 
 #if defined(FD_CPA_HAVE_AVX2)
@@ -575,11 +674,11 @@ __attribute__((target("avx2"))) void avx2_transpose(const double* src, std::size
   }
 }
 
-// Product scan, one guess per 64-bit lane. _mm256_mul_epu32 multiplies
-// the low 32 bits of each lane: the exact 64-bit product of two uint32
-// operands (so y is broadcast as a 32-bit load; the high dwords are
-// never read). The popcount is the nibble-table method (two pshufb
-// lookups, a byte add, psadbw over each lane's eight bytes).
+// Hypothesis scan, one guess per 64-bit lane. _mm256_mul_epu32
+// multiplies the low 32 bits of each lane: the exact 64-bit product of
+// two uint32 operands (so operands are broadcast as 32-bit loads; the
+// high dwords are never read). The popcount is the nibble-table method
+// (two pshufb lookups, a byte add, psadbw over each lane's eight bytes).
 __attribute__((target("avx2"))) inline __m256i avx2_popcount64(__m256i v) {
   const __m256i table = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
                                          0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
@@ -598,22 +697,72 @@ __attribute__((target("avx2"))) inline __m256d avx2_small_to_pd(__m256i v) {
       _mm256_castsi256_pd(_mm256_add_epi64(v, _mm256_castpd_si256(bias))), bias);
 }
 
-// popcount(g * y) for the four guesses g in gv.
-__attribute__((target("avx2"))) inline __m256i avx2_product_popcount(__m256i gv,
-                                                                     std::uint32_t y) {
-  return avx2_popcount64(_mm256_mul_epu32(gv, _mm256_set1_epi32(static_cast<int>(y))));
+__attribute__((target("avx2"))) inline __m256i avx2_mul(__m256i x, std::uint32_t y) {
+  return _mm256_mul_epu32(x, _mm256_set1_epi32(static_cast<int>(y)));
 }
 
-// Trace t for four guesses: shifted hypothesis h = pc - pc0 into the
-// integer moment sums s/q, h*t into lane accumulator `lane`.
-__attribute__((target("avx2"))) inline void avx2_product_step(__m256i gv, __m256i pc0,
-                                                              std::uint32_t y, double t,
-                                                              __m256i& s, __m256i& q,
-                                                              __m256d& lane) {
-  const __m256i h = _mm256_sub_epi64(avx2_product_popcount(gv, y), pc0);
-  s = _mm256_add_epi64(s, h);
-  q = _mm256_add_epi64(q, _mm256_mul_epi32(h, h));
-  lane = _mm256_add_pd(lane, _mm256_mul_pd(avx2_small_to_pd(h), _mm256_set1_pd(t)));
+// prepare_guess for four guesses.
+template <LeakKind K>
+__attribute__((target("avx2"))) inline __m256i avx2_prepare(const std::uint32_t* g,
+                                                             const HypothesisColumn& h) {
+  const __m256i v = _mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(g)));
+  if constexpr (K == LeakKind::kSign) {
+    return _mm256_add_epi64(_mm256_cmpeq_epi64(v, _mm256_setzero_si256()),
+                            _mm256_set1_epi64x(1));
+  } else if constexpr (K == LeakKind::kZ1a) {
+    return _mm256_and_si256(v, _mm256_set1_epi64x(kM25));
+  } else if constexpr (K == LeakKind::kZ1b || K == LeakKind::kZu) {
+    return _mm256_or_si256(v, _mm256_set1_epi64x(h.guess_or));
+  } else {
+    return v;
+  }
+}
+
+// hyp_value for the four prepared guesses in x.
+template <LeakKind K>
+__attribute__((target("avx2"))) inline __m256i avx2_hyp(__m256i x, const HypothesisColumn& h,
+                                                         std::size_t t) {
+  const __m256i m25 = _mm256_set1_epi64x(kM25);
+  const __m256i m32 = _mm256_set1_epi64x(kM32);
+  const std::uint32_t a = h.ops[0][t];
+  if constexpr (K == LeakKind::kSign) {
+    return _mm256_xor_si256(x, _mm256_set1_epi64x(a != 0 ? 1 : 0));
+  } else if constexpr (K == LeakKind::kExpSum) {
+    return avx2_popcount64(
+        _mm256_and_si256(_mm256_add_epi64(x, _mm256_set1_epi64x(a - 2100LL)), m32));
+  } else if constexpr (K == LeakKind::kZ1a) {
+    const __m256i z1a = _mm256_add_epi64(_mm256_srli_epi64(avx2_mul(x, a), 25),
+                                         _mm256_and_si256(avx2_mul(x, h.ops[1][t]), m25));
+    return avx2_popcount64(_mm256_and_si256(z1a, m32));
+  } else if constexpr (K == LeakKind::kZ1b) {
+    const __m256i z1b = _mm256_add_epi64(_mm256_set1_epi64x(h.ops[1][t]),
+                                         _mm256_and_si256(avx2_mul(x, a), m25));
+    return avx2_popcount64(_mm256_and_si256(z1b, m32));
+  } else if constexpr (K == LeakKind::kZu) {
+    const __m256i p = avx2_mul(x, a);
+    const __m256i z1b = _mm256_and_si256(
+        _mm256_add_epi64(_mm256_set1_epi64x(h.ops[2][t]), _mm256_and_si256(p, m25)), m32);
+    const __m256i z2 = _mm256_and_si256(
+        _mm256_add_epi64(_mm256_set1_epi64x(h.ops[3][t]), _mm256_srli_epi64(p, 25)), m32);
+    return avx2_popcount64(_mm256_add_epi64(_mm256_add_epi64(avx2_mul(x, h.ops[1][t]), z2),
+                                            _mm256_srli_epi64(z1b, 25)));
+  } else {
+    return avx2_popcount64(avx2_mul(x, a));
+  }
+}
+
+// Trace t for four guesses: shifted hypothesis v = hyp - h0 into the
+// integer moment sums s/q, v*sample into lane accumulator `lane`.
+template <LeakKind K>
+__attribute__((target("avx2"))) inline void avx2_hyp_step(__m256i x, __m256i h0,
+                                                          const HypothesisColumn& h,
+                                                          std::size_t t, double sample,
+                                                          __m256i& s, __m256i& q,
+                                                          __m256d& lane) {
+  const __m256i v = _mm256_sub_epi64(avx2_hyp<K>(x, h, t), h0);
+  s = _mm256_add_epi64(s, v);
+  q = _mm256_add_epi64(q, _mm256_mul_epi32(v, v));
+  lane = _mm256_add_pd(lane, _mm256_mul_pd(avx2_small_to_pd(v), _mm256_set1_pd(sample)));
 }
 
 // scan_pearson, four guesses at once (correctly rounded sqrt and divide;
@@ -629,128 +778,198 @@ __attribute__((target("avx2"))) inline __m256d avx2_pearson(__m256d dn, __m256d 
   return _mm256_and_pd(_mm256_cmp_pd(denom, _mm256_setzero_pd(), _CMP_GT_OQ), r);
 }
 
-__attribute__((target("avx2"))) void avx2_product_scores(const ProductColumns& in,
-                                                         const std::uint32_t* guesses,
-                                                         std::size_t count, double* scores) {
+// acc[i] += column c's score of guess g[i], for `blocks` blocks of four;
+// the last column then divides by the column count.
+template <LeakKind K>
+__attribute__((target("avx2"))) void avx2_column(const HypothesisColumns& in, std::size_t c,
+                                                 const std::uint32_t* g, std::size_t blocks,
+                                                 double* acc, bool last) {
   const std::size_t d = in.traces;
   const std::size_t bsz = in.batch_traces;
+  const HypothesisColumn& h = in.hyps[c];
+  const double* col = in.samples + c * d;
   const __m256d dn = _mm256_set1_pd(static_cast<double>(d));
+  const __m256d columns = _mm256_set1_pd(static_cast<double>(in.columns));
   const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i gv =
-        _mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(guesses + i)));
-    __m256d score_sum = zero;
-    for (std::size_t c = 0; c < in.columns; ++c) {
-      const std::uint32_t* y = in.multipliers + c * d;
-      const double* col = in.samples + c * d;
-      __m256i s = _mm256_setzero_si256();
-      __m256i q = _mm256_setzero_si256();
-      __m256d sht = zero;
-      if (d > 0) {
-        const __m256i pc0 = avx2_product_popcount(gv, y[0]);
-        for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
-          const std::size_t end = t0 + std::min(bsz, d - t0);
-          __m256d l0 = zero, l1 = zero, l2 = zero, l3 = zero;
-          std::size_t t = t0;
-          for (; t + 4 <= end; t += 4) {
-            avx2_product_step(gv, pc0, y[t], col[t], s, q, l0);
-            avx2_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
-            avx2_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
-            avx2_product_step(gv, pc0, y[t + 3], col[t + 3], s, q, l3);
-          }
-          if (t < end) avx2_product_step(gv, pc0, y[t], col[t], s, q, l0);
-          if (t + 1 < end) avx2_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
-          if (t + 2 < end) avx2_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
-          sht = _mm256_add_pd(sht, _mm256_add_pd(_mm256_add_pd(l0, l1), _mm256_add_pd(l2, l3)));
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    const __m256i x = avx2_prepare<K>(g + 4 * blk, h);
+    __m256i s = _mm256_setzero_si256();
+    __m256i q = _mm256_setzero_si256();
+    __m256d sht = zero;
+    if (d > 0) {
+      const __m256i h0 = avx2_hyp<K>(x, h, 0);
+      for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
+        const std::size_t end = t0 + std::min(bsz, d - t0);
+        __m256d l0 = zero, l1 = zero, l2 = zero, l3 = zero;
+        std::size_t t = t0;
+        for (; t + 4 <= end; t += 4) {
+          avx2_hyp_step<K>(x, h0, h, t, col[t], s, q, l0);
+          avx2_hyp_step<K>(x, h0, h, t + 1, col[t + 1], s, q, l1);
+          avx2_hyp_step<K>(x, h0, h, t + 2, col[t + 2], s, q, l2);
+          avx2_hyp_step<K>(x, h0, h, t + 3, col[t + 3], s, q, l3);
         }
+        if (t < end) avx2_hyp_step<K>(x, h0, h, t, col[t], s, q, l0);
+        if (t + 1 < end) avx2_hyp_step<K>(x, h0, h, t + 1, col[t + 1], s, q, l1);
+        if (t + 2 < end) avx2_hyp_step<K>(x, h0, h, t + 2, col[t + 2], s, q, l2);
+        sht = _mm256_add_pd(sht, _mm256_add_pd(_mm256_add_pd(l0, l1), _mm256_add_pd(l2, l3)));
       }
-      score_sum = _mm256_add_pd(score_sum, avx2_pearson(dn, avx2_small_to_pd(s),
-                                                        avx2_small_to_pd(q), sht,
-                                                        in.col_sum[c], in.col_var[c]));
     }
-    _mm256_storeu_pd(scores + i,
-                     _mm256_div_pd(score_sum, _mm256_set1_pd(static_cast<double>(in.columns))));
+    const __m256d r = avx2_pearson(dn, avx2_small_to_pd(s), avx2_small_to_pd(q), sht,
+                                   in.col_sum[c], in.col_var[c]);
+    double* out = acc + 4 * blk;
+    __m256d sum = _mm256_add_pd(_mm256_loadu_pd(out), r);
+    if (last) sum = _mm256_div_pd(sum, columns);
+    _mm256_storeu_pd(out, sum);
   }
-  scalar_product_scores(in, guesses + i, count - i, scores + i);
+}
+
+void avx2_hypothesis_scores(const HypothesisColumns& in, const std::uint32_t* guesses,
+                            std::size_t count, double* scores) {
+  score_blocks<4>(in, guesses, count, scores,
+                  [&](auto kind, std::size_t c, const std::uint32_t* g, std::size_t blocks,
+                      double* acc, bool last) {
+                    avx2_column<kind.value>(in, c, g, blocks, acc, last);
+                  });
 }
 
 // The AVX-512 level: the same lane program eight guesses wide, with the
 // native 64-bit popcount and int64 -> double conversion. (GCC 12's
 // avx512fintrin.h self-initializes the pass-through operand of its
-// unmasked intrinsics, which -Wmaybe-uninitialized flags at every use.)
+// unmasked intrinsics, which -Wmaybe-uninitialized flags at every use,
+// and -Wuninitialized where the use is in a template instance.)
 #define FD_AVX512_TARGET "avx512f,avx512dq,avx512vpopcntdq"
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
-__attribute__((target(FD_AVX512_TARGET))) inline __m512i avx512_product_popcount(
-    __m512i gv, std::uint32_t y) {
-  return _mm512_popcnt_epi64(_mm512_mul_epu32(gv, _mm512_set1_epi32(static_cast<int>(y))));
+__attribute__((target(FD_AVX512_TARGET))) inline __m512i avx512_mul(__m512i x, std::uint32_t y) {
+  return _mm512_mul_epu32(x, _mm512_set1_epi32(static_cast<int>(y)));
 }
 
-__attribute__((target(FD_AVX512_TARGET))) inline void avx512_product_step(
-    __m512i gv, __m512i pc0, std::uint32_t y, double t, __m512i& s, __m512i& q, __m512d& lane) {
-  const __m512i h = _mm512_sub_epi64(avx512_product_popcount(gv, y), pc0);
-  s = _mm512_add_epi64(s, h);
-  q = _mm512_add_epi64(q, _mm512_mul_epi32(h, h));
-  lane = _mm512_add_pd(lane, _mm512_mul_pd(_mm512_cvtepi64_pd(h), _mm512_set1_pd(t)));
+template <LeakKind K>
+__attribute__((target(FD_AVX512_TARGET))) inline __m512i avx512_prepare(
+    const std::uint32_t* g, const HypothesisColumn& h) {
+  const __m512i v =
+      _mm512_cvtepu32_epi64(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(g)));
+  if constexpr (K == LeakKind::kSign) {
+    return _mm512_maskz_set1_epi64(_mm512_test_epi64_mask(v, v), 1);
+  } else if constexpr (K == LeakKind::kZ1a) {
+    return _mm512_and_si512(v, _mm512_set1_epi64(kM25));
+  } else if constexpr (K == LeakKind::kZ1b || K == LeakKind::kZu) {
+    return _mm512_or_si512(v, _mm512_set1_epi64(h.guess_or));
+  } else {
+    return v;
+  }
 }
 
-__attribute__((target(FD_AVX512_TARGET))) void avx512_product_scores(
-    const ProductColumns& in, const std::uint32_t* guesses, std::size_t count, double* scores) {
+template <LeakKind K>
+__attribute__((target(FD_AVX512_TARGET))) inline __m512i avx512_hyp(__m512i x,
+                                                                   const HypothesisColumn& h,
+                                                                   std::size_t t) {
+  const __m512i m25 = _mm512_set1_epi64(kM25);
+  const __m512i m32 = _mm512_set1_epi64(kM32);
+  const std::uint32_t a = h.ops[0][t];
+  if constexpr (K == LeakKind::kSign) {
+    return _mm512_xor_si512(x, _mm512_set1_epi64(a != 0 ? 1 : 0));
+  } else if constexpr (K == LeakKind::kExpSum) {
+    return _mm512_popcnt_epi64(
+        _mm512_and_si512(_mm512_add_epi64(x, _mm512_set1_epi64(a - 2100LL)), m32));
+  } else if constexpr (K == LeakKind::kZ1a) {
+    const __m512i z1a = _mm512_add_epi64(_mm512_srli_epi64(avx512_mul(x, a), 25),
+                                         _mm512_and_si512(avx512_mul(x, h.ops[1][t]), m25));
+    return _mm512_popcnt_epi64(_mm512_and_si512(z1a, m32));
+  } else if constexpr (K == LeakKind::kZ1b) {
+    const __m512i z1b = _mm512_add_epi64(_mm512_set1_epi64(h.ops[1][t]),
+                                         _mm512_and_si512(avx512_mul(x, a), m25));
+    return _mm512_popcnt_epi64(_mm512_and_si512(z1b, m32));
+  } else if constexpr (K == LeakKind::kZu) {
+    const __m512i p = avx512_mul(x, a);
+    const __m512i z1b = _mm512_and_si512(
+        _mm512_add_epi64(_mm512_set1_epi64(h.ops[2][t]), _mm512_and_si512(p, m25)), m32);
+    const __m512i z2 = _mm512_and_si512(
+        _mm512_add_epi64(_mm512_set1_epi64(h.ops[3][t]), _mm512_srli_epi64(p, 25)), m32);
+    return _mm512_popcnt_epi64(_mm512_add_epi64(
+        _mm512_add_epi64(avx512_mul(x, h.ops[1][t]), z2), _mm512_srli_epi64(z1b, 25)));
+  } else {
+    return _mm512_popcnt_epi64(avx512_mul(x, a));
+  }
+}
+
+template <LeakKind K>
+__attribute__((target(FD_AVX512_TARGET))) inline void avx512_hyp_step(
+    __m512i x, __m512i h0, const HypothesisColumn& h, std::size_t t, double sample, __m512i& s,
+    __m512i& q, __m512d& lane) {
+  const __m512i v = _mm512_sub_epi64(avx512_hyp<K>(x, h, t), h0);
+  s = _mm512_add_epi64(s, v);
+  q = _mm512_add_epi64(q, _mm512_mul_epi32(v, v));
+  lane = _mm512_add_pd(lane, _mm512_mul_pd(_mm512_cvtepi64_pd(v), _mm512_set1_pd(sample)));
+}
+
+template <LeakKind K>
+__attribute__((target(FD_AVX512_TARGET))) void avx512_column(const HypothesisColumns& in,
+                                                             std::size_t c,
+                                                             const std::uint32_t* g,
+                                                             std::size_t blocks, double* acc,
+                                                             bool last) {
   const std::size_t d = in.traces;
   const std::size_t bsz = in.batch_traces;
+  const HypothesisColumn& h = in.hyps[c];
+  const double* col = in.samples + c * d;
   const __m512d dn = _mm512_set1_pd(static_cast<double>(d));
+  const __m512d col_sum = _mm512_set1_pd(in.col_sum[c]);
+  const __m512d col_var = _mm512_set1_pd(in.col_var[c]);
+  const __m512d columns = _mm512_set1_pd(static_cast<double>(in.columns));
   const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m512i gv = _mm512_cvtepu32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(guesses + i)));
-    __m512d score_sum = zero;
-    for (std::size_t c = 0; c < in.columns; ++c) {
-      const std::uint32_t* y = in.multipliers + c * d;
-      const double* col = in.samples + c * d;
-      __m512i s = _mm512_setzero_si512();
-      __m512i q = _mm512_setzero_si512();
-      __m512d sht = zero;
-      if (d > 0) {
-        const __m512i pc0 = avx512_product_popcount(gv, y[0]);
-        for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
-          const std::size_t end = t0 + std::min(bsz, d - t0);
-          __m512d l0 = zero, l1 = zero, l2 = zero, l3 = zero;
-          std::size_t t = t0;
-          for (; t + 4 <= end; t += 4) {
-            avx512_product_step(gv, pc0, y[t], col[t], s, q, l0);
-            avx512_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
-            avx512_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
-            avx512_product_step(gv, pc0, y[t + 3], col[t + 3], s, q, l3);
-          }
-          if (t < end) avx512_product_step(gv, pc0, y[t], col[t], s, q, l0);
-          if (t + 1 < end) avx512_product_step(gv, pc0, y[t + 1], col[t + 1], s, q, l1);
-          if (t + 2 < end) avx512_product_step(gv, pc0, y[t + 2], col[t + 2], s, q, l2);
-          sht = _mm512_add_pd(sht, _mm512_add_pd(_mm512_add_pd(l0, l1), _mm512_add_pd(l2, l3)));
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    const __m512i x = avx512_prepare<K>(g + 8 * blk, h);
+    __m512i s = _mm512_setzero_si512();
+    __m512i q = _mm512_setzero_si512();
+    __m512d sht = zero;
+    if (d > 0) {
+      const __m512i h0 = avx512_hyp<K>(x, h, 0);
+      for (std::size_t t0 = 0; t0 < d; t0 += bsz) {
+        const std::size_t end = t0 + std::min(bsz, d - t0);
+        __m512d l0 = zero, l1 = zero, l2 = zero, l3 = zero;
+        std::size_t t = t0;
+        for (; t + 4 <= end; t += 4) {
+          avx512_hyp_step<K>(x, h0, h, t, col[t], s, q, l0);
+          avx512_hyp_step<K>(x, h0, h, t + 1, col[t + 1], s, q, l1);
+          avx512_hyp_step<K>(x, h0, h, t + 2, col[t + 2], s, q, l2);
+          avx512_hyp_step<K>(x, h0, h, t + 3, col[t + 3], s, q, l3);
         }
+        if (t < end) avx512_hyp_step<K>(x, h0, h, t, col[t], s, q, l0);
+        if (t + 1 < end) avx512_hyp_step<K>(x, h0, h, t + 1, col[t + 1], s, q, l1);
+        if (t + 2 < end) avx512_hyp_step<K>(x, h0, h, t + 2, col[t + 2], s, q, l2);
+        sht = _mm512_add_pd(sht, _mm512_add_pd(_mm512_add_pd(l0, l1), _mm512_add_pd(l2, l3)));
       }
-      const __m512d sh = _mm512_cvtepi64_pd(s);
-      const __m512d sh2 = _mm512_cvtepi64_pd(q);
-      const __m512d var_h = _mm512_sub_pd(_mm512_mul_pd(dn, sh2), _mm512_mul_pd(sh, sh));
-      const __m512d cov = _mm512_sub_pd(_mm512_mul_pd(dn, sht),
-                                        _mm512_mul_pd(sh, _mm512_set1_pd(in.col_sum[c])));
-      const __m512d denom = _mm512_mul_pd(var_h, _mm512_set1_pd(in.col_var[c]));
-      const __m512d r = _mm512_maskz_div_pd(_mm512_cmp_pd_mask(denom, zero, _CMP_GT_OQ), cov,
-                                            _mm512_sqrt_pd(denom));
-      score_sum = _mm512_add_pd(score_sum, r);
     }
-    _mm512_storeu_pd(scores + i,
-                     _mm512_div_pd(score_sum, _mm512_set1_pd(static_cast<double>(in.columns))));
+    const __m512d sh = _mm512_cvtepi64_pd(s);
+    const __m512d sh2 = _mm512_cvtepi64_pd(q);
+    const __m512d var_h = _mm512_sub_pd(_mm512_mul_pd(dn, sh2), _mm512_mul_pd(sh, sh));
+    const __m512d cov = _mm512_sub_pd(_mm512_mul_pd(dn, sht), _mm512_mul_pd(sh, col_sum));
+    const __m512d denom = _mm512_mul_pd(var_h, col_var);
+    const __m512d r = _mm512_maskz_div_pd(_mm512_cmp_pd_mask(denom, zero, _CMP_GT_OQ), cov,
+                                          _mm512_sqrt_pd(denom));
+    double* out = acc + 8 * blk;
+    __m512d sum = _mm512_add_pd(_mm512_loadu_pd(out), r);
+    if (last) sum = _mm512_div_pd(sum, columns);
+    _mm512_storeu_pd(out, sum);
   }
-  avx2_product_scores(in, guesses + i, count - i, scores + i);
 }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
+
+void avx512_hypothesis_scores(const HypothesisColumns& in, const std::uint32_t* guesses,
+                              std::size_t count, double* scores) {
+  score_blocks<8>(in, guesses, count, scores,
+                  [&](auto kind, std::size_t c, const std::uint32_t* g, std::size_t blocks,
+                      double* acc, bool last) {
+                    avx512_column<kind.value>(in, c, g, blocks, acc, last);
+                  });
+}
 
 #endif  // FD_CPA_HAVE_AVX2
 
@@ -918,31 +1137,32 @@ struct LanesOps {
   void (*fold_s1)(const double*, std::size_t, std::size_t, const double*, double*, double*,
                   double*);
   void (*transpose)(const double*, std::size_t, std::size_t, double*, std::size_t);
-  void (*product_scores)(const ProductColumns&, const std::uint32_t*, std::size_t, double*);
+  void (*hypothesis_scores)(const HypothesisColumns&, const std::uint32_t*, std::size_t,
+                            double*);
   CpaSimd kind;
 };
 
 constexpr LanesOps kScalarOps = {scalar_sum,           scalar_sumsq,     scalar_dot,
                                  scalar_fold_h,        scalar_dot_cols,  scalar_fold_h_rows,
-                                 scalar_fold_s1,       scalar_transpose, scalar_product_scores,
+                                 scalar_fold_s1,       scalar_transpose, scalar_hypothesis_scores,
                                  CpaSimd::kScalar};
 #if defined(FD_CPA_HAVE_AVX2)
 constexpr LanesOps kAvx2Ops = {avx2_sum,           avx2_sumsq,     avx2_dot,
                                avx2_fold_h,        avx2_dot_cols,  avx2_fold_h_rows,
-                               avx2_fold_s1,       avx2_transpose, avx2_product_scores,
+                               avx2_fold_s1,       avx2_transpose, avx2_hypothesis_scores,
                                CpaSimd::kAvx2};
 constexpr LanesOps kAvx512Ops = {avx2_sum,           avx2_sumsq,     avx2_dot,
                                  avx2_fold_h,        avx2_dot_cols,  avx2_fold_h_rows,
-                                 avx2_fold_s1,       avx2_transpose, avx512_product_scores,
+                                 avx2_fold_s1,       avx2_transpose, avx512_hypothesis_scores,
                                  CpaSimd::kAvx512};
 #endif
 #if defined(FD_CPA_HAVE_NEON)
-// fold_s1 and product_scores have no NEON body yet; the scalar ones run
+// fold_s1 and hypothesis_scores have no NEON body yet; the scalar ones run
 // the identical lane program, so pointing at them changes speed, never
 // bits.
 constexpr LanesOps kNeonOps = {neon_sum,       neon_sumsq,       neon_dot,
                                neon_fold_h,    neon_dot_cols,    neon_fold_h_rows,
-                               scalar_fold_s1, scalar_transpose, scalar_product_scores,
+                               scalar_fold_s1, scalar_transpose, scalar_hypothesis_scores,
                                CpaSimd::kNeon};
 #endif
 
@@ -1050,9 +1270,9 @@ double scan_pearson(double dn, double sh, double sh2, double sht, double col_sum
   return denom > 0.0 ? cov / std::sqrt(denom) : 0.0;
 }
 
-void product_scan_scores(const ProductColumns& in, std::span<const std::uint32_t> guesses,
-                         double* scores) {
-  active_ops().product_scores(in, guesses.data(), guesses.size(), scores);
+void hypothesis_scan_scores(const HypothesisColumns& in, std::span<const std::uint32_t> guesses,
+                            double* scores) {
+  active_ops().hypothesis_scores(in, guesses.data(), guesses.size(), scores);
 }
 
 // --- CpaSums ---------------------------------------------------------------

@@ -83,7 +83,7 @@ struct HFold {
 // file is built with -ffp-contract=off, so no mul/add pair is fused).
 // On aarch64 a NEON path splits the lanes across two 2-double registers
 // the same way. The AVX-512 level (avx512f + avx512dq + avx512vpopcntdq)
-// runs the AVX2 lanes4_* code and differs only in product_scan_scores,
+// runs the AVX2 lanes4_* code and differs only in hypothesis_scan_scores,
 // which it runs eight guesses wide with a native 64-bit popcount. The
 // choice is resolved once, on first use, from the FD_CPA_KERNEL
 // environment variable ("scalar", "avx2", "avx512", "neon") followed by
@@ -103,41 +103,81 @@ bool cpa_force_simd(CpaSimd kind);
 // detection (also how tests exercise the env override).
 void cpa_reset_simd();
 
-// --- product-hypothesis scan -------------------------------------------------
+// --- hypothesis scan -----------------------------------------------------------
 //
-// The mantissa extend phases score 2^25 / 2^27 guesses against
-// hypotheses of one fixed shape, h(g, t, c) = popcount(g * y[c][t]): the
-// Hamming weight of a schoolbook partial product of the guessed
-// mantissa half g with the known operand half y of trace t
-// (hyp_low_mul_* / hyp_high_mul_*). Scoring them through a per-cell
-// model callback made hypothesis generation the cost of the whole scan.
-// This entry point generates the hypotheses of a block of guesses at
-// once, one guess per SIMD lane -- the 32x32->64 product, its popcount
-// and the shift by the first trace's hypothesis are integer lane ops on
-// known operands -- and folds them in the same pass.
+// Every phase of the extend-and-prune attack scores a guess list against
+// hypotheses of one of a few fixed shapes: the Hamming weight of an
+// intermediate computed from the guess and per-trace known operands.
+// Scoring them through a per-cell model callback made hypothesis
+// generation the cost of the whole scan. This entry point generates the
+// hypotheses of a block of guesses at once, one guess per 64-bit SIMD
+// lane -- products, adds and popcounts are integer lane ops on known
+// operands -- and folds them in the same pass (DESIGN.md sections 17, 22).
+//
+// A column's leak kind fixes how its hypothesis h(g, t) is computed from
+// the guess g and the trace's operands a, b, c, d (M25 = 2^25 - 1; u32
+// wraps modulo 2^32; products are exact 64-bit):
+//   kProduct  popcount(g * a)                  hyp_low_mul_* / hyp_high_mul_*
+//   kSign     (g != 0) xor (a != 0)            hyp_sign; a = known sign
+//   kExpSum   popcount(u32(g + a - 2100))      hyp_exponent; a = known exponent
+//   kZ1a      x = g & M25:                     hyp_low_add_z1a; a = y0, b = y1
+//             popcount(u32(u32(x*a >> 25) + (x*b & M25)))
+//   kZ1b      x = g | or:                      hyp_high_add_z1b; a = y0,
+//             popcount(u32(b + (x*a & M25)))   b = z1a of the recovered x0
+//   kZu       x = g | or, p = x*a:             hyp_high_add_zu; a = y0, b = y1,
+//             popcount(x*b + u32(d + (p >> 25))  c = z1a and d = prod_lh >> 25
+//                      + (u32(c + (p & M25)) >> 25))   of the recovered x0
+// The high-prune kinds take the recovered low half x0 folded into the
+// per-trace c = z1a / d = prod_lh >> 25 operands, so a lane needs only
+// x1*y0 and x1*y1; `guess_or` carries x0's bits above its 25-bit half,
+// which mul_mantissa_steps ORs into x1 (0 for any valid x0).
 //
 // Bit-identity contract: each guess's score is the exact sequence of
 // IEEE-754 operations StreamingScan runs for a callback returning the
-// same popcounts. Per column, traces are folded in blocks of
+// same hypotheses. Per column, traces are folded in blocks of
 // batch_traces; within a block trace b lands in lane b & 3 and lanes
 // combine as (l0+l1)+(l2+l3) (the lanes4 program); block sums add in
 // order; scan_pearson scores the column; column scores add in order and
 // divide by the column count. Only sh and sh2 are accumulated as
 // integers: every shifted hypothesis is an integer in [-64, 64], so the
 // double sums of h and h^2 are exact in any order and equal the integer
-// sums converted (exactly, below 2^51 -- sh2 <= 4096 * traces).
-struct ProductColumns {
-  const double* samples = nullptr;             // C columns x traces, shifted
-  const std::uint32_t* multipliers = nullptr;  // C columns x traces: y[c][t]
-  const double* col_sum = nullptr;             // C: shifted column sums
-  const double* col_var = nullptr;             // C: dn*sum t^2 - (sum t)^2
+// sums converted (exactly, below 2^51 -- sh2 <= 4096 * traces). A final
+// block of guesses narrower than the lane width is padded with its last
+// guess and the padding lanes' scores are discarded: per-guess scores
+// are independent, so padding never changes a kept score.
+enum class LeakKind : std::uint8_t { kProduct, kSign, kExpSum, kZ1a, kZ1b, kZu };
+
+// How many of a column's operand arrays (a, b, c, d in order) `kind` reads.
+[[nodiscard]] constexpr std::size_t leak_operands(LeakKind kind) {
+  switch (kind) {
+    case LeakKind::kZ1a:
+    case LeakKind::kZ1b:
+      return 2;
+    case LeakKind::kZu:
+      return 4;
+    default:
+      return 1;
+  }
+}
+
+struct HypothesisColumn {
+  LeakKind kind = LeakKind::kProduct;
+  std::uint32_t guess_or = 0;              // kZ1b / kZu only
+  const std::uint32_t* ops[4] = {};        // per-trace operands a, b, c, d
+};
+
+struct HypothesisColumns {
+  const double* samples = nullptr;         // C columns x traces, shifted
+  const HypothesisColumn* hyps = nullptr;  // C
+  const double* col_sum = nullptr;         // C: shifted column sums
+  const double* col_var = nullptr;         // C: dn*sum t^2 - (sum t)^2
   std::size_t columns = 0;
   std::size_t traces = 0;
   std::size_t batch_traces = 1;
 };
 // scores[i] = mean over the columns of scan_pearson for guesses[i].
-void product_scan_scores(const ProductColumns& in, std::span<const std::uint32_t> guesses,
-                         double* scores);
+void hypothesis_scan_scores(const HypothesisColumns& in, std::span<const std::uint32_t> guesses,
+                            double* scores);
 
 // --- kernel configuration -------------------------------------------------
 

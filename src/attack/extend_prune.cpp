@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -107,53 +110,64 @@ PhaseOutcome phase_outcome(std::vector<StreamingScan::Scored> top) {
   return out;
 }
 
-// A phase whose leakage model is model_for_offset(guess, known, offset).
-PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const std::size_t> offsets,
-                      std::span<const std::uint32_t> candidates, std::size_t keep,
-                      const ComponentAttackConfig& config, auto&& model_for_offset) {
+// Scores `candidates`, or the whole space [lo, hi) when empty -- scanned
+// as a range, so the extend phases' 2^25 / 2^27 guesses are never
+// materialized -- against the phase's hypotheses as data: one column per
+// (view, offset) pair in phase_scan's order, whose leak kind and
+// per-trace operands fill(column, offset, known) sets from the view's
+// known operands.
+PhaseOutcome run_phase(const ComponentDataset& ds, std::span<const std::size_t> offsets,
+                       std::span<const std::uint32_t> candidates, std::uint32_t lo,
+                       std::uint32_t hi, std::size_t keep, const ComponentAttackConfig& config,
+                       auto&& fill) {
   const StreamingScan scan = phase_scan(ds, offsets, config);
-  std::vector<std::pair<unsigned, std::size_t>> col_meta;  // (view, offset) per column
+  HypothesisModel model;
+  model.columns.reserve(2 * offsets.size());
   for (unsigned v = 0; v < 2; ++v) {
-    for (const std::size_t off : offsets) col_meta.emplace_back(v, off);
-  }
-  auto model = [&](std::uint32_t guess, std::size_t t, std::size_t c) {
-    const auto [view, off] = col_meta[c];
-    return model_for_offset(guess, ds.views[view].known[t], off);
-  };
-  return phase_outcome(scan.top_k_list(candidates, model, keep));
-}
-
-// An extend phase: the partial products x*y0 / x*y1 as a ProductModel,
-// one multiplier column per scan column (ProdLL/ProdHL multiply by the
-// known y0 half, ProdLH/ProdHH by y1). Scores `candidates`, or the whole
-// space [lo, hi) when empty -- scanned as a range, so the 2^25 / 2^27
-// guesses are never materialized.
-PhaseOutcome run_extend(const ComponentDataset& ds, std::span<const std::size_t> offsets,
-                        std::span<const std::uint32_t> candidates, std::uint32_t lo,
-                        std::uint32_t hi, std::size_t keep, const ComponentAttackConfig& config) {
-  const StreamingScan scan = phase_scan(ds, offsets, config);
-  ProductModel model;
-  model.multipliers.reserve(2 * offsets.size() * ds.num_traces);
-  for (unsigned v = 0; v < 2; ++v) {
-    for (const std::size_t off : offsets) {
-      const bool y0_half = off == ww::kOffProdLL || off == ww::kOffProdHL;
-      for (const KnownOperand& k : ds.views[v].known) {
-        model.multipliers.push_back(y0_half ? k.y0 : k.y1);
-      }
-    }
+    for (const std::size_t off : offsets) fill(model.columns.emplace_back(), off, ds.views[v].known);
   }
   return phase_outcome(candidates.empty() ? scan.top_k(lo, hi, model, keep)
                                           : scan.top_k_list(candidates, model, keep));
 }
 
+// One operand per trace: op(known).
+std::vector<std::uint32_t> per_trace(std::span<const KnownOperand> known, auto&& op) {
+  std::vector<std::uint32_t> out;
+  out.reserve(known.size());
+  for (const KnownOperand& k : known) out.push_back(op(k));
+  return out;
+}
+
+std::uint32_t y0_of(const KnownOperand& k) { return k.y0; }
+std::uint32_t y1_of(const KnownOperand& k) { return k.y1; }
+
+// An extend phase: the partial products x*y0 / x*y1 (ProdLL/ProdHL
+// multiply by the known y0 half, ProdLH/ProdHH by y1).
+PhaseOutcome run_extend(const ComponentDataset& ds, std::span<const std::size_t> offsets,
+                        std::span<const std::uint32_t> candidates, std::uint32_t lo,
+                        std::uint32_t hi, std::size_t keep, const ComponentAttackConfig& config) {
+  return run_phase(ds, offsets, candidates, lo, hi, keep, config,
+                   [](HypothesisModel::Column& col, std::size_t off,
+                      std::span<const KnownOperand> known) {
+                     const bool y0_half = off == ww::kOffProdLL || off == ww::kOffProdHL;
+                     col.ops[0] = per_trace(known, y0_half ? y0_of : y1_of);
+                   });
+}
+
+using Clock = std::chrono::steady_clock;
+
 // One "ep.phase" event per pipeline stage: how many candidates went in,
-// how many survived the keep cut, and the winner. The kept/pruned split
-// also feeds the global attack.ep.* counters.
+// how many survived the keep cut, the winner, and the stage's wall time
+// since `start`. The kept/pruned split and the wall time also feed the
+// global attack.ep.* counters (attack.ep.<phase>_us sums over the run).
 void note_phase(const ComponentAttackConfig& config, std::string_view phase,
-                std::size_t candidates_in, const PhaseOutcome& out) {
+                std::size_t candidates_in, const PhaseOutcome& out, Clock::time_point start) {
+  const double wall_us = std::chrono::duration<double, std::micro>(Clock::now() - start).count();
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("attack.ep.candidates").add(candidates_in);
   reg.counter("attack.ep.pruned").add(candidates_in - out.top.size());
+  reg.counter("attack.ep." + std::string(phase) + "_us")
+      .add(static_cast<std::uint64_t>(std::llround(wall_us)));
   if (obs::sink() == nullptr) return;
   obs::event("ep.phase")
       .with("label", config.obs_label)
@@ -162,6 +176,7 @@ void note_phase(const ComponentAttackConfig& config, std::string_view phase,
       .with("kept", out.top.size())
       .with("value", out.value)
       .with("score", out.score)
+      .with("wall_us", wall_us)
       .emit();
 }
 
@@ -225,28 +240,38 @@ ComponentResult attack_component(const ComponentDataset& ds,
 
   // 1. Sign: two guesses on the XOR event.
   {
+    const Clock::time_point start = Clock::now();
     const std::size_t offsets[] = {ww::kOffSign};
     const std::uint32_t guesses[] = {0, 1};
-    res.sign_phase = run_scan(ds, offsets, guesses, 2, config,
-                              [](std::uint32_t g, const KnownOperand& k, std::size_t) {
-                                return hyp_sign(g != 0, k);
-                              });
+    res.sign_phase = run_phase(ds, offsets, guesses, 0, 0, 2, config,
+                               [](HypothesisModel::Column& col, std::size_t,
+                                  std::span<const KnownOperand> known) {
+                                 col.kind = LeakKind::kSign;
+                                 col.ops[0] = per_trace(known, [](const KnownOperand& k) {
+                                   return static_cast<std::uint32_t>(k.sign);
+                                 });
+                               });
     res.sign = res.sign_phase.value != 0;
-    note_phase(config, "sign", 2, res.sign_phase);
+    note_phase(config, "sign", 2, res.sign_phase, start);
   }
 
   // 2. Exponent: enumeration of the plausible window on the
   // exponent-sum addition, then alias-tie resolution by the magnitude
   // prior (see ComponentAttackConfig::exp_min).
   {
+    const Clock::time_point start = Clock::now();
     const std::size_t offsets[] = {ww::kOffExpSum};
     std::vector<std::uint32_t> guesses;
     guesses.reserve(config.exp_max - config.exp_min + 1);
     for (std::uint32_t e = config.exp_min; e <= config.exp_max; ++e) guesses.push_back(e);
-    res.exp_phase = run_scan(ds, offsets, guesses, guesses.size(), config,
-                             [](std::uint32_t g, const KnownOperand& k, std::size_t) {
-                               return hyp_exponent(g, k);
-                             });
+    res.exp_phase = run_phase(ds, offsets, guesses, 0, 0, guesses.size(), config,
+                              [](HypothesisModel::Column& col, std::size_t,
+                                 std::span<const KnownOperand> known) {
+                                col.kind = LeakKind::kExpSum;
+                                col.ops[0] = per_trace(known, [](const KnownOperand& k) {
+                                  return static_cast<std::uint32_t>(k.exponent);
+                                });
+                              });
     // Keep only the tie class, then prefer the guess nearest the prior.
     const double eps =
         config.exp_tie_epsilon >= 0.0
@@ -265,28 +290,35 @@ ComponentResult attack_component(const ComponentDataset& ds,
     // the per-trace squared error against alpha*h + beta.
     const LinearCalibration cal = calibrate_device(ds);
     if (std::fabs(cal.alpha) > 1e-6) {
-      double best_sse = 1e300;
-      for (const auto& s : ties) {
-        double sse = 0.0;
-        for (unsigned v = 0; v < 2; ++v) {
-          // The exponent-sum addition (per-trace varying) plus the
-          // secret-exponent register load (constant Hamming weight --
-          // invisible to Pearson, decisive for the template).
-          const auto& col_sum = ds.views[v].samples[ww::kOffExpSum];
-          const auto& col_x = ds.views[v].samples[ww::kOffExpX];
-          const double pred_x =
-              cal.alpha * std::popcount(s.guess) + cal.beta;
-          for (std::size_t t = 0; t < ds.num_traces; ++t) {
-            const double pred_sum =
-                cal.alpha * hyp_exponent(s.guess, ds.views[v].known[t]) + cal.beta;
+      // Ties run innermost: each tie's error sum takes the same
+      // operations in the same (view, trace) order as a tie-by-tie loop,
+      // but the ties' dependency chains overlap.
+      std::vector<double> sse(ties.size(), 0.0);
+      std::vector<double> pred_x(ties.size());
+      for (unsigned v = 0; v < 2; ++v) {
+        // The exponent-sum addition (per-trace varying) plus the
+        // secret-exponent register load (constant Hamming weight --
+        // invisible to Pearson, decisive for the template).
+        const auto& col_sum = ds.views[v].samples[ww::kOffExpSum];
+        const auto& col_x = ds.views[v].samples[ww::kOffExpX];
+        for (std::size_t i = 0; i < ties.size(); ++i) {
+          pred_x[i] = cal.alpha * std::popcount(ties[i].guess) + cal.beta;
+        }
+        for (std::size_t t = 0; t < ds.num_traces; ++t) {
+          const KnownOperand& k = ds.views[v].known[t];
+          for (std::size_t i = 0; i < ties.size(); ++i) {
+            const double pred_sum = cal.alpha * hyp_exponent(ties[i].guess, k) + cal.beta;
             const double e1 = col_sum[t] - pred_sum;
-            const double e2 = col_x[t] - pred_x;
-            sse += e1 * e1 + e2 * e2;
+            const double e2 = col_x[t] - pred_x[i];
+            sse[i] += e1 * e1 + e2 * e2;
           }
         }
-        if (sse < best_sse) {
-          best_sse = sse;
-          pick = s.guess;
+      }
+      double best_sse = 1e300;
+      for (std::size_t i = 0; i < ties.size(); ++i) {
+        if (sse[i] < best_sse) {
+          best_sse = sse[i];
+          pick = ties[i].guess;
         }
       }
     } else {
@@ -302,56 +334,79 @@ ComponentResult attack_component(const ComponentDataset& ds,
     res.exp_phase.top = std::move(ties);
     res.exp_phase.value = pick;
     res.exponent = pick;
-    note_phase(config, "exponent", guesses.size(), res.exp_phase);
+    note_phase(config, "exponent", guesses.size(), res.exp_phase, start);
   }
 
   // 3. Mantissa low half: extend on the partial products (empty
   // low_candidates: all 2^25 guesses)...
   {
+    Clock::time_point start = Clock::now();
     const std::size_t mul_offsets[] = {ww::kOffProdLL, ww::kOffProdLH};
     res.low_extend = run_extend(ds, mul_offsets, config.low_candidates, 0, 1U << 25,
                                 config.extend_top_k, config);
     note_phase(config, "low_extend",
                config.low_candidates.empty() ? std::size_t{1} << 25
                                              : config.low_candidates.size(),
-               res.low_extend);
+               res.low_extend, start);
 
     // ...prune on the z1a addition over the surviving top-K.
+    start = Clock::now();
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.low_extend.top.size());
     for (const auto& s : res.low_extend.top) survivors.push_back(s.guess);
     const std::size_t add_offsets[] = {ww::kOffAccZ1a};
-    res.low_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config,
-                             [](std::uint32_t g, const KnownOperand& k, std::size_t) {
-                               return hyp_low_add_z1a(g, k);
-                             });
+    res.low_prune = run_phase(ds, add_offsets, survivors, 0, 0, survivors.size(), config,
+                              [](HypothesisModel::Column& col, std::size_t,
+                                 std::span<const KnownOperand> known) {
+                                col.kind = LeakKind::kZ1a;
+                                col.ops[0] = per_trace(known, y0_of);
+                                col.ops[1] = per_trace(known, y1_of);
+                              });
     res.x0 = res.low_prune.value;
-    note_phase(config, "low_prune", survivors.size(), res.low_prune);
+    note_phase(config, "low_prune", survivors.size(), res.low_prune, start);
   }
 
   // 4. Mantissa high half: same extend-and-prune with the recovered x0
   // (empty high_candidates: all 2^27 guesses with the top bit set).
   {
+    Clock::time_point start = Clock::now();
     const std::size_t mul_offsets[] = {ww::kOffProdHL, ww::kOffProdHH};
     res.high_extend = run_extend(ds, mul_offsets, config.high_candidates, 1U << 27, 1U << 28,
                                  config.extend_top_k, config);
     note_phase(config, "high_extend",
                config.high_candidates.empty() ? std::size_t{1} << 27
                                               : config.high_candidates.size(),
-               res.high_extend);
+               res.high_extend, start);
 
+    // The prune's hypotheses fold the recovered x0 into per-trace
+    // operands (z1a and prod_lh >> 25), leaving x1*y0 and x1*y1 per lane.
+    start = Clock::now();
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.high_extend.top.size());
     for (const auto& s : res.high_extend.top) survivors.push_back(s.guess);
     const std::size_t add_offsets[] = {ww::kOffAccZ1b, ww::kOffAccZu};
     const std::uint32_t x0 = res.x0;
-    res.high_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config,
-                              [x0](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                                return off == ww::kOffAccZu ? hyp_high_add_zu(g, x0, k)
-                                                            : hyp_high_add_z1b(g, x0, k);
-                              });
+    res.high_prune = run_phase(
+        ds, add_offsets, survivors, 0, 0, survivors.size(), config,
+        [&](HypothesisModel::Column& col, std::size_t off, std::span<const KnownOperand> known) {
+          const bool zu = off == ww::kOffAccZu;
+          col.kind = zu ? LeakKind::kZu : LeakKind::kZ1b;
+          col.guess_or = x0 >> fpr::kMantLowBits;
+          col.ops[0] = per_trace(known, y0_of);
+          for (const KnownOperand& k : known) {
+            const std::uint64_t ym = (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
+            const fpr::MulMantissaSteps s = fpr::mul_mantissa_steps(x0, ym);
+            if (zu) {
+              col.ops[1].push_back(k.y1);
+              col.ops[2].push_back(s.z1a);
+              col.ops[3].push_back(static_cast<std::uint32_t>(s.prod_lh >> fpr::kMantLowBits));
+            } else {
+              col.ops[1].push_back(s.z1a);
+            }
+          }
+        });
     res.x1 = res.high_prune.value;
-    note_phase(config, "high_prune", survivors.size(), res.high_prune);
+    note_phase(config, "high_prune", survivors.size(), res.high_prune, start);
   }
 
   res.bits = assemble_bits(res.sign, res.exponent, res.x1, res.x0);

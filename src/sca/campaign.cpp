@@ -155,10 +155,13 @@ tracestore::ArchiveMeta make_archive_meta(const falcon::SecretKey& sk,
   return meta;
 }
 
-ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
-                                              const CampaignConfig& config,
-                                              const std::string& path,
-                                              std::size_t traces_per_chunk) {
+namespace {
+
+// run_campaign_to_archive with `extra_flags` OR'd into the archive's
+// header flags (kFlagMerged for a one-shard capture written in place).
+ArchiveCampaignResult capture_to_archive(const falcon::SecretKey& sk, const CampaignConfig& config,
+                                         const std::string& path, std::size_t traces_per_chunk,
+                                         std::uint32_t extra_flags) {
   const unsigned logn = sk.params.logn;
   const std::size_t hn = sk.params.n >> 1;
 
@@ -205,7 +208,8 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
       device.synthesize_into(recorder.window(s), rec.samples);
       if (!writer.is_open()) {
         // First captured window fixes the archive's trace length.
-        const auto meta = make_archive_meta(sk, config, rec.samples.size(), traces_per_chunk);
+        auto meta = make_archive_meta(sk, config, rec.samples.size(), traces_per_chunk);
+        meta.flags |= extra_flags;
         if (!writer.open(path, meta)) {
           out.error = writer.error();
           return out;
@@ -240,7 +244,8 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
     // plan): emit a valid empty archive so sharded merges still work.
     // The recorder holds the last run's windows, which fixes the length.
     const Trace probe = device.synthesize(recorder.window(0));
-    const auto meta = make_archive_meta(sk, config, probe.samples.size(), traces_per_chunk);
+    auto meta = make_archive_meta(sk, config, probe.samples.size(), traces_per_chunk);
+    meta.flags |= extra_flags;
     if (!writer.open(path, meta)) {
       out.error = writer.error();
       return out;
@@ -260,6 +265,15 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
   }
   out.ok = true;
   return out;
+}
+
+}  // namespace
+
+ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
+                                              const CampaignConfig& config,
+                                              const std::string& path,
+                                              std::size_t traces_per_chunk) {
+  return capture_to_archive(sk, config, path, traces_per_chunk, 0);
 }
 
 ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
@@ -286,10 +300,15 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
   };
   auto progress = std::make_shared<Progress>();
 
+  // A lone shard with no file to keep is captured straight into `path`
+  // with kFlagMerged already set: merging it would copy every record
+  // unchanged and only set the flag, so the bytes are the same, written
+  // once.
+  const bool in_place = plan.size() == 1 && !config.keep_shards;
   std::vector<ArchiveCampaignResult> shard_results(plan.size());
   std::vector<std::string> shard_paths(plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    shard_paths[i] = path + ".shard" + std::to_string(i);
+    shard_paths[i] = in_place ? path : path + ".shard" + std::to_string(i);
   }
 
   exec::parallel_for(pool, plan.size(), [&](std::size_t i) {
@@ -314,7 +333,8 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
         user(global, total);
       };
     }
-    shard_results[i] = run_campaign_to_archive(sk, shard_cfg, shard_paths[i], traces_per_chunk);
+    shard_results[i] = capture_to_archive(sk, shard_cfg, shard_paths[i], traces_per_chunk,
+                                          in_place ? tracestore::kFlagMerged : 0);
   });
 
   const auto cleanup = [&] {
@@ -333,13 +353,15 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
 
   // Merge in shard-index order -- the deterministic reduction. The
   // barrier above guarantees every shard file is complete first.
-  std::string merge_error;
-  if (!tracestore::merge_archives(shard_paths, path, &merge_error)) {
-    out.error = "merge: " + merge_error;
+  if (!in_place) {
+    std::string merge_error;
+    if (!tracestore::merge_archives(shard_paths, path, &merge_error)) {
+      out.error = "merge: " + merge_error;
+      cleanup();
+      return out;
+    }
     cleanup();
-    return out;
   }
-  cleanup();
   // Chunk damage applies to the merged file: its chunk ordinals are the
   // experiment-visible ones (a pure function of key/config/num_shards),
   // so the damaged byte set is deterministic too.

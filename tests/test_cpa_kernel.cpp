@@ -18,7 +18,13 @@
 //     bit-identically to the equivalent per-cell callback at every
 //     dispatch level, over ranges and lists, sharded or not, and
 //     attack_component's extend phases equal the callback scan they
-//     replaced.
+//     replaced;
+//   - hypothesis scan: every leak kind as data (sign, exponent sum,
+//     product, z1a, and the high prune's z1b/zu with x0 folded into
+//     per-trace operands) scores bit-identically to the hyp_* callback
+//     at every dispatch level, guess count (padded tails) and batch
+//     size; constant hypotheses and constant columns score +0.0; and
+//     all six phases of attack_component equal the callback scans.
 
 #include <gtest/gtest.h>
 
@@ -1091,6 +1097,333 @@ TEST(ProductScan, ExtendPhasesMatchTheCallbackReference) {
                                                                   : hyp_high_mul_hh(g, k);
                                    }),
                       "high_extend");
+}
+
+// --- hypothesis scan: every leak kind as data ------------------------------
+
+// One phase's columns: kinds in column order, each with its own known
+// operands, and the hyp_* callback the kind replaces.
+enum class Phase { kSign, kExponent, kProduct, kLowPrune, kHighPrune };
+
+struct PhaseCase {
+  std::vector<std::vector<float>> cols;
+  std::vector<std::vector<KnownOperand>> known;  // per column
+  HypothesisModel model;
+  Phase phase;
+  std::uint32_t x0 = 0;
+
+  [[nodiscard]] double hyp(std::uint32_t g, std::size_t t, std::size_t c) const {
+    const KnownOperand& k = known[c][t];
+    switch (phase) {
+      case Phase::kSign:
+        return hyp_sign(g != 0, k);
+      case Phase::kExponent:
+        return hyp_exponent(g, k);
+      case Phase::kProduct:
+        return c % 2 == 0 ? hyp_low_mul_ll(g, k) : hyp_low_mul_lh(g, k);
+      case Phase::kLowPrune:
+        return hyp_low_add_z1a(g, k);
+      case Phase::kHighPrune:
+        return c % 2 == 0 ? hyp_high_add_z1b(g, x0, k) : hyp_high_add_zu(g, x0, k);
+    }
+    return 0.0;
+  }
+};
+
+// Columns leaking `truth` through the phase's hypotheses, each sample
+// scaled by a random power of two (see make_product_case: the fold's
+// terms then span ~90 bits, so any reassociation shows). `constant_col`
+// replaces every sample by one value.
+PhaseCase make_phase_case(Phase phase, std::size_t traces, std::uint32_t truth,
+                          std::uint64_t seed, std::uint32_t x0 = 0, bool constant_col = false) {
+  ChaCha20Prng rng(seed);
+  PhaseCase pc;
+  pc.phase = phase;
+  pc.x0 = x0;
+  const std::size_t ncols = phase == Phase::kHighPrune ? 4 : 2;
+  pc.cols.assign(ncols, std::vector<float>(traces));
+  pc.known.assign(ncols, {});
+  for (std::size_t c = 0; c < ncols; ++c) {
+    for (std::size_t t = 0; t < traces; ++t) {
+      KnownOperand k;
+      k.y0 = static_cast<std::uint32_t>(rng.uniform(1U << 25));
+      k.y1 = static_cast<std::uint32_t>((1U << 27) | rng.uniform(1U << 27));
+      k.exponent = 1000 + static_cast<unsigned>(rng.uniform(120));  // sums wrap below 2100
+      k.sign = rng.uniform(2) != 0;
+      pc.known[c].push_back(k);
+    }
+  }
+  for (std::size_t c = 0; c < ncols; ++c) {
+    for (std::size_t t = 0; t < traces; ++t) {
+      const double scale = std::ldexp(1.0, static_cast<int>(rng.uniform(61)) - 30);
+      pc.cols[c][t] = constant_col ? 5.0F
+                                   : static_cast<float>(
+                                         (1e4 + pc.hyp(truth, t, c) + 1.5 * rng.gaussian()) *
+                                         scale);
+    }
+  }
+  // The model: the same operands as data (x0 folded in for the high prune).
+  const auto ops = [&](std::size_t c, auto&& f) {
+    std::vector<std::uint32_t> v;
+    for (const KnownOperand& k : pc.known[c]) v.push_back(f(k));
+    return v;
+  };
+  const auto steps = [x0](const KnownOperand& k) {
+    return fpr::mul_mantissa_steps(x0, (static_cast<std::uint64_t>(k.y1) << 25) | k.y0);
+  };
+  for (std::size_t c = 0; c < ncols; ++c) {
+    HypothesisModel::Column col;
+    const auto y0 = ops(c, [](const KnownOperand& k) { return k.y0; });
+    const auto y1 = ops(c, [](const KnownOperand& k) { return k.y1; });
+    switch (phase) {
+      case Phase::kSign:
+        col.kind = LeakKind::kSign;
+        col.ops[0] = ops(c, [](const KnownOperand& k) { return std::uint32_t{k.sign}; });
+        break;
+      case Phase::kExponent:
+        col.kind = LeakKind::kExpSum;
+        col.ops[0] = ops(c, [](const KnownOperand& k) { return std::uint32_t{k.exponent}; });
+        break;
+      case Phase::kProduct:
+        col.ops[0] = c % 2 == 0 ? y0 : y1;
+        break;
+      case Phase::kLowPrune:
+        col.kind = LeakKind::kZ1a;
+        col.ops[0] = y0;
+        col.ops[1] = y1;
+        break;
+      case Phase::kHighPrune: {
+        const auto z1a = ops(c, [&](const KnownOperand& k) { return steps(k).z1a; });
+        col.ops[0] = y0;
+        if (c % 2 == 0) {
+          col.kind = LeakKind::kZ1b;
+          col.ops[1] = z1a;
+        } else {
+          col.kind = LeakKind::kZu;
+          col.ops[1] = y1;
+          col.ops[2] = z1a;
+          col.ops[3] = ops(c, [&](const KnownOperand& k) {
+            return static_cast<std::uint32_t>(steps(k).prod_lh >> 25);
+          });
+        }
+        break;
+      }
+    }
+    pc.model.columns.push_back(std::move(col));
+  }
+  return pc;
+}
+
+// 17 guesses per phase, the truth first: the phase's guess space plus
+// out-of-range values that exercise the kinds' masks and wraps.
+std::vector<std::uint32_t> phase_guesses(Phase phase, std::uint32_t truth, std::uint64_t seed) {
+  ChaCha20Prng rng(seed);
+  std::vector<std::uint32_t> g = {truth};
+  switch (phase) {
+    case Phase::kSign:
+      g.insert(g.end(), {0, 1, 2, 0xFFFFFFFFU});
+      break;
+    case Phase::kExponent:
+      g.insert(g.end(), {1005, 1053, 0, 2100, 0xFFFFFFFFU});
+      break;
+    case Phase::kProduct:
+    case Phase::kLowPrune:
+      g.insert(g.end(), {truth << 1, truth >> 1, 0, (1U << 25) - 1, 0xFFFFFFFFU});
+      break;
+    case Phase::kHighPrune:
+      g.insert(g.end(), {truth >> 1, 1U << 27, (1U << 28) - 1, 0xFFFFFFFFU});
+      break;
+  }
+  while (g.size() < 17) {
+    const std::uint32_t r = static_cast<std::uint32_t>(rng.uniform(1U << 25));
+    g.push_back(phase == Phase::kHighPrune ? (1U << 27) | r
+                : phase == Phase::kExponent ? 1005 + r % 49
+                                            : r);
+  }
+  return g;
+}
+
+std::uint32_t phase_truth(Phase phase) {
+  switch (phase) {
+    case Phase::kSign:
+      return 1;
+    case Phase::kExponent:
+      return 1029;
+    case Phase::kHighPrune:
+      return 0xB00F5A7;
+    default:
+      return 0x17BC803;
+  }
+}
+
+TEST(HypothesisScan, EveryKindMatchesCallbackBitForBitAtEveryDispatch) {
+  SimdGuard guard;
+  struct Variant {
+    Phase phase;
+    std::uint32_t x0;
+    const char* name;
+  };
+  const Variant variants[] = {{Phase::kSign, 0, "sign"},
+                              {Phase::kExponent, 0, "exponent"},
+                              {Phase::kProduct, 0, "product"},
+                              {Phase::kLowPrune, 0, "z1a"},
+                              {Phase::kHighPrune, 0, "z1b/zu x0=0"},
+                              {Phase::kHighPrune, (1U << 25) - 1, "z1b/zu x0=2^25-1"}};
+  for (const Variant& var : variants) {
+    const std::uint32_t truth = phase_truth(var.phase);
+    const auto all = phase_guesses(var.phase, truth, 0x4B1D);
+    for (const std::size_t traces : {1U, 3U, 63U, 64U, 65U, 130U}) {
+      const PhaseCase pc = make_phase_case(var.phase, traces, truth, 0x4B00 + traces, var.x0);
+      const auto callback = [&pc](std::uint32_t g, std::size_t t, std::size_t c) {
+        return pc.hyp(g, t, c);
+      };
+      for (const std::size_t batch : {1U, 64U}) {
+        const StreamingScan scan(pc.cols, {.batch_traces = batch});
+        for (std::size_t n = 1; n <= all.size(); ++n) {
+          const std::span<const std::uint32_t> guesses(all.data(), n);
+          ASSERT_TRUE(cpa_force_simd(CpaSimd::kScalar));
+          const auto want = scan.top_k_list(guesses, callback, n);
+          for (const CpaSimd kind : available_simd()) {
+            ASSERT_TRUE(cpa_force_simd(kind));
+            expect_same_ranking(scan.top_k_list(guesses, pc.model, n), want,
+                                std::string(var.name) + " " + cpa_simd_name(kind) +
+                                    " traces=" + std::to_string(traces) +
+                                    " batch=" + std::to_string(batch) +
+                                    " guesses=" + std::to_string(n));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HypothesisScan, ConstantHypothesisOrColumnScoresPositiveZero) {
+  SimdGuard guard;
+  for (const CpaSimd kind : available_simd()) {
+    ASSERT_TRUE(cpa_force_simd(kind));
+    // A constant column: every guess of every kind scores +0.0.
+    for (const Phase phase : {Phase::kSign, Phase::kExponent, Phase::kProduct,
+                              Phase::kLowPrune, Phase::kHighPrune}) {
+      const std::uint32_t truth = phase_truth(phase);
+      const PhaseCase pc = make_phase_case(phase, 65, truth, 0x4C00, 0, /*constant_col=*/true);
+      const StreamingScan scan(pc.cols);
+      for (const auto& s : scan.top_k_list(phase_guesses(phase, truth, 0x4C01), pc.model, 17)) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.score), 0U)
+            << cpa_simd_name(kind) << " guess " << s.guess << " scored " << s.score;
+      }
+    }
+    // Constant hypotheses: the product of guess 0, and the sign of a
+    // campaign whose known signs never change.
+    const PhaseCase product = make_phase_case(Phase::kProduct, 65, 0x17BC803, 0x4C02);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(StreamingScan(product.cols).score_one(0, product.model)),
+              0U)
+        << cpa_simd_name(kind);
+    PhaseCase sign = make_phase_case(Phase::kSign, 65, 1, 0x4C03);
+    for (auto& col : sign.model.columns) col.ops[0].assign(65, 1);
+    for (const std::uint32_t g : {0U, 1U}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(StreamingScan(sign.cols).score_one(g, sign.model)),
+                0U)
+          << cpa_simd_name(kind) << " sign guess " << g;
+    }
+  }
+}
+
+TEST(HypothesisScan, ShapeMismatchIsCheckedError) {
+  const PhaseCase pc = make_phase_case(Phase::kHighPrune, 10, 0xB00F5A7, 0x4D00);
+  const StreamingScan scan(pc.cols);
+  const std::uint32_t guesses[] = {1, 2, 3};
+  HypothesisModel fewer = pc.model;
+  fewer.columns.pop_back();
+  EXPECT_THROW((void)scan.top_k_list(guesses, fewer, 2), std::invalid_argument);
+  HypothesisModel short_operand = pc.model;
+  short_operand.columns[1].ops[3].pop_back();  // zu reads all four
+  EXPECT_THROW((void)scan.top_k_list(guesses, short_operand, 2), std::invalid_argument);
+  HypothesisModel unread = pc.model;
+  unread.columns[0].ops[3].assign(3, 0);  // z1b reads only a and b
+  EXPECT_NO_THROW((void)scan.top_k_list(guesses, unread, 2));
+}
+
+TEST(HypothesisScan, AttackComponentPhasesMatchTheCallbackReference) {
+  // Every phase of attack_component against the per-cell callback scan
+  // over the same columns (view-major, then offset) and the hyp_*
+  // models: sign, the exponent tie class (a prefix of the full ranking),
+  // and both prunes over the extend survivors, byte-identical.
+  ChaCha20Prng rng(0xE7E1);
+  const auto kp = falcon::keygen(4, rng);
+  auto camp = small_config(0xE7E1);
+  camp.num_traces = 150;
+  const auto sets = sca::run_full_campaign(kp.sk, camp);
+  const ComponentDataset ds = build_component_dataset(sets[1], /*imag_part=*/false);
+  const ComponentAttackConfig cfg =
+      component_attack_config(kp.sk, KeyRecoveryConfig{}, /*row=*/0, /*slot=*/1, /*imag=*/false);
+  const ComponentResult res = attack_component(ds, cfg);
+
+  namespace ww = sca::window;
+  const auto callback_top = [&](std::span<const std::size_t> offsets,
+                                std::span<const std::uint32_t> cands, std::size_t keep,
+                                auto&& hyp) {
+    std::vector<std::vector<float>> cols;
+    std::vector<std::pair<unsigned, std::size_t>> meta;
+    for (unsigned v = 0; v < 2; ++v) {
+      for (const std::size_t off : offsets) {
+        cols.push_back(ds.views[v].samples[off]);
+        meta.emplace_back(v, off);
+      }
+    }
+    const StreamingScan scan(std::move(cols), cfg.kernel);
+    return scan.top_k_list(
+        cands,
+        [&](std::uint32_t g, std::size_t t, std::size_t c) {
+          return hyp(g, ds.views[meta[c].first].known[t], meta[c].second);
+        },
+        keep);
+  };
+  const auto survivors = [](const PhaseOutcome& p) {
+    std::vector<std::uint32_t> s;
+    for (const auto& e : p.top) s.push_back(e.guess);
+    return s;
+  };
+
+  const std::size_t sign_off[] = {ww::kOffSign};
+  const std::uint32_t signs[] = {0, 1};
+  expect_same_ranking(res.sign_phase.top,
+                      callback_top(sign_off, signs, 2,
+                                   [](std::uint32_t g, const KnownOperand& k, std::size_t) {
+                                     return hyp_sign(g != 0, k);
+                                   }),
+                      "sign");
+
+  const std::size_t exp_off[] = {ww::kOffExpSum};
+  std::vector<std::uint32_t> exps;
+  for (std::uint32_t e = cfg.exp_min; e <= cfg.exp_max; ++e) exps.push_back(e);
+  auto exp_all = callback_top(exp_off, exps, exps.size(),
+                              [](std::uint32_t g, const KnownOperand& k, std::size_t) {
+                                return hyp_exponent(g, k);
+                              });
+  ASSERT_FALSE(res.exp_phase.top.empty());
+  ASSERT_LE(res.exp_phase.top.size(), exp_all.size());
+  exp_all.resize(res.exp_phase.top.size());
+  expect_same_ranking(res.exp_phase.top, exp_all, "exponent");
+
+  const std::size_t z1a_off[] = {ww::kOffAccZ1a};
+  const auto low = survivors(res.low_extend);
+  expect_same_ranking(res.low_prune.top,
+                      callback_top(z1a_off, low, low.size(),
+                                   [](std::uint32_t g, const KnownOperand& k, std::size_t) {
+                                     return hyp_low_add_z1a(g, k);
+                                   }),
+                      "low_prune");
+
+  const std::size_t high_off[] = {ww::kOffAccZ1b, ww::kOffAccZu};
+  const auto high = survivors(res.high_extend);
+  const std::uint32_t x0 = res.x0;
+  expect_same_ranking(res.high_prune.top,
+                      callback_top(high_off, high, high.size(),
+                                   [x0](std::uint32_t g, const KnownOperand& k, std::size_t off) {
+                                     return off == ww::kOffAccZu ? hyp_high_add_zu(g, x0, k)
+                                                                 : hyp_high_add_z1b(g, x0, k);
+                                   }),
+                      "high_prune");
 }
 
 }  // namespace

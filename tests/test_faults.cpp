@@ -22,6 +22,7 @@
 #include "attack/quality.h"
 #include "attack/recovery_pipeline.h"
 #include "common/rng.h"
+#include "exec/seed_split.h"
 #include "exec/thread_pool.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
@@ -184,6 +185,40 @@ TEST(FaultPlan, FaultedShardedCaptureIsByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(r.records, r0.records);
     EXPECT_EQ(read_file(tmp.path), ref) << workers << " workers diverged";
   }
+}
+
+// A one-shard capture is written in place: the same bytes as capturing
+// the lone shard on its own and merging it, and no shard file left
+// behind. The fault plan drops queries, so the record stream has gaps.
+TEST(FaultPlan, OneShardCaptureEqualsTheMergedShard) {
+  const auto victim = toy_victim();
+  sca::ShardedCampaignConfig cfg;
+  cfg.base.num_traces = 96;
+  cfg.base.device.noise_sigma = 2.0;
+  cfg.base.seed = 0x5EED1;
+  cfg.base.faults.drop_rate = 0.2;
+  cfg.base.faults.desync_rate = 0.1;
+  cfg.num_shards = 1;
+
+  TempFile direct("flt_one_shard.fdtrace");
+  const auto r = sca::run_campaign_sharded(victim.sk, cfg, direct.path, nullptr);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.queries, 96U);
+  EXPECT_LT(r.records, 96U * (victim.sk.params.n >> 1)) << "no query was dropped";
+  EXPECT_FALSE(std::ifstream(direct.path + ".shard0").good());
+
+  sca::CampaignConfig shard = cfg.base;
+  shard.seed = exec::split_seed(cfg.base.seed, 0);
+  TempFile raw("flt_one_shard_raw.fdtrace");
+  TempFile merged("flt_one_shard_merged.fdtrace");
+  ASSERT_TRUE(sca::run_campaign_to_archive(victim.sk, shard, raw.path).ok);
+  const std::string inputs[] = {raw.path};
+  std::string err;
+  ASSERT_TRUE(tracestore::merge_archives(inputs, merged.path, &err)) << err;
+  const auto want = read_file(merged.path);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(read_file(direct.path), want);
+  EXPECT_NE(read_file(raw.path), want);  // the merged flag is set
 }
 
 // --- quality gate ----------------------------------------------------------

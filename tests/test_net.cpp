@@ -792,7 +792,9 @@ TEST(NetFleet, ByteIdenticalToSingleProcessAtAnyTransportMix) {
     EXPECT_EQ(res.worker_deaths, 0u) << tag;
     // With 2 capture shards, a remote is guaranteed one (and must
     // stream it back chunked) only when locals can't cover them all.
-    if (mix.remotes > 0 && mix.locals < 2) EXPECT_GT(res.staged_chunks, 1u) << tag;
+    if (mix.remotes > 0 && mix.locals < 2) {
+      EXPECT_GT(res.staged_chunks, 1u) << tag;
+    }
 
     // The pin: key, archive, per-component results, accepted sets, and
     // archive-scan totals are transport-invariant AND equal to the

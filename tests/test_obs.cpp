@@ -22,7 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include "attack/extend_prune.h"
 #include "attack/hypothesis.h"
+#include "attack/key_recovery.h"
 #include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
@@ -623,6 +625,50 @@ TEST(ObsCampaign, ArchiveCampaignReportsCaptureLayerTimes) {
   EXPECT_GT(flush_us, 0.0);
   EXPECT_LE(sign_us + synth_us, field("wall_us"));
   EXPECT_GE(reg.counter("sca.campaign.sign_us").value(), sign_before + 1);
+}
+
+TEST(ObsAttack, ComponentReportsPerPhaseTimes) {
+  // One ep.phase event per extend-and-prune phase, each with its wall
+  // time; the phases run inside the component, so their times sum to no
+  // more than ep.component's, and the attack.ep.<phase>_us counters
+  // advance.
+  if (!FD_OBS_ENABLED) GTEST_SKIP() << "built with FD_OBS=OFF";
+  ChaCha20Prng rng("obs phase times key");
+  const auto kp = falcon::keygen(3, rng);
+  const auto sets = sca::run_full_campaign(kp.sk, mini_config(0x0B8));
+  const auto ds = attack::build_component_dataset(sets[1], /*imag_part=*/false);
+  auto cfg = attack::component_attack_config(kp.sk, attack::KeyRecoveryConfig{}, /*row=*/0,
+                                             /*slot=*/1, /*imag=*/false);
+  cfg.obs_label = "slot1.re";
+  auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t extend_before = reg.counter("attack.ep.low_extend_us").value();
+  obs::CollectingSink sink;
+  {
+    obs::ScopedTelemetrySink scope(&sink);
+    (void)attack::attack_component(ds, cfg);
+  }
+  const auto field = [](const obs::Event& ev, std::string_view key) {
+    const auto* v = ev.find(key);
+    EXPECT_NE(v, nullptr) << ev.name << " has no " << key;
+    return v == nullptr ? -1.0 : v->as_double();
+  };
+  std::vector<std::string> phases;
+  double phase_us = 0.0;
+  double component_us = -1.0;
+  for (const auto& ev : sink.events()) {
+    if (ev.name == "ep.phase") {
+      phases.push_back(ev.find("phase")->s);
+      phase_us += field(ev, "wall_us");
+    } else if (ev.name == "ep.component") {
+      component_us = field(ev, "wall_us");
+    }
+  }
+  const std::vector<std::string> want = {"sign",      "exponent",    "low_extend",
+                                         "low_prune", "high_extend", "high_prune"};
+  EXPECT_EQ(phases, want);
+  EXPECT_GT(phase_us, 0.0);
+  EXPECT_LE(phase_us, component_us);
+  EXPECT_GT(reg.counter("attack.ep.low_extend_us").value(), extend_before);
 }
 
 TEST(ObsDeterminism, InstrumentationDoesNotPerturbRankings) {

@@ -66,6 +66,7 @@ struct Phase {
   std::size_t kept = 0;
   std::uint64_t value = 0;
   double score = 0.0;
+  double wall_us = -1.0;  // absent in files from before per-phase timing
 };
 
 struct Campaign {
@@ -212,6 +213,7 @@ void ingest_object(Report& rep, const jsonl::Object& obj) {
     p.kept = static_cast<std::size_t>(obj.num("kept"));
     p.value = static_cast<std::uint64_t>(obj.num("value"));
     p.score = obj.num("score");
+    p.wall_us = obj.num("wall_us", -1.0);
     rep.phases.at(obj.str("label")).push_back(p);
   } else if (ev == "sca.campaign") {
     Campaign c;
@@ -337,14 +339,29 @@ void print_summary(const Report& rep) {
 
   if (!rep.phases.all().empty()) {
     std::printf("== extend-and-prune (ep.phase) ==\n");
-    std::printf("  %-14s %-12s %12s %8s %12s %9s\n", "label", "phase", "candidates", "kept",
-                "value", "score");
+    std::printf("  %-14s %-12s %12s %8s %12s %9s %10s\n", "label", "phase", "candidates",
+                "kept", "value", "score", "wall_us");
+    // Per-phase wall-time totals over every label, in first-seen order.
+    std::vector<std::pair<std::string, double>> totals;
     for (const auto& [label, phases] : rep.phases.all()) {
       for (const auto& p : phases) {
-        std::printf("  %-14s %-12s %12zu %8zu %12llu %9.5f\n", label.c_str(),
-                    p.phase.c_str(), p.candidates_in, p.kept,
-                    static_cast<unsigned long long>(p.value), p.score);
+        std::printf("  %-14s %-12s %12zu %8zu %12llu %9.5f", label.c_str(), p.phase.c_str(),
+                    p.candidates_in, p.kept, static_cast<unsigned long long>(p.value), p.score);
+        if (p.wall_us < 0.0) {
+          std::printf(" %10s\n", "-");
+          continue;
+        }
+        std::printf(" %10.1f\n", p.wall_us);
+        auto it = std::find_if(totals.begin(), totals.end(),
+                               [&](const auto& t) { return t.first == p.phase; });
+        if (it == totals.end()) it = totals.insert(totals.end(), {p.phase, 0.0});
+        it->second += p.wall_us;
       }
+    }
+    if (!totals.empty()) {
+      std::printf("  phase wall totals:");
+      for (const auto& [phase, us] : totals) std::printf(" %s %.3f ms", phase.c_str(), us / 1e3);
+      std::printf("\n");
     }
     std::printf("\n");
   }
