@@ -10,6 +10,8 @@
 //     same key; a hung worker goes down the heartbeat-timeout path;
 //   - a shard that exhausts its retry budget degrades the run to
 //     `partial` with its components flagged;
+//   - a faulted adaptive run (rig-down retries, re-measurement rounds,
+//     flagged components) takes the same path as the pipeline;
 //   - the SIGTERM/interrupt contract of tools/fd_attack.cpp: stop at a
 //     batch boundary with a final checkpoint, resume bit-identically.
 
@@ -753,6 +755,70 @@ TEST(Fleet, ExhaustedRetryBudgetDegradesToPartial) {
   ASSERT_EQ(res.flagged_components.size(), 4u);  // shard 0 = components 0..3
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(res.flagged_components[i], i);
   EXPECT_FALSE(res.recovery.f_exact);  // half the components defaulted
+}
+
+// A hostile rig at FALCON-8: in-band faults, chunk damage, a rig that
+// is down for half the capture attempts, the quality gate and adaptive
+// re-measurement all armed.
+attack::RecoveryPipelineConfig faulted_adaptive(std::size_t traces) {
+  auto cfg = base_pipeline("");
+  cfg.attack.num_traces = traces;
+  cfg.faults.drop_rate = 0.10;
+  cfg.faults.desync_rate = 0.05;
+  cfg.faults.saturate_rate = 0.02;
+  cfg.faults.chunk_corrupt_rate = 0.05;
+  cfg.faults.capture_fail_rate = 0.5;
+  cfg.remeasure.max_capture_attempts = 8;
+  cfg.quality.enabled = true;
+  cfg.adaptive = true;
+  cfg.keep_archive = true;
+  return cfg;
+}
+
+// The fleet takes the pipeline's capture-retry, re-measurement and
+// flagging path step for step: same attempts, rounds, flags, gate
+// counts, archive bytes and key. `ref` receives the pipeline's result.
+void expect_fleet_matches_pipeline(const attack::RecoveryPipelineConfig& cfg,
+                                   const std::string& tag,
+                                   attack::RecoveryPipelineResult& ref) {
+  TempFile ref_tmp("fleet_faulted_ref_" + tag + ".fdtrace");
+  auto ref_cfg = cfg;
+  ref_cfg.archive_path = ref_tmp.path;
+  ref = attack::run_recovery_pipeline(fleet_victim(), ref_cfg);
+  ASSERT_TRUE(ref.ok) << ref.error;
+
+  TempFile tmp("fleet_faulted_" + tag + ".fdtrace");
+  auto fc = base_fleet(tmp.path, 2);
+  fc.pipeline = cfg;
+  fc.pipeline.archive_path = tmp.path;
+  const auto res = fleet::run_fleet(fc);
+  ASSERT_TRUE(res.ok) << res.error;
+
+  EXPECT_EQ(res.recovery.recovered_f, ref.recovery.recovered_f);
+  EXPECT_EQ(res.capture_attempts, ref.capture_attempts);
+  EXPECT_EQ(res.remeasure_rounds, ref.remeasure_rounds);
+  EXPECT_EQ(res.flagged_components, ref.flagged_components);
+  EXPECT_EQ(res.partial, ref.partial);
+  EXPECT_EQ(res.captured_records, ref.captured_records);
+  EXPECT_EQ(res.quality.accepted, ref.quality.accepted);
+  const auto ref_archive = read_file(ref_tmp.path);
+  ASSERT_FALSE(ref_archive.empty());
+  EXPECT_EQ(read_file(tmp.path), ref_archive);
+}
+
+TEST(Fleet, FaultedAdaptiveRunMatchesPipeline) {
+  // Two re-measurement rounds after four capture attempts in all.
+  attack::RecoveryPipelineResult ref;
+  expect_fleet_matches_pipeline(faulted_adaptive(120), "a", ref);
+  EXPECT_EQ(ref.remeasure_rounds, 2u);
+  EXPECT_EQ(ref.capture_attempts, 4u);
+
+  // One round is not enough at 40 queries: the run ends partial.
+  auto cfg = faulted_adaptive(40);
+  cfg.remeasure.max_rounds = 1;
+  expect_fleet_matches_pipeline(cfg, "b", ref);
+  EXPECT_TRUE(ref.partial);
+  EXPECT_EQ(ref.flagged_components.size(), 4u);
 }
 
 TEST(Fleet, UnspawnableWorkerBinaryFailsCleanly) {
