@@ -1,11 +1,8 @@
 #include "attack/key_recovery.h"
 
 #include <cmath>
-#include <memory>
 #include <string>
 
-#include "attack/parallel_attack.h"
-#include "exec/thread_pool.h"
 #include "falcon/ntru_solve.h"
 #include "fft/fft.h"
 #include "obs/span.h"
@@ -181,75 +178,6 @@ RowAssembly assemble_row(std::vector<ComponentResult>& results, unsigned logn, u
   out.poly.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.poly[i] = static_cast<std::int32_t>(-fpr::fpr_rint(time_domain[i]));
-  }
-  return out;
-}
-
-RowRecoveryResult recover_row_poly(const falcon::KeyPair& victim,
-                                   const KeyRecoveryConfig& config, unsigned row) {
-  const unsigned logn = victim.sk.params.logn;
-  const std::size_t n = victim.sk.params.n;
-  const auto& secret_row = row == 0 ? victim.sk.b01 : victim.sk.b11;
-  const auto& true_poly = row == 0 ? victim.sk.f : victim.sk.big_f;
-
-  sca::CampaignConfig camp;
-  camp.num_traces = config.num_traces;
-  camp.device = config.device;
-  camp.seed = config.seed;
-  camp.row = row;
-  std::vector<sca::TraceSet> trace_sets;
-  {
-    obs::Span phase("key_recovery.campaign");
-    trace_sets = sca::run_full_campaign(victim.sk, camp);
-  }
-
-  // The per-component fan-out: bit-identical at any thread count (see
-  // parallel_attack.h), so `threads` is a pure wall-clock knob.
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (config.threads > 1) pool = std::make_unique<exec::ThreadPool>(config.threads);
-  const auto config_for = [&](const ComponentIndex& ci) {
-    ComponentAttackConfig cac =
-        component_attack_config(victim.sk, config, row, ci.slot, ci.imag);
-    // Sharded scans share the component pool; nested parallel_map calls
-    // from pool workers run inline, so this cannot deadlock.
-    cac.scan_pool = pool.get();
-    return cac;
-  };
-  std::vector<ComponentResult> results =
-      attack_all_components_parallel(trace_sets, config_for, pool.get());
-
-  RowAssembly assembled = assemble_row(results, logn, row);
-
-  RowRecoveryResult out;
-  out.components_total = n;
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    out.components_correct += assembled.recovered[idx].bits() == secret_row[idx].bits();
-  }
-  out.poly = std::move(assembled.poly);
-  out.exact = std::equal(out.poly.begin(), out.poly.end(), true_poly.begin(), true_poly.end());
-  return out;
-}
-
-KeyRecoveryResult recover_key(const falcon::KeyPair& victim, const KeyRecoveryConfig& config) {
-  obs::Span span("key_recovery");
-  KeyRecoveryResult out;
-  out.components_total = victim.sk.params.n;
-
-  RowRecoveryResult f_row = recover_row_poly(victim, config, /*row=*/0);
-  out.components_correct = f_row.components_correct;
-  out.recovered_f = std::move(f_row.poly);
-  out.f_exact = f_row.exact;
-
-  // Complete the key and forge.
-  auto forged = forge_key(out.recovered_f, victim.pk);
-  if (forged) {
-    out.ntru_solved = true;
-    out.derived_g = forged->g;
-    ChaCha20Prng rng(config.seed ^ 0xF04C3);
-    const auto sig =
-        falcon::sign(*forged, "forged by the falcon-down adversary", rng);
-    out.forgery_verified =
-        falcon::verify(victim.pk, "forged by the falcon-down adversary", sig);
   }
   return out;
 }

@@ -90,7 +90,10 @@ struct KeyRecoveryResult {
 
 // Runs the complete attack against a victim key (the victim secret is
 // used only to run the device and, in candidate mode, to build the
-// adversarial hypothesis sets).
+// adversarial hypothesis sets). This is the unarchived reference: an
+// in-memory campaign and fan-out, then the assemble -> score -> forge
+// tail of the recovery driver (recovery_pipeline.cpp, where it and
+// recover_row_poly are defined).
 [[nodiscard]] KeyRecoveryResult recover_key(const falcon::KeyPair& victim,
                                             const KeyRecoveryConfig& config);
 

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "exec/retry.h"
 #include "exec/seed_split.h"
+#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/span.h"
@@ -100,30 +101,57 @@ std::size_t count_archive_records(const std::string& path) {
   return count;
 }
 
-}  // namespace
+// --- the tail every recovery shares ----------------------------------------
 
-RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
-                                             const RecoveryPipelineConfig& config) {
-  RecoveryPipelineResult out;
-  if (config.archive_path.empty()) {
-    out.error = "recovery pipeline needs an archive_path";
-    return out;
+// Alias repair and invFFT of one row's components (repaired in place),
+// scored against the victim's row.
+RowRecoveryResult assemble_and_score(std::vector<ComponentResult>& results,
+                                     const falcon::KeyPair& victim, unsigned row) {
+  const auto& secret_row = row == 0 ? victim.sk.b01 : victim.sk.b11;
+  const auto& true_poly = row == 0 ? victim.sk.f : victim.sk.big_f;
+  RowAssembly assembled = assemble_row(results, victim.sk.params.logn, row);
+  RowRecoveryResult out;
+  out.components_total = victim.sk.params.n;
+  for (std::size_t idx = 0; idx < out.components_total; ++idx) {
+    out.components_correct += assembled.recovered[idx].bits() == secret_row[idx].bits();
   }
-  const unsigned logn = victim.sk.params.logn;
+  out.poly = std::move(assembled.poly);
+  out.exact = std::equal(out.poly.begin(), out.poly.end(), true_poly.begin(), true_poly.end());
+  return out;
+}
+
+KeyRecoveryResult f_row_result(RowRecoveryResult row) {
+  KeyRecoveryResult out;
+  out.components_total = row.components_total;
+  out.components_correct = row.components_correct;
+  out.recovered_f = std::move(row.poly);
+  out.f_exact = row.exact;
+  return out;
+}
+
+// Completes the key from the recovered f and checks a forged signature
+// under the victim's public key. A wrong f is a failed attack, not an
+// error: the flags stay false.
+void forge_and_verify(KeyRecoveryResult& out, const falcon::PublicKey& pk, std::uint64_t seed) {
+  auto forged = forge_key(out.recovered_f, pk);
+  if (!forged) return;
+  out.ntru_solved = true;
+  out.derived_g = forged->g;
+  ChaCha20Prng rng(seed ^ 0xF04C3);
+  const auto sig = falcon::sign(*forged, "forged by the falcon-down adversary", rng);
+  out.forgery_verified = falcon::verify(pk, "forged by the falcon-down adversary", sig);
+}
+
+// --- the driver --------------------------------------------------------------
+
+RecoveryPipelineResult drive(const falcon::KeyPair& victim, const RecoveryPipelineConfig& config,
+                             const RecoveryExecutor& executor) {
+  RecoveryPipelineResult out;
   const std::size_t n = victim.sk.params.n;
   const KeyRecoveryConfig& atk = config.attack;
   const sca::FaultPlan fplan(config.faults);
-  const std::uint64_t experiment = hash_experiment(victim, config);
-  // Root the trace in the experiment hash ("TRAC" salt, matching the
-  // fleet coordinator's derivation) so the single-process pipeline
-  // produces the same replay-stable span ids on every run.
-  obs::set_trace_root(exec::mix64(experiment ^ 0x54524143ULL));
-  obs::Span span("attack.pipeline", obs::Span::Root::kAdopt);
   const bool checkpointing = config.checkpoint || config.resume;
   if (checkpointing) out.checkpoint_path = config.archive_path + ".fdckpt";
-
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (atk.threads > 1) pool = std::make_unique<exec::ThreadPool>(atk.threads);
 
   // One capture round: the initial campaign (round 0) or a
   // re-measurement top-up (round >= 1, its own seed lane and a
@@ -139,10 +167,6 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
     camp.base.faults = config.faults;
     camp.base.fault_query_offset = query_offset;
     camp.num_shards = config.capture_shards;
-    // Shared bounded-retry vocabulary (exec::RetryPolicy): the same
-    // base << attempt schedule this loop always had, now expressed
-    // through the policy the fleet coordinator uses for reassignment
-    // and remote reconnects.
     exec::RetryPolicy retry;
     retry.max_attempts = std::max<std::size_t>(1, config.remeasure.max_capture_attempts);
     retry.base_ms = config.remeasure.backoff_base_ms;
@@ -156,29 +180,29 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
         }
         continue;
       }
-      const auto res = sca::run_campaign_sharded(victim.sk, camp, path, pool.get());
-      if (!res.ok) throw std::runtime_error("capture failed: " + res.error);
-      return res.records;
+      return executor.capture(camp, path);
     }
     throw std::runtime_error(
         "capture round " + std::to_string(round) + ": rig down after " +
         std::to_string(retry.max_attempts) + " attempts");
   };
 
-  const auto config_for = [&](const ComponentIndex& ci) {
-    ComponentAttackConfig cac =
-        component_attack_config(victim.sk, atk, /*row=*/0, ci.slot, ci.imag);
-    cac.scan_pool = pool.get();  // nested parallel_map runs inline
-    return cac;
-  };
-
   CheckpointState st;
   st.reset(n);
-  st.config_hash = experiment;
+  st.config_hash = hash_experiment(victim, config);
   st.backend = static_cast<std::uint8_t>(atk.backend.backend);
   std::vector<ComponentResult> results(n);
   std::vector<std::size_t> accepted(n, 0);
-  RowAssembly assembled;
+  // Components whose attack failed permanently (fleet shards out of
+  // retries): they ride into assemble flagged, like an exhausted
+  // re-measurement budget.
+  std::vector<std::size_t> failed;
+
+  const auto attack = [&](std::span<const std::size_t> components) {
+    AttackBatchReport rep = executor.attack(components, results, accepted);
+    out.quality.add(rep.quality);
+    failed.insert(failed.end(), rep.failed.begin(), rep.failed.end());
+  };
 
   const auto persist = [&] {
     if (!checkpointing) return;
@@ -200,16 +224,14 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
     throw std::runtime_error("interrupted by signal");
   };
 
-  // Confidence of one finished component under the acceptance criterion.
-  const auto confident = [&](std::size_t idx) {
-    return component_confidence(results[idx], accepted[idx], config.remeasure.confidence)
-        .confident;
-  };
   const auto low_confidence_set = [&] {
     std::vector<std::size_t> low;
     if (!config.adaptive) return low;
     for (std::size_t idx = 0; idx < n; ++idx) {
-      if (!confident(idx)) low.push_back(idx);
+      if (!component_confidence(results[idx], accepted[idx], config.remeasure.confidence)
+               .confident) {
+        low.push_back(idx);
+      }
     }
     return low;
   };
@@ -221,8 +243,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
       CheckpointState loaded;
       std::string err;
       if (load_checkpoint(out.checkpoint_path, loaded, &err) &&
-          loaded.config_hash == experiment &&
-          loaded.backend == static_cast<std::uint8_t>(atk.backend.backend) &&
+          loaded.config_hash == st.config_hash && loaded.backend == st.backend &&
           loaded.done.size() == n) {
         // Same experiment, archive still on disk (including any merged
         // re-measurement rounds): reuse both instead of recapturing.
@@ -244,14 +265,15 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
     out.captured_records = capture_round(0, atk.num_traces, 0, config.archive_path);
   });
 
-  const auto attack = graph.add("attack", [&] {
+  const auto attack_stage = graph.add("attack", [&] {
     std::vector<std::size_t> todo;
     for (std::size_t idx = 0; idx < n; ++idx) {
       if (st.done[idx] == 0) todo.push_back(idx);
     }
-    // Without checkpointing there is nothing to persist between
-    // batches, so the whole todo set runs as one batch -- exactly ONE
-    // archive scan for the attack round.
+    // Batches exist to persist progress between them. Without
+    // checkpointing the whole todo set is one batch: ONE archive scan
+    // for a local attack round, and one list the fleet spreads across
+    // all its workers.
     const std::size_t batch_size =
         !checkpointing || config.checkpoint_every == 0
             ? std::max<std::size_t>(1, todo.size())
@@ -266,13 +288,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
       }
       const std::size_t end = std::min(todo.size(), b + batch_size);
       const std::span<const std::size_t> batch(todo.data() + b, end - b);
-      QualityReport q;
-      std::string err;
-      if (!attack_components_gated(config.archive_path, config.quality, config_for,
-                                   pool.get(), batch, results, accepted, &q, &err)) {
-        throw std::runtime_error("component attack failed: " + err);
-      }
-      out.quality.add(q);
+      attack(batch);
       for (const std::size_t idx : batch) {
         st.done[idx] = 1;
         st.results[idx] = results[idx];
@@ -284,7 +300,6 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
   }, {capture});
 
   const auto remeasure = graph.add("remeasure", [&] {
-    if (!config.adaptive) return;
     std::size_t round = st.remeasure_round;
     std::vector<std::size_t> low = low_confidence_set();
     const std::size_t round_traces = config.remeasure.round_traces == 0
@@ -293,7 +308,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
     while (!low.empty() && round < config.remeasure.max_rounds) {
       check_interrupt();
       ++round;
-      obs::event("attack.pipeline.remeasure")
+      obs::event("attack.remeasure")
           .with("round", round)
           .with("low_confidence", low.size())
           .emit();
@@ -316,12 +331,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
         throw std::runtime_error("re-measurement merge rename failed");
       }
       // Only the doubtful components re-run, now over the larger D.
-      QualityReport q;
-      if (!attack_components_gated(config.archive_path, config.quality, config_for,
-                                   pool.get(), low, results, accepted, &q, &err)) {
-        throw std::runtime_error("re-measurement attack failed: " + err);
-      }
-      out.quality.add(q);
+      attack(low);
       st.remeasure_round = static_cast<std::uint32_t>(round);
       for (const std::size_t idx : low) {
         st.results[idx] = results[idx];
@@ -331,45 +341,34 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
       low = low_confidence_set();
     }
     out.remeasure_rounds = round;
+    // Budget exhausted or attacks failed for good: degrade gracefully.
+    // The flagged components ride into assemble, where the
+    // exponent-alias repair gets a shot at them; the result is marked
+    // partial either way.
+    low.insert(low.end(), failed.begin(), failed.end());
+    std::sort(low.begin(), low.end());
+    low.erase(std::unique(low.begin(), low.end()), low.end());
     if (!low.empty()) {
-      // Budget exhausted: degrade gracefully. The flagged components
-      // ride into assemble, where the exponent-alias repair gets a shot
-      // at them; the result is marked partial either way.
       out.flagged_components = std::move(low);
       out.partial = true;
       obs::MetricsRegistry::global()
           .counter("attack.pipeline.flagged_components")
           .add(out.flagged_components.size());
     }
-  }, {attack});
+  }, {attack_stage});
 
   const auto assemble = graph.add("assemble", [&] {
-    assembled = assemble_row(results, logn, /*row=*/0);
-    const auto& secret_row = victim.sk.b01;
-    out.recovery.components_total = n;
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      out.recovery.components_correct +=
-          assembled.recovered[idx].bits() == secret_row[idx].bits();
-    }
-    out.recovery.recovered_f = assembled.poly;
-    out.recovery.f_exact = std::equal(assembled.poly.begin(), assembled.poly.end(),
-                                      victim.sk.f.begin(), victim.sk.f.end());
+    // Snapshot the per-component state before the in-place alias repair.
+    out.results = results;
+    out.accepted_traces = accepted;
+    out.recovery = f_row_result(assemble_and_score(results, victim, /*row=*/0));
   }, {remeasure});
 
-  graph.add("forge", [&] {
-    auto forged = forge_key(out.recovery.recovered_f, victim.pk);
-    if (!forged) return;  // attack failed to land; not a pipeline error
-    out.recovery.ntru_solved = true;
-    out.recovery.derived_g = forged->g;
-    ChaCha20Prng rng(atk.seed ^ 0xF04C3);
-    const auto sig = falcon::sign(*forged, "forged by the falcon-down adversary", rng);
-    out.recovery.forgery_verified =
-        falcon::verify(victim.pk, "forged by the falcon-down adversary", sig);
-  }, {assemble});
+  graph.add("forge", [&] { forge_and_verify(out.recovery, victim.pk, atk.seed); }, {assemble});
 
   // Collected, never thrown: a failed stage leaves its message in
   // `error` and the downstream reports with ran == false.
-  out.stages = graph.run_collect(pool.get(), &out.error);
+  out.stages = graph.run_collect(nullptr, &out.error);
   out.ok = out.error.empty();
 
   if (out.ok) {
@@ -381,7 +380,94 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
   }
   // On failure with checkpointing on, BOTH the archive and the .fdckpt
   // stay behind -- that pair is what --resume picks back up.
+  return out;
+}
+
+}  // namespace
+
+RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
+                                             const RecoveryPipelineConfig& config,
+                                             const RecoveryExecutor* executor) {
+  if (config.archive_path.empty()) {
+    RecoveryPipelineResult out;
+    out.error = "recovery pipeline needs an archive_path";
+    return out;
+  }
+  if (executor != nullptr) return drive(victim, config, *executor);
+
+  // The local executor. Root the trace in the experiment hash ("TRAC"
+  // salt, matching the fleet coordinator's derivation) so the
+  // single-process pipeline produces the same replay-stable span ids on
+  // every run.
+  obs::set_trace_root(exec::mix64(hash_experiment(victim, config) ^ 0x54524143ULL));
+  obs::Span span("attack.pipeline", obs::Span::Root::kAdopt);
+  const KeyRecoveryConfig& atk = config.attack;
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (atk.threads > 1) pool = std::make_unique<exec::ThreadPool>(atk.threads);
+  const auto config_for = [&](const ComponentIndex& ci) {
+    ComponentAttackConfig cac =
+        component_attack_config(victim.sk, atk, /*row=*/0, ci.slot, ci.imag);
+    cac.scan_pool = pool.get();  // nested parallel_map runs inline
+    return cac;
+  };
+  RecoveryExecutor local;
+  local.capture = [&](const sca::ShardedCampaignConfig& round, const std::string& path) {
+    const auto res = sca::run_campaign_sharded(victim.sk, round, path, pool.get());
+    if (!res.ok) throw std::runtime_error("capture failed: " + res.error);
+    return res.records;
+  };
+  local.attack = [&](std::span<const std::size_t> components,
+                     std::vector<ComponentResult>& results, std::vector<std::size_t>& accepted) {
+    AttackBatchReport rep;
+    std::string err;
+    if (!attack_components_gated(config.archive_path, config.quality, config_for, pool.get(),
+                                 components, results, accepted, &rep.quality, &err)) {
+      throw std::runtime_error("component attack failed: " + err);
+    }
+    return rep;
+  };
+  RecoveryPipelineResult out = drive(victim, config, local);
   obs::MetricsRegistry::global().counter("attack.pipeline.runs").add(1);
+  return out;
+}
+
+// The unarchived reference recovery: in-memory capture and fan-out, then
+// the driver's assemble -> score (-> forge) tail.
+
+RowRecoveryResult recover_row_poly(const falcon::KeyPair& victim,
+                                   const KeyRecoveryConfig& config, unsigned row) {
+  sca::CampaignConfig camp;
+  camp.num_traces = config.num_traces;
+  camp.device = config.device;
+  camp.seed = config.seed;
+  camp.row = row;
+  std::vector<sca::TraceSet> trace_sets;
+  {
+    obs::Span phase("key_recovery.campaign");
+    trace_sets = sca::run_full_campaign(victim.sk, camp);
+  }
+
+  // The per-component fan-out: bit-identical at any thread count (see
+  // parallel_attack.h), so `threads` is a pure wall-clock knob.
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (config.threads > 1) pool = std::make_unique<exec::ThreadPool>(config.threads);
+  const auto config_for = [&](const ComponentIndex& ci) {
+    ComponentAttackConfig cac =
+        component_attack_config(victim.sk, config, row, ci.slot, ci.imag);
+    // Sharded scans share the component pool; nested parallel_map calls
+    // from pool workers run inline, so this cannot deadlock.
+    cac.scan_pool = pool.get();
+    return cac;
+  };
+  std::vector<ComponentResult> results =
+      attack_all_components_parallel(trace_sets, config_for, pool.get());
+  return assemble_and_score(results, victim, row);
+}
+
+KeyRecoveryResult recover_key(const falcon::KeyPair& victim, const KeyRecoveryConfig& config) {
+  obs::Span span("key_recovery");
+  KeyRecoveryResult out = f_row_result(recover_row_poly(victim, config, /*row=*/0));
+  forge_and_verify(out, victim.pk, config.seed);
   return out;
 }
 

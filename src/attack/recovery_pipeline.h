@@ -1,14 +1,20 @@
 #pragma once
-// End-to-end recovery as a staged job graph over the exec pool.
+// The recovery driver: capture plan -> gated attack -> re-measure ->
+// flag -> assemble -> forge, written once (DESIGN.md section 23).
 //
-// The pipeline is the attack of key_recovery.h restructured for
-// production-scale runs: capture streams to a .fdtrace archive in
-// parallel shards (bounded memory), the per-component attack fans out
-// across the pool reading that archive, and assembly/forging complete
-// the key. Stages are a linear exec::JobGraph -- each stage runs inline
-// while its *inside* (shards, components) uses the pool -- and every
-// stage's wall time is reported, which is what bench_parallel_scaling
-// measures.
+// The driver owns the experiment's logic: the capture rounds (seed
+// lanes, fault-plan offsets, rig-down retries with backoff), the attack
+// batches and their checkpoints, the confidence gate and re-measurement
+// rounds merged into the archive, the flagged set, and the assemble and
+// forge tail that recover_key shares. It runs that logic as a linear
+// exec::JobGraph whose every stage reports its wall time, and hands the
+// heavy work to an *executor* of two calls (RecoveryExecutor):
+//   - capture: write one round's shards to a path;
+//   - attack: run a list of components against the archive.
+// Two executors exist. The local one (run_recovery_pipeline without an
+// executor) captures with sca::run_campaign_sharded and attacks with
+// attack_components_gated on a pool of attack.threads. The fleet one
+// (fleet/coordinator.h) runs both as tasks in worker processes.
 //
 // Robustness layer (DESIGN.md section 10): the pipeline survives a
 // hostile rig instead of assuming a pristine one.
@@ -30,7 +36,9 @@
 //
 // Stage failures are collected, never thrown: a missing archive
 // directory or an exhausted capture budget lands in `error` with the
-// partial stage reports intact.
+// partial stage reports intact. A failed run without checkpointing
+// deletes its archive (unless keep_archive); with checkpointing, the
+// archive and the .fdckpt stay behind for a resume.
 //
 // Determinism: the result is a pure function of (victim key, config) --
 // the worker count changes wall time only. The capture shard count IS
@@ -41,12 +49,15 @@
 
 #include <csignal>
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "attack/key_recovery.h"
 #include "attack/quality.h"
 #include "exec/job_graph.h"
+#include "sca/campaign.h"
 #include "sca/faults.h"
 
 namespace fd::attack {
@@ -92,6 +103,12 @@ struct RecoveryPipelineResult {
   std::vector<exec::JobGraph::JobReport> stages;  // capture/attack/remeasure/assemble/forge
   std::size_t captured_records = 0;
 
+  // Per-component state as it entered assembly (before the alias
+  // repair), indexed by component id: the bit-identity surface tests
+  // compare across executors and worker counts.
+  std::vector<ComponentResult> results;
+  std::vector<std::size_t> accepted_traces;
+
   QualityReport quality;               // aggregate gate counts (all rounds)
   std::size_t capture_attempts = 0;    // capture tries incl. rig-down retries
   std::size_t remeasure_rounds = 0;    // extra rounds actually run
@@ -105,10 +122,39 @@ struct RecoveryPipelineResult {
   std::string error;
 };
 
+// What one attack call of an executor reports.
+struct AttackBatchReport {
+  QualityReport quality;            // gate counts of the attacked components
+  std::vector<std::size_t> failed;  // components that failed permanently
+};
+
+// The driver's two calls into whatever runs the work. Both throw
+// std::runtime_error when their work cannot be done at all.
+struct RecoveryExecutor {
+  // Captures one round (`round.base` already carries its seed lane and
+  // fault-plan offset; run it through sca::shard_campaign_configs and
+  // sca::finish_sharded_capture) and writes the merged archive to
+  // `path`. Returns the number of records written.
+  std::function<std::size_t(const sca::ShardedCampaignConfig& round, const std::string& path)>
+      capture;
+  // Attacks `components` against the archive at config.archive_path and
+  // writes results[idx] and accepted[idx] for every listed idx that did
+  // not fail permanently; other entries stay untouched. Results must not
+  // depend on how the executor spreads the list.
+  std::function<AttackBatchReport(std::span<const std::size_t> components,
+                                  std::vector<ComponentResult>& results,
+                                  std::vector<std::size_t>& accepted)>
+      attack;
+};
+
 // Runs capture -> component attack -> (remeasure) -> assemble -> forge
 // against the victim. Recovers row 0 (f); g/F/G come from the public
-// machinery as in recover_key.
-[[nodiscard]] RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
-                                                           const RecoveryPipelineConfig& config);
+// machinery as in recover_key. Without an executor the run is local: it
+// roots its own trace ("attack.pipeline") and runs on a pool of
+// config.attack.threads. With one, the caller owns the trace root and
+// the executor's resources.
+[[nodiscard]] RecoveryPipelineResult run_recovery_pipeline(
+    const falcon::KeyPair& victim, const RecoveryPipelineConfig& config,
+    const RecoveryExecutor* executor = nullptr);
 
 }  // namespace fd::attack

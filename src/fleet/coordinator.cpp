@@ -18,10 +18,7 @@
 #include <thread>
 #include <utility>
 
-#include "attack/checkpoint.h"
-#include "attack/parallel_attack.h"
 #include "common/rng.h"
-#include "exec/parallel_for.h"
 #include "exec/retry.h"
 #include "exec/seed_split.h"
 #include "falcon/falcon.h"
@@ -104,7 +101,7 @@ struct WorkerProc {
 class Coordinator {
  public:
   Coordinator(const FleetConfig& config, FleetResult& out)
-      : cfg_(config), out_(out), fplan_(config.pipeline.faults), netplan_(config.net_faults) {}
+      : cfg_(config), out_(out), netplan_(config.net_faults) {}
 
   ~Coordinator() {
     sampler_.reset();  // its thread records through the sink below
@@ -136,24 +133,17 @@ class Coordinator {
     session_.trace_id = exec::mix64(session_.session_hash ^ kTraceSalt);
     obs::set_trace_root(session_.trace_id);
 
-    // One retry/backoff vocabulary (exec::RetryPolicy) for all three
-    // bounded-retry surfaces: task reassignment, capture-rig retries,
-    // and remote reconnects. Jitter seeds derive from the session hash
-    // so a replayed run backs off identically.
+    // Bounded retries for task reassignment and remote reconnects, in
+    // the exec::RetryPolicy vocabulary the recovery driver's capture
+    // retries use too. Jitter seeds derive from the session hash so a
+    // replayed run backs off identically.
     task_retry_.max_attempts = std::max<std::size_t>(1, cfg_.max_task_attempts);
     task_retry_.base_ms = cfg_.backoff_base_ms;
     task_retry_.seed = session_.session_hash;
-    capture_retry_.max_attempts =
-        std::max<std::size_t>(1, cfg_.pipeline.remeasure.max_capture_attempts);
-    capture_retry_.base_ms = cfg_.pipeline.remeasure.backoff_base_ms;
-    capture_retry_.seed = session_.session_hash ^ 0xCAB;
     reconnect_retry_.max_attempts = std::max<std::size_t>(1, cfg_.reconnect_attempts);
     reconnect_retry_.base_ms = cfg_.reconnect_backoff_ms;
     reconnect_retry_.jitter = cfg_.reconnect_jitter;
     reconnect_retry_.seed = session_.session_hash ^ 0x4ECC;
-
-    results_.assign(n_, attack::ComponentResult{});
-    accepted_.assign(n_, 0);
 
     if (!cfg_.telemetry_path.empty()) {
       telem_ = std::fopen(cfg_.telemetry_path.c_str(), "wb");
@@ -186,7 +176,7 @@ class Coordinator {
 
   const falcon::KeyPair& victim() { return victim_; }
 
-  // --- stages --------------------------------------------------------------
+  // --- the spawn stage -----------------------------------------------------
 
   // Local pipe workers the fleet should hold at strength. With remotes
   // configured, `workers` counts locals only and may be 0 (remote-only
@@ -208,102 +198,70 @@ class Coordinator {
     if (workers_.empty()) throw std::runtime_error("fleet: no workers configured");
   }
 
-  std::uint64_t capture_round(std::size_t round, std::size_t num_traces,
-                              std::size_t query_offset, const std::string& path) {
-    const std::uint64_t round_seed =
-        round == 0 ? cfg_.pipeline.attack.seed
-                   : exec::split_seed(cfg_.pipeline.attack.seed, 0xAD0 + round);
-    const auto plan = exec::static_chunks(
-        num_traces, std::max<std::size_t>(1, cfg_.pipeline.capture_shards));
-    const std::size_t max_attempts = capture_retry_.max_attempts;
-    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      ++out_.capture_attempts;
-      if (fplan_.capture_fails(round, attempt)) {
-        // Rig down: the same deterministic (round, attempt) keying and
-        // backoff schedule (base << attempt) as the single-process
-        // pipeline, expressed through the shared RetryPolicy.
-        obs::MetricsRegistry::global().counter("attack.pipeline.capture_failures").add(1);
-        const std::size_t wait_ms = capture_retry_.backoff_ms(attempt + 1, round);
-        if (wait_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
-        }
-        continue;
-      }
-      // One capture task per shard, replicating run_campaign_sharded's
-      // per-shard recipe bit for bit (seed lane, global fault offset,
-      // chunk damage deferred past the merge).
-      std::vector<Task> tasks(plan.size());
-      std::vector<std::string> shard_paths(plan.size());
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        shard_paths[i] = path + ".shard" + std::to_string(i);
-        TaskSpec& spec = tasks[i].spec;
-        spec.task_id = next_task_id_++;
-        spec.kind = TaskKind::kCapture;
-        spec.capture_traces = plan[i].size();
-        spec.capture_seed = exec::split_seed(round_seed, i);
-        spec.fault_query_offset = query_offset + plan[i].begin;
-        spec.out_path = shard_paths[i];
-        // The enclosing exec.job.capture span: the worker re-parents
-        // its task span under it (DESIGN.md section 13).
-        spec.parent_span = obs::Span::current_context().span_id;
-      }
-      try {
-        run_tasks(tasks);
-      } catch (...) {
-        close_staging(tasks);
-        throw;
-      }
-      close_staging(tasks);
-      std::uint64_t records = 0;
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (tasks[i].state != Task::State::kDone) {
-          // Capture shards are load-bearing: without the shard file the
-          // merged archive (and every later stage) is wrong.
-          for (const auto& p : shard_paths) std::remove(p.c_str());
-          throw std::runtime_error("fleet: capture shard " + std::to_string(i) +
-                                   " failed permanently: " + tasks[i].result.error);
-        }
-        records += tasks[i].result.records;
-      }
-      std::string err;
-      if (!tracestore::merge_archives(shard_paths, path, &err)) {
-        for (const auto& p : shard_paths) std::remove(p.c_str());
-        throw std::runtime_error("fleet: capture merge failed: " + err);
-      }
-      for (const auto& p : shard_paths) std::remove(p.c_str());
-      if (cfg_.pipeline.faults.chunk_corrupt_rate > 0.0) {
-        std::string cerr;
-        if (!sca::corrupt_archive_chunks(path, fplan_, nullptr, &cerr)) {
-          throw std::runtime_error("fleet: " + cerr);
-        }
-      }
-      emit_event("fleet.capture.round", {{"round", round},
-                                         {"shards", plan.size()},
-                                         {"records", records}});
-      return records;
-    }
-    throw std::runtime_error(
-        "fleet: capture round " + std::to_string(round) + ": rig down after " +
-        std::to_string(max_attempts) + " attempts");
-  }
+  // --- the executor's two calls (attack::RecoveryExecutor) ----------------
 
-  void stage_capture() {
-    out_.captured_records = static_cast<std::size_t>(
-        capture_round(0, cfg_.pipeline.attack.num_traces, 0, cfg_.pipeline.archive_path));
-    // The merged archive now exists (generation 1); remote attack
-    // workers lazily receive whichever generation is current at
-    // dispatch time.
+  // One capture round: one task per shard of the sca recipe, merged in
+  // shard order with the deferred chunk damage applied.
+  std::size_t capture(const sca::ShardedCampaignConfig& round, const std::string& path) {
+    const std::vector<sca::CampaignConfig> shards = sca::shard_campaign_configs(round);
+    std::vector<Task> tasks(shards.size());
+    std::vector<std::string> shard_paths(shards.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      shard_paths[i] = path + ".shard" + std::to_string(i);
+      TaskSpec& spec = tasks[i].spec;
+      spec.task_id = next_task_id_++;
+      spec.kind = TaskKind::kCapture;
+      spec.capture_traces = shards[i].num_traces;
+      spec.capture_seed = shards[i].seed;
+      spec.fault_query_offset = shards[i].fault_query_offset;
+      spec.out_path = shard_paths[i];
+      // The enclosing exec.job.capture span: the worker re-parents
+      // its task span under it (DESIGN.md section 13).
+      spec.parent_span = obs::Span::current_context().span_id;
+    }
+    try {
+      run_tasks(tasks);
+    } catch (...) {
+      close_staging(tasks);
+      throw;
+    }
+    close_staging(tasks);
+    std::size_t records = 0;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (tasks[i].state != Task::State::kDone) {
+        // Capture shards are load-bearing: without the shard file the
+        // merged archive (and every later stage) is wrong.
+        for (const auto& p : shard_paths) std::remove(p.c_str());
+        throw std::runtime_error("fleet: capture shard " + std::to_string(i) +
+                                 " failed permanently: " + tasks[i].result.error);
+      }
+      records += static_cast<std::size_t>(tasks[i].result.records);
+    }
+    std::string err;
+    if (!sca::finish_sharded_capture(round, shard_paths, path, &err)) {
+      throw std::runtime_error("fleet: capture " + err);
+    }
+    emit_event("fleet.capture.round", {{"round", capture_rounds_++},
+                                       {"shards", shards.size()},
+                                       {"records", records}});
+    // Every round changes the archive the next attack reads: round 0
+    // writes it, and the driver merges each later round into it before
+    // attacking again. Remote attack workers lazily receive whichever
+    // generation is current at dispatch time.
     ++archive_gen_;
+    return records;
   }
 
   // Dispatches the listed components as contiguous component-range
-  // shards and merges every returned result by global component id.
-  // `allow_hooks` arms the kill/hang test hooks (main attack stage
-  // only, first attempt only).
-  void attack_components(const std::vector<std::size_t>& comps, bool allow_hooks) {
-    if (comps.empty()) return;
-    const std::size_t per =
-        std::max<std::size_t>(1, cfg_.components_per_shard);
+  // shards of components_per_shard and merges every returned result by
+  // global component id. The kill/hang/bad-fold test hooks arm in the
+  // first call only (the driver's main attack batch).
+  attack::AttackBatchReport attack(std::span<const std::size_t> comps,
+                                   std::vector<attack::ComponentResult>& results,
+                                   std::vector<std::size_t>& accepted) {
+    attack::AttackBatchReport rep;
+    const bool allow_hooks = out_.attack_shards == 0;
+    const std::size_t per = std::max<std::size_t>(1, cfg_.components_per_shard);
     std::vector<Task> tasks;
     for (std::size_t b = 0; b < comps.size(); b += per) {
       const std::size_t shard = tasks.size();
@@ -330,122 +288,25 @@ class Coordinator {
     run_tasks(tasks);
     for (const Task& t : tasks) {
       if (t.state != Task::State::kDone) {
-        // Graceful degradation: the shard's components stay at their
-        // current (possibly default) results and ride into assemble
-        // flagged; the run is partial, never silently wrong.
-        for (const std::uint32_t comp : t.spec.components) {
-          failed_components_.push_back(comp);
-        }
+        // The shard's components keep their current (possibly default)
+        // results; the driver flags them, so the run is partial, never
+        // silently wrong.
+        rep.failed.insert(rep.failed.end(), t.spec.components.begin(), t.spec.components.end());
         continue;
       }
       for (const ComponentOutcome& o : t.result.outcomes) {
-        results_[o.component] = o.result;
-        accepted_[o.component] = static_cast<std::size_t>(o.accepted);
+        results[o.component] = o.result;
+        accepted[o.component] = static_cast<std::size_t>(o.accepted);
       }
-      out_.quality.add(t.result.quality);
+      rep.quality.add(t.result.quality);
       out_.archive_scans += t.result.archive_scans;
     }
-  }
-
-  void stage_attack() {
-    std::vector<std::size_t> all(n_);
-    for (std::size_t i = 0; i < n_; ++i) all[i] = i;
-    attack_components(all, /*allow_hooks=*/true);
-  }
-
-  [[nodiscard]] std::vector<std::size_t> low_confidence_set() const {
-    std::vector<std::size_t> low;
-    if (!cfg_.pipeline.adaptive) return low;
-    for (std::size_t idx = 0; idx < n_; ++idx) {
-      if (!attack::component_confidence(results_[idx], accepted_[idx],
-                                        cfg_.pipeline.remeasure.confidence)
-               .confident) {
-        low.push_back(idx);
-      }
-    }
-    return low;
-  }
-
-  void stage_remeasure() {
-    if (cfg_.pipeline.adaptive) {
-      std::size_t round = 0;
-      std::vector<std::size_t> low = low_confidence_set();
-      const std::size_t round_traces = cfg_.pipeline.remeasure.round_traces == 0
-                                           ? cfg_.pipeline.attack.num_traces
-                                           : cfg_.pipeline.remeasure.round_traces;
-      const std::string& archive = cfg_.pipeline.archive_path;
-      while (!low.empty() && round < cfg_.pipeline.remeasure.max_rounds) {
-        ++round;
-        emit_event("fleet.remeasure.round",
-                   {{"round", round}, {"low_confidence", low.size()}});
-        const std::string extra = archive + ".r" + std::to_string(round);
-        const std::size_t offset =
-            cfg_.pipeline.attack.num_traces + (round - 1) * round_traces;
-        capture_round(round, round_traces, offset, extra);
-        const std::string merged = archive + ".merge";
-        const std::string inputs[] = {archive, extra};
-        std::string err;
-        if (!tracestore::merge_archives(inputs, merged, &err)) {
-          std::remove(extra.c_str());
-          throw std::runtime_error("fleet: re-measurement merge failed: " + err);
-        }
-        std::remove(extra.c_str());
-        if (std::rename(merged.c_str(), archive.c_str()) != 0) {
-          std::remove(merged.c_str());
-          throw std::runtime_error("fleet: re-measurement merge rename failed");
-        }
-        ++archive_gen_;  // remote workers must re-pull before attacking
-        attack_components(low, /*allow_hooks=*/false);
-        low = low_confidence_set();
-      }
-      out_.remeasure_rounds = round;
-      out_.flagged_components = std::move(low);
-    }
-    // Permanently failed shards degrade the run the same way an
-    // exhausted re-measurement budget does.
-    out_.flagged_components.insert(out_.flagged_components.end(),
-                                   failed_components_.begin(), failed_components_.end());
-    std::sort(out_.flagged_components.begin(), out_.flagged_components.end());
-    out_.flagged_components.erase(
-        std::unique(out_.flagged_components.begin(), out_.flagged_components.end()),
-        out_.flagged_components.end());
-    out_.partial = !out_.flagged_components.empty();
-  }
-
-  void stage_assemble() {
-    // Snapshot the merge surface before assemble_row's in-place alias
-    // repair mutates it.
-    out_.results = results_;
-    out_.accepted_traces = accepted_;
-    assembled_ = attack::assemble_row(results_, victim_.sk.params.logn, /*row=*/0);
-    const auto& secret_row = victim_.sk.b01;
-    out_.recovery.components_total = n_;
-    for (std::size_t idx = 0; idx < n_; ++idx) {
-      out_.recovery.components_correct +=
-          assembled_.recovered[idx].bits() == secret_row[idx].bits();
-    }
-    out_.recovery.recovered_f = assembled_.poly;
-    out_.recovery.f_exact = std::equal(assembled_.poly.begin(), assembled_.poly.end(),
-                                       victim_.sk.f.begin(), victim_.sk.f.end());
-  }
-
-  void stage_forge() {
-    auto forged = attack::forge_key(out_.recovery.recovered_f, victim_.pk);
-    if (!forged) return;  // attack failed to land; not a fleet error
-    out_.recovery.ntru_solved = true;
-    out_.recovery.derived_g = forged->g;
-    ChaCha20Prng rng(cfg_.pipeline.attack.seed ^ 0xF04C3);
-    const auto sig = falcon::sign(*forged, "forged by the falcon-down adversary", rng);
-    out_.recovery.forgery_verified =
-        falcon::verify(victim_.pk, "forged by the falcon-down adversary", sig);
+    return rep;
   }
 
   void cleanup(bool ok) {
     shutdown_workers();
     for (const auto& p : checkpoint_paths_) std::remove(p.c_str());
-    if (ok && !cfg_.pipeline.keep_archive) {
-      std::remove(cfg_.pipeline.archive_path.c_str());
-    }
     emit_event("fleet.done", {{"ok", ok ? 1u : 0u},
                               {"workers_spawned", out_.workers_spawned},
                               {"worker_deaths", out_.worker_deaths},
@@ -1246,12 +1107,11 @@ class Coordinator {
 
   const FleetConfig& cfg_;
   FleetResult& out_;
-  sca::FaultPlan fplan_;
   NetFaultPlan netplan_;
   exec::RetryPolicy task_retry_;
-  exec::RetryPolicy capture_retry_;
   exec::RetryPolicy reconnect_retry_;
   std::uint64_t archive_gen_ = 0;
+  std::size_t capture_rounds_ = 0;
   falcon::KeyPair victim_;
   std::size_t n_ = 0;
   SessionConfig session_;
@@ -1261,15 +1121,11 @@ class Coordinator {
   std::uint32_t next_task_id_ = 1;
   std::string spawn_error_;
 
-  std::vector<attack::ComponentResult> results_;
-  std::vector<std::size_t> accepted_;
   // Per-task merged fold statistics (kFold frames), keyed by task id.
   // The first frame seeds a task's shape (merge_cpa_sums adopts into an
   // empty accumulator); any later shape disagreement is wire corruption.
   std::map<std::uint32_t, attack::CpaSums> task_folds_;
-  std::vector<std::uint32_t> failed_components_;
   std::vector<std::string> checkpoint_paths_;
-  attack::RowAssembly assembled_;
 
   std::unique_ptr<CoordSink> coord_sink_;
   obs::TelemetrySink* prev_sink_ = nullptr;
@@ -1298,22 +1154,37 @@ FleetResult run_fleet(const FleetConfig& config) {
   Coordinator coord(config, out);
   if (!coord.init()) return out;
 
+  // Fleet checkpointing is per task, inside the executor; the driver's
+  // own checkpoint, resume, interrupt and kill hooks belong to the
+  // single-process run.
+  attack::RecoveryPipelineConfig pipeline = config.pipeline;
+  pipeline.checkpoint = false;
+  pipeline.resume = false;
+  pipeline.abort_after_components = 0;
+  pipeline.interrupt_flag = nullptr;
+  attack::RecoveryExecutor executor;
+  executor.capture = [&](const sca::ShardedCampaignConfig& round, const std::string& path) {
+    return coord.capture(round, path);
+  };
+  executor.attack = [&](std::span<const std::size_t> components,
+                        std::vector<attack::ComponentResult>& results,
+                        std::vector<std::size_t>& accepted) {
+    return coord.attack(components, results, accepted);
+  };
   {
     // The campaign root: stage spans (exec.job.*) nest under it via the
     // thread-local span stack, and its ids adopt the ambient context
     // installed by init()'s set_trace_root, so every process in the run
     // shares one trace_id.
     obs::Span root("fleet.pipeline", obs::Span::Root::kAdopt);
-    exec::JobGraph graph;
-    const auto spawn = graph.add("spawn", [&] { coord.stage_spawn(); });
-    const auto capture = graph.add("capture", [&] { coord.stage_capture(); }, {spawn});
-    const auto attack = graph.add("attack", [&] { coord.stage_attack(); }, {capture});
-    const auto remeasure = graph.add("remeasure", [&] { coord.stage_remeasure(); }, {attack});
-    const auto assemble = graph.add("assemble", [&] { coord.stage_assemble(); }, {remeasure});
-    graph.add("forge", [&] { coord.stage_forge(); }, {assemble});
-
-    out.stages = graph.run_collect(nullptr, &out.error);
-    out.ok = out.error.empty();
+    exec::JobGraph spawn;
+    spawn.add("spawn", [&] { coord.stage_spawn(); });
+    const auto spawn_report = spawn.run_collect(nullptr, &out.error);
+    if (out.error.empty()) {
+      static_cast<attack::RecoveryPipelineResult&>(out) =
+          attack::run_recovery_pipeline(coord.victim(), pipeline, &executor);
+    }
+    out.stages.insert(out.stages.begin(), spawn_report.begin(), spawn_report.end());
   }
   coord.cleanup(out.ok);
   obs::MetricsRegistry::global().counter("fleet.runs").add(1);

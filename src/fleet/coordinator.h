@@ -2,18 +2,22 @@
 // Fleet coordinator: shards one recovery campaign across worker
 // processes (DESIGN.md section 12).
 //
-// run_fleet is the multi-process twin of attack::run_recovery_pipeline:
-// the same staged shape (capture -> attack -> remeasure -> assemble ->
-// forge, reported through an exec::JobGraph), but capture shards and
-// component-range attack shards execute in `fd-attack --worker`
-// subprocesses spawned over pipes (fork/exec, no external deps).
+// run_fleet is the recovery driver of attack/recovery_pipeline.h over
+// the fleet executor: capture shards and component-range attack shards
+// execute in `fd-attack --worker` subprocesses spawned over pipes
+// (fork/exec, no external deps) or on remote `--serve` workers. The
+// coordinator itself only spawns, transports, watches heartbeats,
+// reassigns, stages files and tracks archive generations; capture
+// retries, re-measurement, flagging, assembly and forging are the
+// driver's. Its stages are `spawn`, then the driver's.
 //
 // Determinism contract: the recovered key is a pure function of
 // (victim seed, FleetConfig experiment knobs) and BIT-IDENTICAL to the
 // single-process pipeline at any worker count --
-//   - capture shards replicate run_campaign_sharded exactly (same
-//     split_seed lanes, same fault offsets, chunk damage on the merged
-//     file) and merge in shard-index order;
+//   - capture tasks run sca::shard_campaign_configs' shards (same
+//     split_seed lanes, same fault offsets) and merge through
+//     sca::finish_sharded_capture (shard-index order, chunk damage on
+//     the merged file), exactly as run_campaign_sharded does;
 //   - components are independent, so partitioning them into shards
 //     cannot change any per-component result; the coordinator merges
 //     results by global component id;
@@ -35,8 +39,9 @@
 // Telemetry: every worker's obs JSONL lines arrive as kTelemetry
 // frames and land in one unified file, each line tagged with
 // `"worker":<id>`; the coordinator adds its own fleet.* lines (worker
-// lifecycle, task assignment, reassignment, remeasure rounds). The
-// file is flushed per line, so `fd-report --follow` tails a live run.
+// lifecycle, task assignment, reassignment) and the driver's events
+// (re-measurement rounds). The file is flushed per line, so
+// `fd-report --follow` tails a live run.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,7 +49,6 @@
 #include <vector>
 
 #include "attack/recovery_pipeline.h"
-#include "exec/job_graph.h"
 #include "fleet/net_faults.h"
 
 namespace fd::fleet {
@@ -60,8 +64,8 @@ struct FleetConfig {
   // attack (threads = PER-WORKER pool size), capture_shards,
   // archive_path, keep_archive, faults, quality, remeasure, adaptive,
   // checkpoint_every (worker persist cadence). The pipeline's own
-  // checkpoint/resume flags are ignored -- fleet checkpointing is
-  // per-shard and always on.
+  // checkpoint, resume, abort_after_components and interrupt_flag are
+  // ignored -- fleet checkpointing is per-shard and always on.
   attack::RecoveryPipelineConfig pipeline;
 
   unsigned logn = 5;
@@ -123,24 +127,9 @@ struct FleetConfig {
   std::size_t bad_fold_shard = static_cast<std::size_t>(-1);
 };
 
-struct FleetResult {
-  attack::KeyRecoveryResult recovery;
-  std::vector<exec::JobGraph::JobReport> stages;
-  std::size_t captured_records = 0;
-
-  // Merged per-component state as it entered assembly (pre alias
-  // repair), indexed by global component id -- the bit-identity
-  // surface tests compare across worker counts.
-  std::vector<attack::ComponentResult> results;
-  std::vector<std::size_t> accepted_traces;
-
-  attack::QualityReport quality;     // merged from worker TaskResults
-  std::size_t capture_attempts = 0;  // rounds tried incl. rig-down retries
-  std::size_t remeasure_rounds = 0;
-  std::vector<std::size_t> flagged_components;
-  bool partial = false;
-
-  // Fleet mechanics.
+// The driver's result (stages, key, flags, per-component state as it
+// entered assembly) plus the fleet's mechanics.
+struct FleetResult : attack::RecoveryPipelineResult {
   std::size_t workers_spawned = 0;
   std::size_t worker_deaths = 0;   // timeouts + crashes + nonzero exits
   std::size_t reassignments = 0;   // tasks re-queued after a death
@@ -151,9 +140,6 @@ struct FleetResult {
   std::size_t fold_frames = 0;     // kFold frames merged into task folds
   std::uint64_t archive_scans = 0; // summed worker scan deltas
   std::size_t telemetry_lines = 0; // lines written to telemetry_path
-
-  bool ok = false;
-  std::string error;
 };
 
 // Runs the fleet campaign. The victim is generated internally from

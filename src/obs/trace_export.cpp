@@ -22,7 +22,11 @@ std::string process_key(const jsonl::Object& obj) {
   if (w == nullptr) return "main";
   if (w->kind == jsonl::Value::Kind::kString) return w->str;
   if (w->kind == jsonl::Value::Kind::kNumber) {
-    return "w" + std::to_string(static_cast<long long>(w->num));
+    // Appended to a named string: GCC 12 at -O3 flags the temporary
+    // concatenation "w" + std::to_string(...) with a false -Wrestrict.
+    std::string key = "w";
+    key += std::to_string(static_cast<long long>(w->num));
+    return key;
   }
   return "main";
 }

@@ -276,6 +276,47 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
   return capture_to_archive(sk, config, path, traces_per_chunk, 0);
 }
 
+std::vector<CampaignConfig> shard_campaign_configs(const ShardedCampaignConfig& config) {
+  const auto plan = exec::static_chunks(config.base.num_traces,
+                                        std::max<std::size_t>(1, config.num_shards));
+  std::vector<CampaignConfig> shards(plan.size(), config.base);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    shards[i].num_traces = plan[i].size();
+    shards[i].seed = exec::split_seed(config.base.seed, i);
+    shards[i].fault_query_offset = config.base.fault_query_offset + plan[i].begin;
+    shards[i].faults.chunk_corrupt_rate = 0.0;
+  }
+  return shards;
+}
+
+bool finish_sharded_capture(const ShardedCampaignConfig& config,
+                            std::span<const std::string> shard_paths, const std::string& path,
+                            std::string* error) {
+  const auto fail = [&](std::string msg) {
+    if (error != nullptr) *error = std::move(msg);
+    return false;
+  };
+  if (shard_paths.size() != 1 || shard_paths[0] != path) {
+    // Merge in shard-index order -- the deterministic reduction.
+    std::string merge_error;
+    const bool merged = tracestore::merge_archives(shard_paths, path, &merge_error);
+    if (!config.keep_shards) {
+      for (const auto& p : shard_paths) std::remove(p.c_str());
+    }
+    if (!merged) return fail("merge: " + merge_error);
+  }
+  // Chunk damage applies to the merged file: its chunk ordinals are the
+  // experiment-visible ones (a pure function of key/config/num_shards),
+  // so the damaged byte set is deterministic too.
+  if (config.base.faults.chunk_corrupt_rate > 0.0) {
+    std::string cerr;
+    if (!corrupt_archive_chunks(path, FaultPlan(config.base.faults), nullptr, &cerr)) {
+      return fail(cerr);
+    }
+  }
+  return true;
+}
+
 ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
                                            const ShardedCampaignConfig& config,
                                            const std::string& path, exec::ThreadPool* pool,
@@ -285,9 +326,8 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
     out.error = "sharded campaign needs at least one query";
     return out;
   }
-  const auto plan = exec::static_chunks(config.base.num_traces,
-                                        std::max<std::size_t>(1, config.num_shards));
-  out.shards = plan.size();
+  const std::vector<CampaignConfig> shards = shard_campaign_configs(config);
+  out.shards = shards.size();
 
   obs::Span span("sca.campaign.sharded");
   // Campaign-global progress: shard-local callbacks report deltas into a
@@ -304,22 +344,15 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
   // with kFlagMerged already set: merging it would copy every record
   // unchanged and only set the flag, so the bytes are the same, written
   // once.
-  const bool in_place = plan.size() == 1 && !config.keep_shards;
-  std::vector<ArchiveCampaignResult> shard_results(plan.size());
-  std::vector<std::string> shard_paths(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
+  const bool in_place = shards.size() == 1 && !config.keep_shards;
+  std::vector<ArchiveCampaignResult> shard_results(shards.size());
+  std::vector<std::string> shard_paths(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
     shard_paths[i] = in_place ? path : path + ".shard" + std::to_string(i);
   }
 
-  exec::parallel_for(pool, plan.size(), [&](std::size_t i) {
-    CampaignConfig shard_cfg = config.base;
-    shard_cfg.num_traces = plan[i].size();
-    shard_cfg.seed = exec::split_seed(config.base.seed, i);
-    // Faults key on campaign-global query indices so the shard plan
-    // never changes which queries fault; chunk damage is deferred to the
-    // merged file (chunk ordinals are only meaningful there).
-    shard_cfg.fault_query_offset = config.base.fault_query_offset + plan[i].begin;
-    shard_cfg.faults.chunk_corrupt_rate = 0.0;
+  exec::parallel_for(pool, shards.size(), [&](std::size_t i) {
+    CampaignConfig shard_cfg = shards[i];
     if (config.base.progress) {
       const std::size_t total = config.base.num_traces;
       auto last = std::make_shared<std::size_t>(0);
@@ -337,41 +370,19 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
                                           in_place ? tracestore::kFlagMerged : 0);
   });
 
-  const auto cleanup = [&] {
-    if (config.keep_shards) return;
-    for (const auto& p : shard_paths) std::remove(p.c_str());
-  };
-  for (std::size_t i = 0; i < plan.size(); ++i) {
+  for (std::size_t i = 0; i < shards.size(); ++i) {
     if (!shard_results[i].ok) {
       out.error = "shard " + std::to_string(i) + ": " + shard_results[i].error;
-      cleanup();
+      if (!config.keep_shards) {
+        for (const auto& p : shard_paths) std::remove(p.c_str());
+      }
       return out;
     }
     out.queries += shard_results[i].queries;
     out.records += shard_results[i].records;
   }
-
-  // Merge in shard-index order -- the deterministic reduction. The
-  // barrier above guarantees every shard file is complete first.
-  if (!in_place) {
-    std::string merge_error;
-    if (!tracestore::merge_archives(shard_paths, path, &merge_error)) {
-      out.error = "merge: " + merge_error;
-      cleanup();
-      return out;
-    }
-    cleanup();
-  }
-  // Chunk damage applies to the merged file: its chunk ordinals are the
-  // experiment-visible ones (a pure function of key/config/num_shards),
-  // so the damaged byte set is deterministic too.
-  if (config.base.faults.chunk_corrupt_rate > 0.0) {
-    std::string cerr;
-    if (!corrupt_archive_chunks(path, FaultPlan(config.base.faults), nullptr, &cerr)) {
-      out.error = cerr;
-      return out;
-    }
-  }
+  // The barrier above guarantees every shard file is complete first.
+  if (!finish_sharded_capture(config, shard_paths, path, &out.error)) return out;
   if (config.keep_shards) out.shard_paths = std::move(shard_paths);
   obs::event("sca.campaign.sharded")
       .with("shards", out.shards)

@@ -141,6 +141,26 @@ struct ShardedCampaignResult {
   std::string error;
 };
 
+// The per-shard recipe of a sharded campaign: one CampaignConfig per
+// shard of `config`'s fixed plan. Shard i captures its contiguous query
+// range under the seed lane exec::split_seed(base.seed, i), keys its
+// faults on campaign-global query indices (fault_query_offset = base
+// offset + range start) and carries no chunk damage: chunk ordinals are
+// only meaningful in the merged file, where finish_sharded_capture
+// applies it. run_campaign_sharded runs these shards on a thread pool;
+// the fleet coordinator runs them as worker capture tasks.
+[[nodiscard]] std::vector<CampaignConfig> shard_campaign_configs(
+    const ShardedCampaignConfig& config);
+
+// Completes a sharded capture whose shard files are written: merges
+// them in shard-index order into `path` (a lone shard already written
+// to `path` itself is kept as it is), removes the shard files unless
+// config.keep_shards, and applies config.base.faults' deferred chunk
+// damage to the merged file.
+[[nodiscard]] bool finish_sharded_capture(const ShardedCampaignConfig& config,
+                                          std::span<const std::string> shard_paths,
+                                          const std::string& path, std::string* error);
+
 // Runs the sharded campaign on `pool` (null -> serial, same results)
 // and merges into `path`. Progress callbacks of `config.base` fire with
 // campaign-global query counts; under a real pool they arrive from

@@ -821,6 +821,44 @@ TEST(Fleet, FaultedAdaptiveRunMatchesPipeline) {
   EXPECT_EQ(ref.flagged_components.size(), 4u);
 }
 
+bool file_exists(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  return true;
+}
+
+// The rig stays down through a re-measurement round's whole capture
+// budget. Without checkpointing or keep_archive, a failed run deletes
+// its archive in both modes.
+TEST(Fleet, FailedRunCleansUpLikePipeline) {
+  auto cfg = base_pipeline("");
+  cfg.attack.num_traces = 40;
+  cfg.faults.capture_fail_rate = 0.6;
+  cfg.faults.seed = 1;
+  cfg.remeasure.max_capture_attempts = 2;
+  cfg.quality.enabled = true;
+  cfg.adaptive = true;
+  const std::string why = "capture round 1: rig down after 2 attempts";
+
+  TempFile ref_tmp("fleet_failed_ref.fdtrace");
+  auto ref_cfg = cfg;
+  ref_cfg.archive_path = ref_tmp.path;
+  const auto ref = attack::run_recovery_pipeline(fleet_victim(), ref_cfg);
+  ASSERT_FALSE(ref.ok);
+  EXPECT_NE(ref.error.find(why), std::string::npos) << ref.error;
+  EXPECT_FALSE(file_exists(ref_tmp.path));
+
+  TempFile tmp("fleet_failed.fdtrace");
+  auto fc = base_fleet(tmp.path, 2);
+  fc.pipeline = cfg;
+  fc.pipeline.archive_path = tmp.path;
+  const auto res = fleet::run_fleet(fc);
+  ASSERT_FALSE(res.ok);
+  EXPECT_NE(res.error.find(why), std::string::npos) << res.error;
+  EXPECT_FALSE(file_exists(tmp.path));
+}
+
 TEST(Fleet, UnspawnableWorkerBinaryFailsCleanly) {
   TempFile tmp("fleet_nobin.fdtrace");
   auto fc = base_fleet(tmp.path, 1);

@@ -25,6 +25,7 @@
 #include "attack/extend_prune.h"
 #include "attack/hypothesis.h"
 #include "attack/key_recovery.h"
+#include "attack/recovery_pipeline.h"
 #include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
@@ -811,6 +812,73 @@ TEST(ObsFollow, ReopensAfterRotation) {
   EXPECT_NE(out.find("1 rotations"), std::string::npos) << out;
   std::remove(path.c_str());
   std::remove(rotated.c_str());
+}
+
+std::string run_report(const std::string& path) {
+  const std::string cmd = std::string(FD_REPORT_BIN) + " " + path + " 2>&1";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {};
+  std::string out;
+  char buf[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  ::pclose(pipe);
+  return out;
+}
+
+// The recovery driver emits one attack.remeasure line per round, in
+// single-process and fleet runs alike; fd-report counts both kinds of
+// stream. The single-process stream is a real adaptive pipeline run
+// that re-measures twice; the fleet stream carries the same lines as
+// the coordinator writes them, tagged "worker":"coord" beside its own
+// fleet.* lines.
+TEST(ObsReport, CountsRemeasureRoundsInBothModes) {
+  if (!FD_OBS_ENABLED) GTEST_SKIP() << "built with FD_OBS=OFF";
+  TempFile single("remeasure_single.jsonl");
+  TempFile fleet("remeasure_fleet.jsonl");
+  TempFile archive("remeasure.fdtrace");
+  {
+    ChaCha20Prng rng("victim key seed");
+    const auto victim = falcon::keygen(3, rng);
+    attack::RecoveryPipelineConfig cfg;
+    cfg.attack.num_traces = 120;
+    cfg.attack.device.noise_sigma = 2.0;
+    cfg.attack.adversarial_random = 100;
+    cfg.attack.seed = 0xFD06;
+    cfg.archive_path = archive.path();
+    cfg.capture_shards = 2;
+    cfg.faults.drop_rate = 0.10;
+    cfg.faults.desync_rate = 0.05;
+    cfg.faults.saturate_rate = 0.02;
+    cfg.faults.chunk_corrupt_rate = 0.05;
+    cfg.faults.capture_fail_rate = 0.5;
+    cfg.remeasure.max_capture_attempts = 8;
+    cfg.quality.enabled = true;
+    cfg.adaptive = true;
+    obs::JsonLinesSink sink(single.path());
+    const obs::ScopedTelemetrySink scope(&sink);
+    const auto res = attack::run_recovery_pipeline(victim, cfg);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.remeasure_rounds, 2u);
+  }
+  {
+    std::FILE* f = std::fopen(fleet.path().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(R"({"ev":"fleet.worker.spawn","worker":0,"pid":1})"
+               "\n",
+               f);
+    for (std::string line : read_lines(single.path())) {
+      const std::size_t brace = line.rfind('}');
+      ASSERT_NE(brace, std::string::npos);
+      line.insert(brace, R"(,"worker":"coord")");
+      std::fprintf(f, "%s\n", line.c_str());
+    }
+    std::fclose(f);
+  }
+  for (const std::string& path : {single.path(), fleet.path()}) {
+    const std::string out = run_report(path);
+    EXPECT_NE(out.find("re-measurement rounds: 2"), std::string::npos) << path << "\n" << out;
+  }
 }
 
 #endif  // FD_REPORT_BIN

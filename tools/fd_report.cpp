@@ -124,7 +124,6 @@ struct FleetStats {
   std::size_t tasks_assigned = 0;
   std::size_t tasks_done = 0;
   std::size_t tasks_failed = 0;
-  std::size_t remeasure_rounds = 0;
   bool seen = false;
 };
 
@@ -157,6 +156,9 @@ struct Report {
   std::vector<std::pair<std::string, SpanStats>> spans;  // first-seen order
   std::vector<SpanInstance> span_instances;
   FleetStats fleet;
+  // attack.remeasure lines: the recovery driver emits one per round in
+  // single-process and fleet runs alike.
+  std::size_t remeasure_rounds = 0;
   MtdMatrix mtd;
   std::size_t events = 0;
   std::size_t parse_errors = 0;
@@ -227,6 +229,8 @@ void ingest_object(Report& rep, const jsonl::Object& obj) {
                 static_cast<long>(obj.num("mtd", -1.0)));
   } else if (ev == "span") {
     add_span(rep, obj);
+  } else if (ev == "attack.remeasure") {
+    ++rep.remeasure_rounds;
   } else if (ev.substr(0, 6) == "fleet.") {
     rep.fleet.seen = true;
     if (ev == "fleet.worker.spawn") ++rep.fleet.workers_spawned;
@@ -235,7 +239,6 @@ void ingest_object(Report& rep, const jsonl::Object& obj) {
     if (ev == "fleet.task.assign") ++rep.fleet.tasks_assigned;
     if (ev == "fleet.task.done") ++rep.fleet.tasks_done;
     if (ev == "fleet.task.failed") ++rep.fleet.tasks_failed;
-    if (ev == "fleet.remeasure.round") ++rep.fleet.remeasure_rounds;
   }
 }
 
@@ -275,10 +278,12 @@ void print_summary(const Report& rep) {
     std::printf("  tasks: %zu assigned, %zu done, %zu failed, %zu reassignment%s\n",
                 rep.fleet.tasks_assigned, rep.fleet.tasks_done, rep.fleet.tasks_failed,
                 rep.fleet.reassignments, rep.fleet.reassignments == 1 ? "" : "s");
-    if (rep.fleet.remeasure_rounds > 0) {
-      std::printf("  re-measurement rounds: %zu\n", rep.fleet.remeasure_rounds);
-    }
     std::printf("\n");
+  }
+
+  if (rep.remeasure_rounds > 0) {
+    std::printf("== recovery ==\n");
+    std::printf("  re-measurement rounds: %zu\n\n", rep.remeasure_rounds);
   }
 
   if (!rep.campaigns.empty()) {
@@ -492,8 +497,8 @@ void render_live(const jsonl::Object& obj) {
                 static_cast<unsigned long long>(obj.num("task")),
                 static_cast<unsigned long long>(obj.num("completed")),
                 static_cast<unsigned long long>(obj.num("total")), wtag);
-  } else if (ev == "fleet.remeasure.round") {
-    std::printf("fleet: re-measurement round %llu (%llu components low-confidence)\n",
+  } else if (ev == "attack.remeasure") {
+    std::printf("re-measurement round %llu (%llu components low-confidence)\n",
                 static_cast<unsigned long long>(obj.num("round")),
                 static_cast<unsigned long long>(obj.num("low_confidence")));
   } else if (ev == "fleet.done") {
