@@ -348,5 +348,90 @@ TEST(FprNative, NestedScopeRestoresArming) {
   EXPECT_EQ(run_ops(outer).mul, 17U);
 }
 
+
+// --- zero and subnormal operands ------------------------------------------
+//
+// fpr_mul with a zero-exponent operand and fpr_add/fpr_sub of such an
+// operand with a native one have closed forms off the data route
+// (DESIGN.md section 19): FPEMU's early signed zero, and the other
+// operand unchanged. Random normals against +-0 and random subnormals
+// hold them to the emulation, and an open window still records every
+// event of the emulated bodies.
+
+std::vector<Fpr> zero_exponent_operands(RandomSource& rng) {
+  std::vector<Fpr> out = {kZero, fpr_neg(kZero), make(0, 0, 1), make(1, 0, 1),
+                          make(0, 0, 0x000FFFFFFFFFFFFFULL), make(1, 0, 0x000FFFFFFFFFFFFFULL)};
+  for (int i = 0; i < 26; ++i) {
+    const std::uint64_t mant = rng.next_u64() & 0x000FFFFFFFFFFFFFULL;
+    out.push_back(make(static_cast<unsigned>(i & 1), 0, mant == 0 ? 1 : mant));
+  }
+  return out;
+}
+
+Fpr random_normal(RandomSource& rng) {
+  for (;;) {
+    const Fpr x = random_operand(rng);
+    if (normal(x)) return x;
+  }
+}
+
+TEST(FprNative, ZeroAndSubnormalOperandsMatchEmulation) {
+  ASSERT_EQ(leakage_sink(), nullptr);
+  ChaCha20Prng rng(std::uint64_t{0xF9E5});
+  const std::vector<Fpr> zs = zero_exponent_operands(rng);
+  for (std::size_t i = 0; i < 20'000; ++i) {
+    const Fpr x = random_normal(rng);
+    for (const Fpr z : zs) {
+      EXPECT_SAME(fpr_mul(x, z), detail::fpr_mul_emu(x, z), "mul", x, z);
+      EXPECT_SAME(fpr_mul(z, x), detail::fpr_mul_emu(z, x), "mul", z, x);
+      EXPECT_SAME(fpr_add(x, z), detail::fpr_add_emu(x, z), "add", x, z);
+      EXPECT_SAME(fpr_add(z, x), detail::fpr_add_emu(z, x), "add", z, x);
+      EXPECT_SAME(fpr_sub(x, z), detail::fpr_add_emu(x, fpr_neg(z)), "sub", x, z);
+      EXPECT_SAME(fpr_sub(z, x), detail::fpr_add_emu(z, fpr_neg(x)), "sub", z, x);
+    }
+  }
+  for (const Fpr a : zs) {
+    for (const Fpr b : zs) {
+      EXPECT_SAME(fpr_mul(a, b), detail::fpr_mul_emu(a, b), "mul", a, b);
+      EXPECT_SAME(fpr_add(a, b), detail::fpr_add_emu(a, b), "add", a, b);
+      EXPECT_SAME(fpr_sub(a, b), detail::fpr_add_emu(a, fpr_neg(b)), "sub", a, b);
+    }
+  }
+
+  // Under an open window every op emulates and leaks: the events of the
+  // public op equal those of the emulated body, 17 per mul and 3 per add
+  // of normal operands, FPEMU's lone sign event for a zero-exponent mul.
+  const auto events_of = [](auto op) {
+    WindowedRecorder w;
+    ScopedLeakageSink scope(&w);
+    w.open(true);
+    const Fpr r = op();
+    std::vector<std::uint64_t> out = {r.bits()};
+    for (const auto& ev : w.events) {
+      out.push_back(static_cast<std::uint64_t>(ev.tag));
+      out.push_back(ev.value);
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < 200; ++i) {
+    const Fpr x = random_normal(rng);
+    const Fpr y = random_normal(rng);
+    EXPECT_EQ(events_of([&] { return fpr_mul(x, y); }).size(), 1U + 2 * 17);
+    EXPECT_EQ(events_of([&] { return fpr_add(x, y); }).size(), 1U + 2 * 3);
+    EXPECT_EQ(events_of([&] { return fpr_sub(x, y); }).size(), 1U + 2 * 3);
+    for (const Fpr z : zs) {
+      const auto mul = events_of([&] { return fpr_mul(x, z); });
+      EXPECT_EQ(mul, events_of([&] { return detail::fpr_mul_emu(x, z); }));
+      EXPECT_EQ(mul.size(), 1U + 2 * 1);
+      const auto add = events_of([&] { return fpr_add(z, x); });
+      EXPECT_EQ(add, events_of([&] { return detail::fpr_add_emu(z, x); }));
+      EXPECT_EQ(add.size(), 1U + 2 * 3);
+      const auto sub = events_of([&] { return fpr_sub(x, z); });
+      EXPECT_EQ(sub, events_of([&] { return detail::fpr_add_emu(x, fpr_neg(z)); }));
+      EXPECT_EQ(sub.size(), 1U + 2 * 3);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fd::fpr

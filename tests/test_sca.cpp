@@ -398,6 +398,70 @@ TEST(EventStream, WindowsHold17EventsPerMulAnd3PerAdd) {
   }
 }
 
+// --- signatures and recorded windows: fixed-seed bytes, pinned -----------
+//
+// FNV-1a 64 over the salt and s2 of every signature, and over (tag,
+// value) of every LastWindowRecorder window, for a run of queries on the
+// victim key (rows alternate per query). Recorded before the signer's
+// allocation-free ffSampling, zero-operand closed forms, run squeeze and
+// batched sampler draws (DESIGN.md section 24): none of them may move a
+// byte of a signature or of a captured window.
+
+struct SignDigest {
+  std::uint64_t sigs = 0xCBF29CE484222325ULL;
+  std::uint64_t windows = 0xCBF29CE484222325ULL;
+  std::size_t events = 0;
+};
+
+void fnv_bytes(std::uint64_t& h, const std::uint8_t* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ULL;
+  }
+}
+
+SignDigest sign_run_digest(unsigned logn, std::size_t queries) {
+  ChaCha20Prng krng("victim key seed");
+  const auto kp = falcon::keygen(logn, krng);
+  const std::size_t hn = kp.sk.params.n >> 1;
+  ChaCha20Prng rng(0x516E0 + logn);
+  SignDigest d;
+  for (std::size_t q = 0; q < queries; ++q) {
+    LastWindowRecorder rec(hn, static_cast<unsigned>(q & 1));
+    rec.start_run();
+    falcon::Signature sig;
+    {
+      fpr::ScopedLeakageSink scope(&rec);
+      sig = falcon::sign(kp.sk, "pin-" + std::to_string(q), rng);
+    }
+    fnv_bytes(d.sigs, sig.salt, sizeof sig.salt);
+    for (const std::int16_t v : sig.s2) {
+      const std::uint8_t b[2] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8)};
+      fnv_bytes(d.sigs, b, 2);
+    }
+    for (std::size_t s = 0; s < hn; ++s) {
+      for (const auto& ev : rec.window(s)) {
+        std::uint8_t b[9] = {static_cast<std::uint8_t>(ev.tag)};
+        for (int i = 0; i < 8; ++i) b[1 + i] = static_cast<std::uint8_t>(ev.value >> (8 * i));
+        fnv_bytes(d.windows, b, sizeof b);
+      }
+      d.events += rec.window(s).size();
+    }
+  }
+  return d;
+}
+
+TEST(Sign, BytesPinnedToParent) {
+  const SignDigest d16 = sign_run_digest(4, 64);
+  EXPECT_EQ(d16.events, 64U * 8 * window::kEventsPerWindow);
+  EXPECT_EQ(d16.sigs, 0xBBC47F3CC0F570DFULL);
+  EXPECT_EQ(d16.windows, 0x804D4A7A698B46F2ULL);
+  const SignDigest d512 = sign_run_digest(9, 8);
+  EXPECT_EQ(d512.events, 8U * 256 * window::kEventsPerWindow);
+  EXPECT_EQ(d512.sigs, 0xE0CA16422171A061ULL);
+  EXPECT_EQ(d512.windows, 0xAFC7BF538182167EULL);
+}
+
 TEST(GatedCapture, RecordersAreWindowedFullRecorderIsNot) {
   EXPECT_TRUE(LastWindowRecorder(4).windowed());
   EXPECT_TRUE(EventWindowRecorder(0).windowed());

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "common/hex.h"
 #include "common/shake256.h"
 
@@ -95,6 +100,55 @@ TEST(Shake256, ResetReusesObject) {
   sh.extract(out);
   EXPECT_EQ(to_hex(out),
             "483366601360a8771c6863080cc4114d8db44530f8f1e1ee4f94ea37e78b5739");
+}
+
+// Squeezing in runs of any length -- across the 136-byte rate, at odd
+// offsets, in one call longer than several blocks -- returns the bytes
+// one-byte squeezes return, and both return the pinned stream.
+TEST(Shake256, RunExtractMatchesByteExtract) {
+  const std::string msg(301, 'q');
+  Shake256 bytewise;
+  bytewise.inject(msg);
+  bytewise.flip();
+  std::vector<std::uint8_t> want(2000);
+  for (auto& b : want) b = bytewise.extract_u8();
+  std::uint64_t fnv = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : want) {
+    fnv ^= b;
+    fnv *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(fnv, 0xAF6DBB52AC7C635EULL);
+
+  const std::size_t schedules[][8] = {{1, 135, 1, 136, 137, 3, 271, 273},
+                                      {136, 136, 272, 7, 129, 2, 408, 1},
+                                      {5, 131, 135, 2, 545, 13, 11, 1},
+                                      {999, 1, 1, 999, 0, 0, 0, 0}};
+  for (const auto& runs : schedules) {
+    Shake256 sh;
+    sh.inject(msg);
+    sh.flip();
+    std::vector<std::uint8_t> got;
+    for (const std::size_t len : runs) {
+      std::vector<std::uint8_t> run(len);
+      sh.extract(run);
+      got.insert(got.end(), run.begin(), run.end());
+    }
+    ASSERT_LE(got.size(), want.size());
+    EXPECT_EQ(to_hex(got), to_hex(std::span(want).first(got.size())));
+  }
+
+  // The 16- and 64-bit squeezes read the same stream.
+  Shake256 mixed;
+  mixed.inject(msg);
+  mixed.flip();
+  std::size_t pos = 0;
+  while (pos + 10 <= want.size()) {
+    EXPECT_EQ(mixed.extract_u16_be(), (want[pos] << 8) | want[pos + 1]) << pos;
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = (v << 8) | want[pos + 2 + static_cast<std::size_t>(i)];
+    EXPECT_EQ(mixed.extract_u64(), v) << pos;
+    pos += 10;
+  }
 }
 
 TEST(Hex, RoundTrip) {
