@@ -3,9 +3,10 @@
 // capture pays after its capture), streamed-CPA (disk) vs in-memory CPA
 // wall time on the same seeded campaign -- the cost of
 // capture-once/attack-many -- the per-query capture cost at
-// FALCON-512 (sign + gated windows + trace synthesis + archive append),
-// and the three kernels under it: the ChaCha20 keystream of the trace
-// noise, one query's synthesis alone, and the chunk CRC32.
+// FALCON-512 (sign + gated windows + trace synthesis + archive append)
+// and at FALCON-16 (paper16's shape), and the kernels under it: signing
+// under the recorder, the ChaCha20 keystream of the trace noise, one
+// query's synthesis alone, and the chunk CRC32.
 //
 //   ./bench_tracestore [logn] [num_traces] [--json <path>]
 
@@ -174,6 +175,23 @@ int main(int argc, char** argv) {
                 kCaptureLogn, kQueries, cap9.records);
     harness.report("capture_query", params9, query_ms, 1e3 / query_ms, "queries/s");
 
+    // The victim alone under the capture recorder: kQueries signings
+    // with every window recorded, no synthesis, no archive.
+    {
+      sca::LastWindowRecorder recorder(kp9.sk.params.n >> 1);
+      ChaCha20Prng victim_rng(0xA2C41E);
+      t0 = Clock::now();
+      for (std::size_t q = 0; q < kQueries; ++q) {
+        recorder.start_run();
+        fpr::ScopedLeakageSink scope(&recorder);
+        (void)falcon::sign(kp9.sk, "sign probe " + std::to_string(q), victim_rng);
+      }
+      const double sign_ms = seconds_since(t0) * 1e3;
+      std::printf("sign/query     %8.3f ms (logn=%u, %zu queries, recorder armed)\n",
+                  sign_ms / kQueries, kCaptureLogn, kQueries);
+      harness.report("sign_query", params9, sign_ms, kQueries * 1e3 / sign_ms, "queries/s");
+    }
+
     // One query's windows (recorded once), synthesized kSynthQueries
     // times: the synthesis layer alone, no signing, no archive.
     constexpr std::size_t kSynthQueries = 8;
@@ -217,6 +235,32 @@ int main(int argc, char** argv) {
     std::printf("keystream      %8.3f ms (%zu x %zu B, %.2f GB/s)\n", ks_ms, kKeystreamPasses,
                 keystream.size(), ks_gbps);
     harness.report("keystream", params_ks, ks_ms, ks_gbps, "GB/s");
+  }
+
+  // paper16's capture shape: FALCON-16 queries at sigma 12 to an
+  // archive, where signing and hashing outweigh the 8 windows per query.
+  {
+    constexpr unsigned kLogn = 4;
+    constexpr std::size_t kQueries = 256;
+    ChaCha20Prng krng(0xA2C41F);
+    const auto kp4 = falcon::keygen(kLogn, krng);
+    sca::CampaignConfig cfg4;
+    cfg4.num_traces = kQueries;
+    cfg4.device.noise_sigma = 12.0;
+    cfg4.seed = 0xA2C41F;
+    t0 = Clock::now();
+    const auto cap4 = sca::run_campaign_to_archive(kp4.sk, cfg4, path);
+    const double cap4_ms = seconds_since(t0) * 1e3;
+    if (!cap4.ok) {
+      std::fprintf(stderr, "capture failed: %s\n", cap4.error.c_str());
+      return 1;
+    }
+    char params4[64];
+    std::snprintf(params4, sizeof params4, "logn=%u queries=%zu", kLogn, kQueries);
+    std::printf("capture/query  %8.3f ms (logn=%u, %zu queries, %zu records)\n",
+                cap4_ms / kQueries, kLogn, kQueries, cap4.records);
+    harness.report("capture_query_logn4", params4, cap4_ms, kQueries * 1e3 / cap4_ms,
+                   "queries/s");
   }
 
   // Chunk CRC32 over one 64 KiB payload, repeated: 32 MiB per timing.

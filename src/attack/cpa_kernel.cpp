@@ -10,6 +10,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/popcount.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define FD_CPA_HAVE_AVX2 1
 #include <immintrin.h>
@@ -222,18 +224,18 @@ int hyp_value(std::uint64_t x, const HypothesisColumn& h, std::size_t t) {
   if constexpr (K == LeakKind::kSign) {
     return static_cast<int>(x ^ (a != 0 ? 1 : 0));
   } else if constexpr (K == LeakKind::kExpSum) {
-    return std::popcount((x + a - 2100) & kM32);
+    return popcount64((x + a - 2100) & kM32);
   } else if constexpr (K == LeakKind::kZ1a) {
-    return std::popcount((((x * a) >> 25) + (x * h.ops[1][t] & kM25)) & kM32);
+    return popcount64((((x * a) >> 25) + (x * h.ops[1][t] & kM25)) & kM32);
   } else if constexpr (K == LeakKind::kZ1b) {
-    return std::popcount((h.ops[1][t] + (x * a & kM25)) & kM32);
+    return popcount64((h.ops[1][t] + (x * a & kM25)) & kM32);
   } else if constexpr (K == LeakKind::kZu) {
     const std::uint64_t p = x * a;
     const std::uint64_t z1b = (h.ops[2][t] + (p & kM25)) & kM32;
     const std::uint64_t z2 = (h.ops[3][t] + (p >> 25)) & kM32;
-    return std::popcount(x * h.ops[1][t] + z2 + (z1b >> 25));
+    return popcount64(x * h.ops[1][t] + z2 + (z1b >> 25));
   } else {
-    return std::popcount(x * a);
+    return popcount64(x * a);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/popcount.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -192,9 +193,9 @@ LinearCalibration calibrate_device(const ComponentDataset& ds) {
     const auto& view = ds.views[v];
     for (std::size_t t = 0; t < ds.num_traces; ++t) {
       const KnownOperand& k = view.known[t];
-      const double hws[3] = {static_cast<double>(std::popcount(k.y0)),
-                             static_cast<double>(std::popcount(k.y1)),
-                             static_cast<double>(std::popcount(k.exponent))};
+      const double hws[3] = {static_cast<double>(popcount64(k.y0)),
+                             static_cast<double>(popcount64(k.y1)),
+                             static_cast<double>(popcount64(k.exponent))};
       const std::size_t offs[3] = {ww::kOffYLo, ww::kOffYHi, ww::kOffExpY};
       for (int i = 0; i < 3; ++i) {
         const double h = hws[i];
@@ -302,7 +303,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
         const auto& col_sum = ds.views[v].samples[ww::kOffExpSum];
         const auto& col_x = ds.views[v].samples[ww::kOffExpX];
         for (std::size_t i = 0; i < ties.size(); ++i) {
-          pred_x[i] = cal.alpha * std::popcount(ties[i].guess) + cal.beta;
+          pred_x[i] = cal.alpha * popcount64(ties[i].guess) + cal.beta;
         }
         for (std::size_t t = 0; t < ds.num_traces; ++t) {
           const KnownOperand& k = ds.views[v].known[t];

@@ -8,9 +8,9 @@
 // mul_mantissa_steps() pipeline as the device, so predictions match the
 // leaked values bit for bit; only the measurement noise separates them.
 
-#include <bit>
 #include <cstdint>
 
+#include "common/popcount.h"
 #include "fpr/fpr.h"
 
 namespace fd::attack {
@@ -42,17 +42,17 @@ struct KnownOperand {
 [[nodiscard]] inline double hyp_exponent(unsigned guess_exp, const KnownOperand& k) {
   const auto e = static_cast<std::uint32_t>(
       static_cast<std::int32_t>(guess_exp + k.exponent) - 2100);
-  return std::popcount(e);
+  return popcount64(e);
 }
 
 // --- mantissa low half (25 bits, the paper's "D" with known "B"=y0, "A"=y1)
 
 // Extend targets: the two schoolbook partial products involving x0.
 [[nodiscard]] inline double hyp_low_mul_ll(std::uint32_t x0, const KnownOperand& k) {
-  return std::popcount(static_cast<std::uint64_t>(x0) * k.y0);
+  return popcount64(static_cast<std::uint64_t>(x0) * k.y0);
 }
 [[nodiscard]] inline double hyp_low_mul_lh(std::uint32_t x0, const KnownOperand& k) {
-  return std::popcount(static_cast<std::uint64_t>(x0) * k.y1);
+  return popcount64(static_cast<std::uint64_t>(x0) * k.y1);
 }
 
 // Prune target: the z1a accumulation (depends on x0 and knowns only --
@@ -63,16 +63,16 @@ struct KnownOperand {
       (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
   // z1a is independent of x1 (property-tested); use any valid high half.
   const std::uint64_t xm = (std::uint64_t{1} << 52) | x0;
-  return std::popcount(static_cast<std::uint64_t>(fpr::mul_mantissa_steps(xm, ym).z1a));
+  return popcount64(static_cast<std::uint64_t>(fpr::mul_mantissa_steps(xm, ym).z1a));
 }
 
 // --- mantissa high half (28 bits, top bit always 1: 2^27 guesses) ---------
 
 [[nodiscard]] inline double hyp_high_mul_hl(std::uint32_t x1, const KnownOperand& k) {
-  return std::popcount(static_cast<std::uint64_t>(x1) * k.y0);
+  return popcount64(static_cast<std::uint64_t>(x1) * k.y0);
 }
 [[nodiscard]] inline double hyp_high_mul_hh(std::uint32_t x1, const KnownOperand& k) {
-  return std::popcount(static_cast<std::uint64_t>(x1) * k.y1);
+  return popcount64(static_cast<std::uint64_t>(x1) * k.y1);
 }
 
 // Prune target: the final zu accumulation; requires the previously
@@ -82,7 +82,7 @@ struct KnownOperand {
   const std::uint64_t ym =
       (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
   const std::uint64_t xm = (static_cast<std::uint64_t>(x1) << fpr::kMantLowBits) | x0;
-  return std::popcount(fpr::mul_mantissa_steps(xm, ym).zu);
+  return popcount64(fpr::mul_mantissa_steps(xm, ym).zu);
 }
 
 // Secondary prune target z1b (also x0- and x1-dependent).
@@ -91,7 +91,7 @@ struct KnownOperand {
   const std::uint64_t ym =
       (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
   const std::uint64_t xm = (static_cast<std::uint64_t>(x1) << fpr::kMantLowBits) | x0;
-  return std::popcount(static_cast<std::uint64_t>(fpr::mul_mantissa_steps(xm, ym).z1b));
+  return popcount64(static_cast<std::uint64_t>(fpr::mul_mantissa_steps(xm, ym).z1b));
 }
 
 }  // namespace fd::attack

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/popcount.h"
+
 namespace fd::attack {
 
 namespace ww = sca::window;
@@ -17,13 +19,13 @@ double template_predicted_hw(std::size_t offset, std::uint64_t bits, const Known
     case ww::kOffSign:
       return hyp_sign(cand.sign(), k);
     case ww::kOffExpX:
-      return std::popcount(cand.biased_exponent());
+      return popcount64(cand.biased_exponent());
     case ww::kOffExpSum:
       return hyp_exponent(cand.biased_exponent(), k);
     case ww::kOffXLo:
-      return std::popcount(s.y0);
+      return popcount64(s.y0);
     case ww::kOffXHi:
-      return std::popcount(s.y1);
+      return popcount64(s.y1);
     case ww::kOffProdLL:
       return hyp_low_mul_ll(s.y0, k);
     case ww::kOffProdLH:
@@ -174,7 +176,7 @@ TemplateAttackResult template_attack_component(const ComponentDataset& ds,
         offs,
         [](std::uint64_t g, const KnownOperand& k, std::size_t off) {
           return off == ww::kOffExpX
-                     ? static_cast<double>(std::popcount(static_cast<unsigned>(g)))
+                     ? static_cast<double>(popcount64(static_cast<unsigned>(g)))
                      : hyp_exponent(static_cast<unsigned>(g), k);
         },
         config.exp_max - config.exp_min + 1,
@@ -188,7 +190,7 @@ TemplateAttackResult template_attack_component(const ComponentDataset& ds,
         [](std::uint64_t g, const KnownOperand& k, std::size_t off) {
           const auto x0 = static_cast<std::uint32_t>(g);
           switch (off) {
-            case ww::kOffXLo: return static_cast<double>(std::popcount(x0));
+            case ww::kOffXLo: return static_cast<double>(popcount64(x0));
             case ww::kOffProdLL: return hyp_low_mul_ll(x0, k);
             case ww::kOffProdLH: return hyp_low_mul_lh(x0, k);
             default: return hyp_low_add_z1a(x0, k);
@@ -207,7 +209,7 @@ TemplateAttackResult template_attack_component(const ComponentDataset& ds,
         [x0](std::uint64_t g, const KnownOperand& k, std::size_t off) {
           const auto x1 = static_cast<std::uint32_t>(g);
           switch (off) {
-            case ww::kOffXHi: return static_cast<double>(std::popcount(x1));
+            case ww::kOffXHi: return static_cast<double>(popcount64(x1));
             case ww::kOffProdHL: return hyp_high_mul_hl(x1, k);
             case ww::kOffProdHH: return hyp_high_mul_hh(x1, k);
             case ww::kOffAccZ1b: return hyp_high_add_z1b(x1, x0, k);

@@ -15,6 +15,9 @@ namespace fd {
 class RandomSource {
  public:
   virtual ~RandomSource() = default;
+  // A byte stream: fills of a, b, ... bytes return the bytes one fill of
+  // a + b + ... would. Bulk draws (gaussians(), SamplerZ's per-iteration
+  // draw) rely on that.
   virtual void fill(std::span<std::uint8_t> out) = 0;
 
   [[nodiscard]] std::uint8_t next_u8();

@@ -15,6 +15,8 @@ namespace fd {
 
 class Shake256 {
  public:
+  static constexpr std::size_t kRate = 136;  // SHAKE256 rate in bytes
+
   Shake256() { reset(); }
 
   // Clears all absorbed data and returns to the absorbing phase.
@@ -40,7 +42,6 @@ class Shake256 {
   std::uint64_t state_[25];
   std::size_t pos_;       // byte offset into the rate portion
   bool squeezing_;
-  static constexpr std::size_t kRate = 136;  // SHAKE256 rate in bytes
 };
 
 }  // namespace fd

@@ -1,13 +1,13 @@
 #include "distinguisher/component_scorer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <initializer_list>
 #include <vector>
 
 #include "attack/template_attack.h"
+#include "common/popcount.h"
 #include "common/rng.h"
 #include "falcon/keygen.h"
 #include "distinguisher/template_backend.h"
@@ -144,7 +144,7 @@ void resolve_exponent_aliases(const ComponentDataset& ds, const ComponentAttackC
       for (unsigned v = 0; v < 2; ++v) {
         const auto& col_sum = ds.views[v].samples[ww::kOffExpSum];
         const auto& col_x = ds.views[v].samples[ww::kOffExpX];
-        const double pred_x = cal.alpha * std::popcount(s.guess) + cal.beta;
+        const double pred_x = cal.alpha * popcount64(s.guess) + cal.beta;
         for (std::size_t t = 0; t < ds.num_traces; ++t) {
           const double pred_sum =
               cal.alpha * attack::hyp_exponent(s.guess, ds.views[v].known[t]) + cal.beta;
@@ -218,7 +218,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
         [&](std::uint64_t i) { return static_cast<std::uint32_t>(config.exp_min + i); },
         static_cast<std::size_t>(count),
         [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-          return off == ww::kOffExpX ? static_cast<double>(std::popcount(g))
+          return off == ww::kOffExpX ? static_cast<double>(popcount64(g))
                                      : attack::hyp_exponent(g, k);
         });
     if (scorer.exp_tiebreak()) resolve_exponent_aliases(ds, config, res.exp_phase);
@@ -238,7 +238,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
     const auto hyp_low = [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
       switch (off) {
         case ww::kOffXLo:
-          return static_cast<double>(std::popcount(g));
+          return static_cast<double>(popcount64(g));
         case ww::kOffProdLL:
           return attack::hyp_low_mul_ll(g, k);
         case ww::kOffProdLH:
@@ -275,7 +275,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
     const auto hyp_high = [x0](std::uint32_t g, const KnownOperand& k, std::size_t off) {
       switch (off) {
         case ww::kOffXHi:
-          return static_cast<double>(std::popcount(g));
+          return static_cast<double>(popcount64(g));
         case ww::kOffProdHL:
           return attack::hyp_high_mul_hl(g, k);
         case ww::kOffProdHH:

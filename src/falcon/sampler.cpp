@@ -1,5 +1,6 @@
 #include "falcon/sampler.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -65,21 +66,19 @@ void KeygenGaussian::sample_poly(RandomSource& rng, std::vector<std::int32_t>& o
 namespace {
 
 // Reverse CDT for the half-Gaussian base sampler at sigma_max = 1.8205,
-// 72-bit precision split as (hi: 8 bits, lo: 64 bits), computed once.
-// RCDT[i] ~ 2^72 * P(X > i) for X half-Gaussian on Z>=0.
+// 72-bit precision, computed once. RCDT[i] ~ 2^72 * P(X > i) for X
+// half-Gaussian on Z>=0, held as one 128-bit integer per entry; entries
+// past the table stay 0, which no draw lies below.
 struct Rcdt {
-  struct Entry {
-    std::uint8_t hi;
-    std::uint64_t lo;
-  };
-  std::vector<Entry> entries;
+  static constexpr int kMaxZ = 25;
+  std::array<unsigned __int128, kMaxZ + 1> entries{};
 
   Rcdt() {
     constexpr long double kSigmaMax = 1.8205L;
     // rho(z) = exp(-z^2 / (2 sigma^2)); normalize over z >= 0.
     std::vector<long double> rho;
     long double total = 0.0L;
-    for (int z = 0; z <= 25; ++z) {
+    for (int z = 0; z <= kMaxZ; ++z) {
       const long double w = std::exp(-static_cast<long double>(z) * z /
                                      (2.0L * kSigmaMax * kSigmaMax));
       rho.push_back(w);
@@ -94,7 +93,7 @@ struct Rcdt {
       const long double hi_part = std::floor(scaled / 0x1.0p64L);
       const std::uint8_t hi = static_cast<std::uint8_t>(hi_part);
       const std::uint64_t lo = static_cast<std::uint64_t>(scaled - hi_part * 0x1.0p64L);
-      entries.push_back({hi, lo});
+      entries[i] = (static_cast<unsigned __int128>(hi) << 64) | lo;
     }
   }
 };
@@ -102,6 +101,15 @@ struct Rcdt {
 const Rcdt& rcdt() {
   static const Rcdt table;
   return table;
+}
+
+// The base sample for 72 random bits (hi: 8, lo: 64): the number of
+// RCDT entries above them, counted without a branch.
+int rcdt_z0(std::uint64_t lo, std::uint8_t hi) {
+  const unsigned __int128 u = (static_cast<unsigned __int128>(hi) << 64) | lo;
+  int z0 = 0;
+  for (const unsigned __int128 e : rcdt().entries) z0 += static_cast<int>(u < e);
+  return z0;
 }
 
 }  // namespace
@@ -113,28 +121,26 @@ int SamplerZ::base_sampler() {
   // 72 random bits: compare against each RCDT entry.
   const std::uint64_t lo = rng_.next_u64();
   const std::uint8_t hi = rng_.next_u8();
-  int z0 = 0;
-  for (const auto& e : rcdt().entries) {
-    // z0 += (u < entry), constant-time-ish comparison on (hi, lo).
-    if (hi < e.hi || (hi == e.hi && lo < e.lo)) ++z0;
-  }
-  return z0;
+  return rcdt_z0(lo, hi);
 }
 
-bool SamplerZ::ber_exp(Fpr x, Fpr ccs) {
+bool SamplerZ::ber_exp(Fpr x, Fpr ccs) { return ber_exp(x, ccs, rng_.next_u8()); }
+
+bool SamplerZ::ber_exp(Fpr x, Fpr ccs, std::uint8_t first) {
   // Split x = s*ln2 + r with r in [0, ln2).
   std::int64_t s = fpr_floor(fpr_mul(x, fpr::kInvLn2));
   const Fpr r = fpr_sub(x, fpr_mul(fpr_of(s), fpr::kLn2));
   if (s > 63) s = 63;
   // z ~ 2^64 * ccs * exp(-r) / 2^s, sampled against a random 64-bit
-  // stream one byte at a time (most significant first).
+  // stream one byte at a time (most significant first); `first` is the
+  // stream's first byte, the rest are drawn only while they tie.
   std::uint64_t z = ((fpr_expm_p63(r, ccs) << 1) - 1) >> s;
-  int i = 64;
-  int w;
-  do {
+  int i = 56;
+  int w = static_cast<int>(first) - static_cast<int>((z >> i) & 0xFF);
+  while (w == 0 && i > 0) {
     i -= 8;
     w = static_cast<int>(rng_.next_u8()) - static_cast<int>((z >> i) & 0xFF);
-  } while (w == 0 && i > 0);
+  }
   return w < 0;
 }
 
@@ -148,14 +154,21 @@ std::int64_t SamplerZ::sample(Fpr mu, Fpr sigma_prime) {
   const Fpr inv2smax = Fpr::from_double(kInv2SigmaMaxSq);
 
   for (;;) {
-    const int z0 = base_sampler();
-    const int b = rng_.next_u8() & 1;
+    // One fill per iteration for the bytes base_sampler(), the sign draw
+    // and BerExp would take in turn: base u64 (little-endian), base u8,
+    // sign, BerExp's first byte.
+    std::uint8_t draw[11];
+    rng_.fill(draw);
+    std::uint64_t lo = 0;
+    for (int i = 7; i >= 0; --i) lo = (lo << 8) | draw[i];
+    const int z0 = rcdt_z0(lo, draw[8]);
+    const int b = draw[9] & 1;
     const std::int64_t z = b + (2 * b - 1) * z0;
     // x = (z - r)^2 / (2 sigma'^2) - z0^2 / (2 sigma_max^2)  (>= 0).
     Fpr x = fpr_sub(fpr_of(z), r);
     x = fpr_mul(fpr_sqr(x), dss);
     x = fpr_sub(x, fpr_mul(fpr_of(static_cast<std::int64_t>(z0) * z0), inv2smax));
-    if (ber_exp(x, ccs)) {
+    if (ber_exp(x, ccs, draw[10])) {
       return s + z;
     }
   }

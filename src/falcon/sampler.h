@@ -45,6 +45,9 @@ class SamplerZ {
   [[nodiscard]] bool ber_exp(fpr::Fpr x, fpr::Fpr ccs);
 
  private:
+  // ber_exp with the first byte of its stream already drawn.
+  [[nodiscard]] bool ber_exp(fpr::Fpr x, fpr::Fpr ccs, std::uint8_t first);
+
   fpr::Fpr sigma_min_;
   RandomSource& rng_;
 };

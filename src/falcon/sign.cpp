@@ -1,6 +1,7 @@
 #include "falcon/sign.h"
 #include "falcon/masked_sign.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -31,10 +32,17 @@ std::vector<std::uint32_t> hash_to_point(std::span<const std::uint8_t> salt,
   sh.flip();
   std::vector<std::uint32_t> c;
   c.reserve(n);
+  // One rate-sized squeeze at a time: the squeeze starts block-aligned
+  // and the rate is even, so the 16-bit words are the ones
+  // extract_u16_be would return.
+  std::uint8_t block[Shake256::kRate];
   while (c.size() < n) {
-    const std::uint32_t t = sh.extract_u16_be();
-    // Rejection bound 61445 = 5 * 12289 keeps the residues unbiased.
-    if (t < 61445) c.push_back(t % kQ);
+    sh.extract(block);
+    for (std::size_t i = 0; i < sizeof block && c.size() < n; i += 2) {
+      const std::uint32_t t = (std::uint32_t{block[i]} << 8) | block[i + 1];
+      // Rejection bound 61445 = 5 * 12289 keeps the residues unbiased.
+      if (t < 61445) c.push_back(t % kQ);
+    }
   }
   return c;
 }
@@ -87,48 +95,51 @@ Signature sign_core(const SecretKey& sk, std::string_view message, RandomSource&
   const unsigned logn = sk.params.logn;
   const std::size_t n = sk.params.n;
 
+  // Every attempt works in the same buffers: ten polynomials, then
+  // ff_sampling's scratch.
+  std::vector<Fpr> work(10 * n + ff_sampling_scratch(logn));
+  const auto poly = [&](std::size_t i) { return std::span<Fpr>(work).subspan(i * n, n); };
+  const auto cf = poly(0), t0 = poly(1), t1 = poly(2), z0 = poly(3), z1 = poly(4);
+  const auto v0 = poly(5), v1 = poly(6), s1f = poly(7), s2f = poly(8), tmp = poly(9);
+  const auto ff_tmp = std::span<Fpr>(work).subspan(10 * n);
+  std::vector<std::int16_t> s2(n);
+
   Signature sig;
   for (int salt_attempt = 0; salt_attempt < 64; ++salt_attempt) {
     rng.fill(sig.salt);
     const auto c = hash_to_point(sig.salt, message, logn);
 
     // FFT of the hashed point (known to the adversary).
-    std::vector<Fpr> cf(n);
     for (std::size_t i = 0; i < n; ++i) cf[i] = fpr_of(c[i]);
     fft::fft(cf, logn);
 
-    std::vector<Fpr> t0(n), t1(n);
     targets(sk, cf, t0, t1, rng);
 
     SamplerZ samp(sk.params.sigma_min, rng);
     for (int z_attempt = 0; z_attempt < 32; ++z_attempt) {
-      std::vector<Fpr> z0(n), z1(n);
-      ff_sampling(samp, z0, z1, sk.tree, t0, t1, logn);
+      ff_sampling(samp, z0, z1, sk.tree, t0, t1, logn, ff_tmp);
 
       // s = (t - z) * B.
-      std::vector<Fpr> v0(t0), v1(t1);
+      std::copy(t0.begin(), t0.end(), v0.begin());
+      std::copy(t1.begin(), t1.end(), v1.begin());
       fft::poly_sub(v0, z0, logn);
       fft::poly_sub(v1, z1, logn);
 
-      std::vector<Fpr> s1f(v0), s2f(v0);
+      std::copy(v0.begin(), v0.end(), s1f.begin());
+      std::copy(v0.begin(), v0.end(), s2f.begin());
       fft::poly_mul_fft(s1f, sk.b00, logn);
-      {
-        std::vector<Fpr> tmp(v1);
-        fft::poly_mul_fft(tmp, sk.b10, logn);
-        fft::poly_add(s1f, tmp, logn);
-      }
+      std::copy(v1.begin(), v1.end(), tmp.begin());
+      fft::poly_mul_fft(tmp, sk.b10, logn);
+      fft::poly_add(s1f, tmp, logn);
       fft::poly_mul_fft(s2f, sk.b01, logn);
-      {
-        std::vector<Fpr> tmp(v1);
-        fft::poly_mul_fft(tmp, sk.b11, logn);
-        fft::poly_add(s2f, tmp, logn);
-      }
+      std::copy(v1.begin(), v1.end(), tmp.begin());
+      fft::poly_mul_fft(tmp, sk.b11, logn);
+      fft::poly_add(s2f, tmp, logn);
       fft::ifft(s1f, logn);
       fft::ifft(s2f, logn);
 
       std::uint64_t norm_sq = 0;
       bool in_range = true;
-      std::vector<std::int16_t> s2(n);
       for (std::size_t i = 0; i < n && in_range; ++i) {
         const std::int64_t a = fpr_rint(s1f[i]);
         const std::int64_t b = fpr_rint(s2f[i]);

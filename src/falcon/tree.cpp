@@ -84,7 +84,7 @@ LeafRange tree_leaf_range(std::span<const Fpr> tree, unsigned logn) {
 
 void ff_sampling(SamplerZ& samp, std::span<Fpr> z0, std::span<Fpr> z1,
                  std::span<const Fpr> tree, std::span<const Fpr> t0,
-                 std::span<const Fpr> t1, unsigned logn) {
+                 std::span<const Fpr> t1, unsigned logn, std::span<Fpr> tmp) {
   const std::size_t n = std::size_t{1} << logn;
   const std::size_t hn = n >> 1;
 
@@ -112,21 +112,29 @@ void ff_sampling(SamplerZ& samp, std::span<Fpr> z0, std::span<Fpr> z1,
   const auto tree0 = tree.subspan(n, tree_size(logn - 1));               // d00 branch
   const auto tree1 = tree.subspan(n + tree_size(logn - 1));              // d11 branch
 
+  // This level's 3n Fprs: split target halves a0/a1, sampled halves
+  // u0/u1, the updated target tb; the next level works past them.
+  const auto a0 = tmp.subspan(0, hn);
+  const auto a1 = tmp.subspan(hn, hn);
+  const auto u0 = tmp.subspan(n, hn);
+  const auto u1 = tmp.subspan(n + hn, hn);
+  const auto tb = tmp.subspan(2 * n, n);
+  const auto rest = tmp.subspan(3 * n);
+
   // z1 from the right (d11) branch.
-  std::vector<Fpr> a0(hn), a1(hn), u0(hn), u1(hn);
   fft::poly_split_fft(a0, a1, t1, logn);
-  ff_sampling(samp, u0, u1, tree1, a0, a1, logn - 1);
+  ff_sampling(samp, u0, u1, tree1, a0, a1, logn - 1, rest);
   fft::poly_merge_fft(z1, u0, u1, logn);
 
   // tb0 = t0 + (t1 - z1) * l10.
-  std::vector<Fpr> tb(t1.begin(), t1.end());
+  std::copy(t1.begin(), t1.begin() + static_cast<std::ptrdiff_t>(n), tb.begin());
   fft::poly_sub(tb, z1, logn);
   fft::poly_mul_fft(tb, tree_l10, logn);
   fft::poly_add(tb, t0, logn);
 
   // z0 from the left (d00) branch.
   fft::poly_split_fft(a0, a1, tb, logn);
-  ff_sampling(samp, u0, u1, tree0, a0, a1, logn - 1);
+  ff_sampling(samp, u0, u1, tree0, a0, a1, logn - 1, rest);
   fft::poly_merge_fft(z0, u0, u1, logn);
 }
 

@@ -33,12 +33,21 @@ struct LeafRange {
 };
 [[nodiscard]] LeafRange tree_leaf_range(std::span<const fpr::Fpr> tree, unsigned logn);
 
+// Scratch Fprs ff_sampling needs at logn: 3n per level of the recursion
+// (two split halves, two sampled halves, the updated target), under 6n
+// in all.
+[[nodiscard]] constexpr std::size_t ff_sampling_scratch(unsigned logn) {
+  return std::size_t{6} << logn;
+}
+
 // Fast Fourier sampling: given target (t0, t1) in FFT representation and
 // the normalized tree, produces integer vectors (z0, z1) in FFT
 // representation such that z is distributed as a discrete Gaussian on
-// the lattice close to t. logn >= 1.
+// the lattice close to t. logn >= 1. `tmp` holds at least
+// ff_sampling_scratch(logn) Fprs; every level of the recursion works in
+// it, so a signature allocates nothing here.
 void ff_sampling(SamplerZ& samp, std::span<fpr::Fpr> z0, std::span<fpr::Fpr> z1,
                  std::span<const fpr::Fpr> tree, std::span<const fpr::Fpr> t0,
-                 std::span<const fpr::Fpr> t1, unsigned logn);
+                 std::span<const fpr::Fpr> t1, unsigned logn, std::span<fpr::Fpr> tmp);
 
 }  // namespace fd::falcon

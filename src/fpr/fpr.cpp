@@ -165,17 +165,6 @@ Fpr detail::fpr_add_emu(Fpr x, Fpr y) {
   return r;
 }
 
-Fpr fpr_half(Fpr x) {
-  const unsigned e = x.biased_exponent();
-  if (e <= 1) return Fpr::from_bits(x.bits() & kSignBit);  // underflow flush
-  return Fpr::from_bits(x.bits() - (std::uint64_t{1} << 52));
-}
-
-Fpr fpr_double(Fpr x) {
-  if (x.biased_exponent() == 0) return Fpr::from_bits(x.bits() & kSignBit);
-  return Fpr::from_bits(x.bits() + (std::uint64_t{1} << 52));
-}
-
 Fpr detail::fpr_div_emu(Fpr x, Fpr y) {
   const unsigned s = static_cast<unsigned>((x.bits() ^ y.bits()) >> 63);
   if (x.biased_exponent() == 0 || y.biased_exponent() == 0) {

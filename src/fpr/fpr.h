@@ -121,7 +121,10 @@ inline constexpr unsigned kMantHighBits = 28;
 // and in both cases only when every operand is a normal number and the
 // result's biased exponent is 2..2046. There FPEMU and IEEE-754 RNE
 // binary64 agree bit for bit; everywhere else (zeros, subnormals,
-// underflow, overflow, out-of-range integers) the emulation runs.
+// underflow, overflow, out-of-range integers) the emulation runs,
+// except for two closed forms off the data route: a mul with a
+// zero-exponent operand is FPEMU's early signed zero, and an add of a
+// zero-exponent operand to a native one is the native one.
 namespace detail {
 [[nodiscard]] Fpr fpr_add_emu(Fpr x, Fpr y);
 [[nodiscard]] Fpr fpr_mul_emu(Fpr x, Fpr y);
@@ -142,6 +145,8 @@ inline constexpr unsigned kExp2p63 = 1086;  // biased exponent of 2^63
 }
 // A nonzero, normal, finite operand.
 [[nodiscard]] constexpr bool native_operand(Fpr x) { return normal_below(x, 2047); }
+// Biased exponent 0: zero or subnormal, which FPEMU flushes to zero.
+[[nodiscard]] constexpr bool zero_exponent(Fpr x) { return x.biased_exponent() == 0; }
 // Biased exponent 2..2046: a result FPEMU neither flushes nor overflows,
 // with one binade of margin below the smallest normal.
 [[nodiscard]] constexpr bool native_result(Fpr r) { return r.biased_exponent() - 2U < 2045U; }
@@ -156,9 +161,18 @@ inline constexpr unsigned kExp2p63 = 1086;  // biased exponent of 2^63
 [[nodiscard]] inline Fpr fpr_neg(Fpr x) { return Fpr::from_bits(x.bits() ^ detail::kSignBit); }
 
 [[nodiscard]] inline Fpr fpr_add(Fpr x, Fpr y) {
-  if (detail::unobserved() && detail::native_operand(x) && detail::native_operand(y)) {
-    const Fpr r = Fpr::from_double(x.to_double() + y.to_double());
-    if (detail::native_result(r)) return r;
+  if (detail::unobserved()) {
+    const bool nx = detail::native_operand(x);
+    const bool ny = detail::native_operand(y);
+    if (nx && ny) {
+      const Fpr r = Fpr::from_double(x.to_double() + y.to_double());
+      if (detail::native_result(r)) return r;
+    } else if (nx && detail::zero_exponent(y)) {
+      // FPEMU flushes y to 0; aligning and renormalizing x is exact.
+      return x;
+    } else if (ny && detail::zero_exponent(x)) {
+      return y;
+    }
   }
   return detail::fpr_add_emu(x, y);
 }
@@ -166,9 +180,14 @@ inline constexpr unsigned kExp2p63 = 1086;  // biased exponent of 2^63
 [[nodiscard]] inline Fpr fpr_sub(Fpr x, Fpr y) { return fpr_add(x, fpr_neg(y)); }
 
 [[nodiscard]] inline Fpr fpr_mul(Fpr x, Fpr y) {
-  if (detail::unobserved() && detail::native_operand(x) && detail::native_operand(y)) {
-    const Fpr r = Fpr::from_double(x.to_double() * y.to_double());
-    if (detail::native_result(r)) return r;
+  if (detail::unobserved()) {
+    if (detail::native_operand(x) && detail::native_operand(y)) {
+      const Fpr r = Fpr::from_double(x.to_double() * y.to_double());
+      if (detail::native_result(r)) return r;
+    } else if (detail::zero_exponent(x) || detail::zero_exponent(y)) {
+      // FPEMU's early exit: the sign of the product, zero magnitude.
+      return Fpr::from_bits((x.bits() ^ y.bits()) & detail::kSignBit);
+    }
   }
   return detail::fpr_mul_emu(x, y);
 }
@@ -190,8 +209,16 @@ inline constexpr unsigned kExp2p63 = 1086;  // biased exponent of 2^63
   return detail::fpr_sqrt_emu(x);
 }
 
-[[nodiscard]] Fpr fpr_half(Fpr x);    // x * 0.5 (exponent decrement)
-[[nodiscard]] Fpr fpr_double(Fpr x);  // x * 2   (exponent increment)
+// x * 0.5 (exponent decrement; biased exponent 0 or 1 flushes to zero).
+[[nodiscard]] inline Fpr fpr_half(Fpr x) {
+  if (x.biased_exponent() <= 1) return Fpr::from_bits(x.bits() & detail::kSignBit);
+  return Fpr::from_bits(x.bits() - (std::uint64_t{1} << 52));
+}
+// x * 2 (exponent increment; zero and subnormals flush to zero).
+[[nodiscard]] inline Fpr fpr_double(Fpr x) {
+  if (x.biased_exponent() == 0) return Fpr::from_bits(x.bits() & detail::kSignBit);
+  return Fpr::from_bits(x.bits() + (std::uint64_t{1} << 52));
+}
 [[nodiscard]] inline Fpr fpr_sqr(Fpr x) { return fpr_mul(x, x); }
 [[nodiscard]] inline Fpr fpr_inv(Fpr x) { return fpr_div(Fpr::from_double(1.0), x); }
 

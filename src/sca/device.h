@@ -16,12 +16,12 @@
 //  - jitter_max:      random misalignment per trace;
 //  - extra noise:     noise amplification.
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "common/popcount.h"
 #include "common/rng.h"
 #include "fpr/leakage.h"
 #include "tracestore/archive.h"
@@ -116,7 +116,7 @@ class EmDeviceModel {
         config_.jitter_max == 0 ? 0 : noise_rng_.uniform(config_.jitter_max + 1);
     out.assign(events.size() * spe + config_.jitter_max, 0.0F);
     for (std::size_t i = 0; i < events.size(); ++i) {
-      const int hw = config_.constant_weight ? 32 : std::popcount(events[i].value);
+      const int hw = config_.constant_weight ? 32 : popcount64(events[i].value);
       for (unsigned s = 0; s < spe; ++s) {
         out[i * spe + s + jitter] = static_cast<float>(config_.alpha * hw);
       }

@@ -996,6 +996,34 @@ TEST(PipelineInterrupt, SigtermKillThenResumeProcessLevel) {
   }
 }
 
+// `recover --fleet N --json` prints the single-process writer's fields
+// (gate counts, capture attempts, flags, NTRU and stage timings) and
+// then the fleet mechanics.
+TEST(FleetCli, JsonCarriesPipelineFields) {
+  const std::string cmd = std::string(FD_ATTACK_BIN) +
+                          " recover --logn 3 --traces 200 --fleet 2 --json 2>/dev/null";
+  std::FILE* out = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(out, nullptr);
+  std::string json;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, out)) > 0) json.append(buf, n);
+  const int rc = ::pclose(out);
+  ASSERT_TRUE(WIFEXITED(rc)) << json;
+  EXPECT_TRUE(WEXITSTATUS(rc) == 0 || WEXITSTATUS(rc) == 1) << json;
+  for (const char* key :
+       {"n", "traces", "backend", "records", "components_correct", "f_exact", "capture_attempts",
+        "flagged_components", "quality_screened", "quality_accepted",
+        "quality_rejected_saturated", "quality_rejected_energy", "quality_rejected_alignment",
+        "quality_realigned", "remeasure_rounds", "partial", "ntru_solved", "forgery_verified",
+        "stage_capture_ms", "stage_attack_ms", "stage_assemble_ms", "workers",
+        "workers_spawned", "worker_deaths", "reassignments", "attack_shards"}) {
+    EXPECT_NE(json.find("\"" + std::string(key) + "\":"), std::string::npos) << key << "\n"
+                                                                              << json;
+  }
+  EXPECT_NE(json.find("\"workers\":2"), std::string::npos) << json;
+}
+
 #endif  // FD_ATTACK_BIN
 
 }  // namespace

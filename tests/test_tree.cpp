@@ -95,8 +95,8 @@ TEST(Tree, FfSamplingCloseToTarget) {
   fft::fft(t1, logn);
 
   SamplerZ samp(kp.sk.params.sigma_min, rng);
-  std::vector<Fpr> z0(n), z1(n);
-  ff_sampling(samp, z0, z1, kp.sk.tree, t0, t1, logn);
+  std::vector<Fpr> z0(n), z1(n), tmp(ff_sampling_scratch(logn));
+  ff_sampling(samp, z0, z1, kp.sk.tree, t0, t1, logn, tmp);
 
   // Back to coefficient domain: z must be (numerically) integral.
   auto z0c = z0;
@@ -127,9 +127,9 @@ TEST(Tree, FfSamplingIsRandomized) {
   std::vector<Fpr> t0(n, fpr::kZero), t1(n, fpr::kZero);
 
   SamplerZ samp(kp.sk.params.sigma_min, rng);
-  std::vector<Fpr> a0(n), a1(n), b0(n), b1(n);
-  ff_sampling(samp, a0, a1, kp.sk.tree, t0, t1, 4);
-  ff_sampling(samp, b0, b1, kp.sk.tree, t0, t1, 4);
+  std::vector<Fpr> a0(n), a1(n), b0(n), b1(n), tmp(ff_sampling_scratch(4));
+  ff_sampling(samp, a0, a1, kp.sk.tree, t0, t1, 4, tmp);
+  ff_sampling(samp, b0, b1, kp.sk.tree, t0, t1, 4, tmp);
   bool differs = false;
   for (std::size_t i = 0; i < n; ++i) {
     differs = differs || !(a0[i] == b0[i]) || !(a1[i] == b1[i]);

@@ -261,6 +261,56 @@ bool parse(int argc, char** argv, Options& opt) {
          opt.backend.profile_traces > 0;
 }
 
+// Appends "key":value to a flat JSON object's body; `value` is already
+// JSON (a number, a literal or a quoted string).
+void json_field(std::string& buf, std::string_view key, const std::string& value) {
+  if (!buf.empty()) buf += ',';
+  buf += '"';
+  buf += jsonl::escape(key);
+  buf += "\":";
+  buf += value;
+}
+
+// The --json body of a recovery, the same in both modes: the echoed
+// knobs, the driver's gate, re-measurement and flag counts, the outcome,
+// and one stage_<name>_ms per stage.
+std::string recovery_json(const Options& opt, std::size_t n,
+                          const attack::RecoveryPipelineResult& res) {
+  const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
+  std::string buf;
+  json_field(buf, "n", std::to_string(n));
+  json_field(buf, "traces", std::to_string(opt.traces));
+  json_field(buf, "shards", std::to_string(opt.shards));
+  json_field(buf, "threads", std::to_string(opt.threads));
+  json_field(buf, "cpa_batch", std::to_string(opt.batch));
+  json_field(buf, "cpa_shards", std::to_string(opt.cpa_shards));
+  json_field(buf, "backend",
+             '"' + std::string(distinguisher::backend_name(opt.backend.backend)) + '"');
+  json_field(buf, "records", std::to_string(res.captured_records));
+  json_field(buf, "components_correct", std::to_string(res.recovery.components_correct));
+  json_field(buf, "components_total", std::to_string(res.recovery.components_total));
+  json_field(buf, "f_exact", flag(res.recovery.f_exact));
+  json_field(buf, "quality_screened", std::to_string(res.quality.total));
+  json_field(buf, "quality_accepted", std::to_string(res.quality.accepted));
+  json_field(buf, "quality_rejected_saturated", std::to_string(res.quality.rejected_saturated));
+  json_field(buf, "quality_rejected_energy", std::to_string(res.quality.rejected_energy));
+  json_field(buf, "quality_rejected_alignment", std::to_string(res.quality.rejected_alignment));
+  json_field(buf, "quality_realigned", std::to_string(res.quality.realigned));
+  json_field(buf, "capture_attempts", std::to_string(res.capture_attempts));
+  json_field(buf, "remeasure_rounds", std::to_string(res.remeasure_rounds));
+  json_field(buf, "flagged_components", std::to_string(res.flagged_components.size()));
+  json_field(buf, "partial", flag(res.partial));
+  json_field(buf, "resumed", flag(res.resumed));
+  json_field(buf, "ntru_solved", flag(res.recovery.ntru_solved));
+  json_field(buf, "forgery_verified", flag(res.recovery.forgery_verified));
+  for (const auto& stage : res.stages) {
+    std::string ms;
+    jsonl::append_number(ms, stage.wall_ms);
+    json_field(buf, "stage_" + stage.name + "_ms", ms);
+  }
+  return buf;
+}
+
 // Fleet mode: same experiment, N worker subprocesses, same key.
 int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg,
                    const char* argv0) {
@@ -296,30 +346,16 @@ int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg
     return 2;
   }
   if (opt.json) {
-    std::string buf;
-    const auto field = [&](std::string_view key, const std::string& v) {
-      if (!buf.empty()) buf += ',';
-      buf += '"';
-      buf += jsonl::escape(key);
-      buf += "\":";
-      buf += v;
-    };
-    field("backend", '"' + std::string(distinguisher::backend_name(opt.backend.backend)) + '"');
-    field("workers", std::to_string(opt.fleet));
-    field("records", std::to_string(res.captured_records));
-    field("components_correct", std::to_string(res.recovery.components_correct));
-    field("components_total", std::to_string(res.recovery.components_total));
-    field("f_exact", res.recovery.f_exact ? "true" : "false");
-    field("workers_spawned", std::to_string(res.workers_spawned));
-    field("worker_deaths", std::to_string(res.worker_deaths));
-    field("reassignments", std::to_string(res.reassignments));
-    field("remote_workers", std::to_string(res.remote_workers));
-    field("reconnects", std::to_string(res.reconnects));
-    field("staged_chunks", std::to_string(res.staged_chunks));
-    field("attack_shards", std::to_string(res.attack_shards));
-    field("remeasure_rounds", std::to_string(res.remeasure_rounds));
-    field("partial", res.partial ? "true" : "false");
-    field("forgery_verified", res.recovery.forgery_verified ? "true" : "false");
+    // The pipeline's fields, then the fleet mechanics.
+    std::string buf = recovery_json(opt, std::size_t{1} << opt.logn, res);
+    json_field(buf, "workers", std::to_string(opt.fleet));
+    json_field(buf, "workers_spawned", std::to_string(res.workers_spawned));
+    json_field(buf, "worker_deaths", std::to_string(res.worker_deaths));
+    json_field(buf, "reassignments", std::to_string(res.reassignments));
+    json_field(buf, "remote_workers", std::to_string(res.remote_workers));
+    json_field(buf, "reconnects", std::to_string(res.reconnects));
+    json_field(buf, "staged_chunks", std::to_string(res.staged_chunks));
+    json_field(buf, "attack_shards", std::to_string(res.attack_shards));
     std::printf("{%s}\n", buf.c_str());
   } else {
     for (const auto& stage : res.stages) {
@@ -482,46 +518,7 @@ int main(int argc, char** argv) {
   }
 
   if (opt.json) {
-    std::string buf;
-    const auto field = [&](std::string_view key, const std::string& v, bool quote) {
-      if (!buf.empty()) buf += ',';
-      buf += '"';
-      buf += jsonl::escape(key);
-      buf += "\":";
-      if (quote) buf += '"';
-      buf += v;
-      if (quote) buf += '"';
-    };
-    field("n", std::to_string(victim.pk.params.n), false);
-    field("traces", std::to_string(opt.traces), false);
-    field("shards", std::to_string(opt.shards), false);
-    field("threads", std::to_string(opt.threads), false);
-    field("cpa_batch", std::to_string(opt.batch), false);
-    field("cpa_shards", std::to_string(opt.cpa_shards), false);
-    field("backend", std::string(distinguisher::backend_name(opt.backend.backend)), true);
-    field("records", std::to_string(res.captured_records), false);
-    field("components_correct", std::to_string(res.recovery.components_correct), false);
-    field("components_total", std::to_string(res.recovery.components_total), false);
-    field("f_exact", res.recovery.f_exact ? "true" : "false", false);
-    field("quality_screened", std::to_string(res.quality.total), false);
-    field("quality_accepted", std::to_string(res.quality.accepted), false);
-    field("quality_rejected_saturated", std::to_string(res.quality.rejected_saturated), false);
-    field("quality_rejected_energy", std::to_string(res.quality.rejected_energy), false);
-    field("quality_rejected_alignment", std::to_string(res.quality.rejected_alignment), false);
-    field("quality_realigned", std::to_string(res.quality.realigned), false);
-    field("capture_attempts", std::to_string(res.capture_attempts), false);
-    field("remeasure_rounds", std::to_string(res.remeasure_rounds), false);
-    field("flagged_components", std::to_string(res.flagged_components.size()), false);
-    field("partial", res.partial ? "true" : "false", false);
-    field("resumed", res.resumed ? "true" : "false", false);
-    field("ntru_solved", res.recovery.ntru_solved ? "true" : "false", false);
-    field("forgery_verified", res.recovery.forgery_verified ? "true" : "false", false);
-    for (const auto& stage : res.stages) {
-      std::string ms;
-      jsonl::append_number(ms, stage.wall_ms);
-      field("stage_" + stage.name + "_ms", ms, false);
-    }
-    std::printf("{%s}\n", buf.c_str());
+    std::printf("{%s}\n", recovery_json(opt, victim.pk.params.n, res).c_str());
   } else {
     for (const auto& stage : res.stages) {
       std::printf("  stage %-8s %s (%.1f ms)\n", stage.name.c_str(),
