@@ -109,10 +109,7 @@ int main(int argc, char** argv) {
       camp.num_traces = 1500;
       camp.device.noise_sigma = 1.0;  // very generous to the attacker
       camp.seed = 0x3A5C + masked;
-      if (masked) {
-        camp.signer = [](const falcon::SecretKey& sk, std::string_view msg,
-                         RandomSource& r) { return falcon::sign_masked(sk, msg, r); };
-      }
+      camp.masked = masked;
       const auto set = sca::run_signing_campaign(kp.sk, 0, camp);
       const auto truth = kp.sk.b01[0];
       const auto tsplit = attack::KnownOperand::from(truth);

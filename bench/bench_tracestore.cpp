@@ -5,8 +5,8 @@
 // capture-once/attack-many -- the per-query capture cost at
 // FALCON-512 (sign + gated windows + trace synthesis + archive append)
 // and at FALCON-16 (paper16's shape), and the kernels under it: signing
-// under the recorder, the ChaCha20 keystream of the trace noise, one
-// query's synthesis alone, and the chunk CRC32.
+// under the recorder, one query's unit normals, the ChaCha20 keystream
+// of the trace noise, one query's synthesis alone, and the chunk CRC32.
 //
 //   ./bench_tracestore [logn] [num_traces] [--json <path>]
 
@@ -19,6 +19,7 @@
 #include "bench_harness.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/ziggurat.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
 #include "sca/capture.h"
@@ -174,6 +175,9 @@ int main(int argc, char** argv) {
     std::printf("capture/query  %8.3f ms (logn=%u, %zu queries, %zu records)\n", query_ms,
                 kCaptureLogn, kQueries, cap9.records);
     harness.report("capture_query", params9, query_ms, 1e3 / query_ms, "queries/s");
+    // The same run whole: kQueries capture queries, signing plus
+    // synthesis (and the appends), above the gate's 1 ms floor.
+    harness.report("capture_query_logn9", params9, cap9_s * 1e3, 1e3 / query_ms, "queries/s");
 
     // The victim alone under the capture recorder: kQueries signings
     // with every window recorded, no synthesis, no archive.
@@ -219,8 +223,26 @@ int main(int argc, char** argv) {
     harness.report("synth_query", params9, synth_ms * kSynthQueries,
                    1e3 / synth_ms, "queries/s");
 
-    // One query's noise keystream (16 bytes per pair of Gaussians),
-    // drawn kKeystreamPasses times into the same buffer.
+    // One query's unit normals, drawn kNormalPasses times: the
+    // ziggurat and its keystream, no window arithmetic.
+    constexpr std::size_t kNormalPasses = 64;
+    std::vector<double> normals(noise_samples / kSynthQueries);
+    ChaCha20Prng nrng(std::uint64_t{0xA2C420});
+    t0 = Clock::now();
+    for (std::size_t i = 0; i < kNormalPasses; ++i) fill_normals(nrng, normals);
+    const double normals_ms = seconds_since(t0) * 1e3;
+    char params_n[64];
+    std::snprintf(params_n, sizeof params_n, "normals=%zu passes=%zu", normals.size(),
+                  kNormalPasses);
+    std::printf("normals/query  %8.3f ms (%zu unit normals)\n", normals_ms / kNormalPasses,
+                normals.size());
+    harness.report("device_normals", params_n, normals_ms,
+                   static_cast<double>(normals.size() * kNormalPasses) / normals_ms / 1e3,
+                   "Mnormals/s");
+
+    // One query's noise keystream (8 bytes per unit normal on the
+    // ziggurat's fast path), drawn kKeystreamPasses times into the same
+    // buffer.
     constexpr std::size_t kKeystreamPasses = 32;
     std::vector<std::uint8_t> keystream(noise_samples / kSynthQueries * 8);
     ChaCha20Prng ks(std::uint64_t{0xA2C41C});

@@ -85,9 +85,7 @@ int main(int argc, char** argv) {
     camp.num_traces = traces;
     camp.device = base;
     camp.seed = 5;
-    camp.signer = [](const falcon::SecretKey& sk, std::string_view msg, RandomSource& r) {
-      return falcon::sign_masked(sk, msg, r);
-    };
+    camp.masked = true;
     const auto set = sca::run_signing_campaign(kp.sk, 0, camp);
     const auto truth = kp.sk.b01[0];
     const auto split = attack::KnownOperand::from(truth);

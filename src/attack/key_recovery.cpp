@@ -1,5 +1,6 @@
 #include "attack/key_recovery.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -95,66 +96,94 @@ ComponentAttackConfig component_attack_config(const falcon::SecretKey& victim_sk
 
 namespace {
 
-// Exponent-alias repair on a recovered FFT row (see DESIGN.md): greedy
-// descent first on the additive magnitude excess (wrong exponents blow
-// components up by 2^(+-k)), then on the integrality residual.
+// Exponent-alias repair on a recovered FFT row (see DESIGN.md):
+// steepest descent first on the additive magnitude excess (wrong
+// exponents blow components up by 2^(+-k)), then on the integrality
+// residual.
 void repair_row(std::vector<Fpr>& recovered, std::vector<ComponentResult>& results,
                 unsigned logn, double magnitude_limit) {
   obs::Span phase("key_recovery.repair");
   const std::size_t n = std::size_t{1} << logn;
 
+  // The inverse FFT is linear, so changing component idx by delta moves
+  // the time-domain row by delta times column idx of it: a trial move
+  // costs one pass over n values, not an inverse FFT.
+  std::vector<double> columns(n * n);
+  {
+    std::vector<Fpr> unit(n);
+    for (std::size_t idx = 0; idx < n; ++idx) {
+      std::fill(unit.begin(), unit.end(), fpr::fpr_of(0));
+      unit[idx] = fpr::fpr_of(1);
+      fft::ifft(unit, logn);
+      for (std::size_t i = 0; i < n; ++i) columns[idx * n + i] = unit[i].to_double();
+    }
+  }
+  std::vector<double> time_domain(n);
+  const auto refresh = [&] {
+    std::vector<Fpr> tmp(recovered);
+    fft::ifft(tmp, logn);
+    for (std::size_t i = 0; i < n; ++i) time_domain[i] = tmp[i].to_double();
+  };
+
   // Stage 1 metric: magnitude blowups (a wrong exponent scales its
   // component by 2^(+-k), pushing time-domain values far outside the
-  // legal coefficient range). Strictly additive, so greedy descent on it
-  // is sound even with many simultaneous errors.
-  const auto magnitude_excess = [&](const std::vector<Fpr>& vec) {
-    std::vector<Fpr> tmp(vec);
-    fft::ifft(tmp, logn);
-    double sum = 0.0;
-    for (const auto& v : tmp) {
-      const double mag = std::fabs(v.to_double());
-      if (mag > magnitude_limit) sum += mag;
-    }
-    return sum;
+  // legal coefficient range). Strictly additive, so descent on it is
+  // sound even with many simultaneous errors.
+  const auto magnitude_excess = [&](double v) {
+    const double mag = std::fabs(v);
+    return mag > magnitude_limit ? mag : 0.0;
   };
   // Stage 2 metric: distance to the integer lattice.
-  const auto integrality = [&](const std::vector<Fpr>& vec) {
-    std::vector<Fpr> tmp(vec);
-    fft::ifft(tmp, logn);
+  const auto integrality = [](double v) {
+    const double frac = v - std::nearbyint(v);
+    return frac * frac;
+  };
+  // The metric of the row with component idx moved by delta (delta 0:
+  // the row as it is).
+  const auto priced = [&](auto&& term, std::size_t idx, double delta) {
+    const double* col = &columns[idx * n];
     double sum = 0.0;
-    for (const auto& v : tmp) {
-      const double d = v.to_double();
-      const double frac = d - std::nearbyint(d);
-      sum += frac * frac;
-    }
+    for (std::size_t i = 0; i < n; ++i) sum += term(time_domain[i] + delta * col[i]);
     return sum;
   };
-  const auto greedy = [&](auto&& metric, double tol, double min_gain) {
-    double residual = metric(recovered);
-    for (int round = 0; round < 6 && residual > tol; ++round) {
-      bool improved = false;
+  // One move per round: of every component's exponent alternatives,
+  // the one that lowers the metric most, taken only if it gains
+  // min_gain. (A first-improvement pass can take small gains on correct
+  // components before the wrong component's large one, and those moves
+  // break correct components.)
+  const auto descend = [&](auto&& term, double tol, double min_gain) {
+    constexpr int kMaxMoves = 64;
+    refresh();
+    double residual = priced(term, 0, 0.0);
+    for (int move = 0; move < kMaxMoves && residual > tol; ++move) {
+      double best = residual - min_gain;
+      std::size_t best_idx = n;
+      unsigned best_exp = 0;
       for (std::size_t idx = 0; idx < n; ++idx) {
-        for (const auto& alt : results[idx].exp_phase.top) {
-          if (alt.guess == results[idx].exponent) continue;
-          const Fpr prev = recovered[idx];
-          recovered[idx] = Fpr::from_bits(
-              assemble_bits(results[idx].sign, alt.guess, results[idx].x1, results[idx].x0));
-          const double r2 = metric(recovered);
-          if (r2 < residual - min_gain) {
-            residual = r2;
-            results[idx].exponent = alt.guess;
-            improved = true;
-          } else {
-            recovered[idx] = prev;
+        const ComponentResult& r = results[idx];
+        for (const auto& alt : r.exp_phase.top) {
+          if (alt.guess == r.exponent) continue;
+          const double moved =
+              Fpr::from_bits(assemble_bits(r.sign, alt.guess, r.x1, r.x0)).to_double();
+          const double r2 = priced(term, idx, moved - recovered[idx].to_double());
+          if (r2 < best) {
+            best = r2;
+            best_idx = idx;
+            best_exp = alt.guess;
           }
         }
       }
-      if (!improved) break;
+      if (best_idx == n) break;
+      ComponentResult& r = results[best_idx];
+      r.exponent = best_exp;
+      recovered[best_idx] = Fpr::from_bits(assemble_bits(r.sign, best_exp, r.x1, r.x0));
+      refresh();
+      residual = priced(term, 0, 0.0);
     }
     return residual;
   };
-  greedy(magnitude_excess, /*tol=*/1e-9, /*min_gain=*/1.0);
-  greedy(integrality, /*tol=*/1e-6, /*min_gain=*/0.05);
+  descend(magnitude_excess, /*tol=*/1e-9, /*min_gain=*/1.0);
+  descend(integrality, /*tol=*/1e-6, /*min_gain=*/0.05);
 }
 
 }  // namespace

@@ -59,62 +59,23 @@ std::uint64_t RandomSource::uniform(std::uint64_t bound) {
   return v % bound;
 }
 
-namespace {
-
-// One Box-Muller pair from 16 keystream bytes: uniforms in (0,1] and
-// [0,1), the same bytes as two next_u64() calls.
-struct GaussianPair {
-  double first, second;
-};
-
-GaussianPair box_muller(const std::uint8_t* b) {
-  const double u1 =
-      (static_cast<double>(load_le64(b) >> 11) + 1.0) * 0x1.0p-52 * 0.5;  // (0,1]
-  const double u2 = static_cast<double>(load_le64(b + 8) >> 11) * 0x1.0p-53;  // [0,1)
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  return {radius * std::cos(angle), radius * std::sin(angle)};
-}
-
-}  // namespace
-
 double RandomSource::gaussian() {
   if (have_spare_gaussian_) {
     have_spare_gaussian_ = false;
     return spare_gaussian_;
   }
+  // One Box-Muller pair from 16 keystream bytes: uniforms in (0,1] and
+  // [0,1), the same bytes as two next_u64() calls.
   std::uint8_t b[16];
   fill(b);
-  const GaussianPair p = box_muller(b);
-  spare_gaussian_ = p.second;
+  const double u1 =
+      (static_cast<double>(load_le64(b) >> 11) + 1.0) * 0x1.0p-52 * 0.5;  // (0,1]
+  const double u2 = static_cast<double>(load_le64(b + 8) >> 11) * 0x1.0p-53;  // [0,1)
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double angle = 2.0 * std::numbers::pi * u2;
+  spare_gaussian_ = radius * std::sin(angle);
   have_spare_gaussian_ = true;
-  return p.first;
-}
-
-void RandomSource::gaussians(std::span<double> out) {
-  std::size_t i = 0;
-  if (!out.empty() && have_spare_gaussian_) {
-    have_spare_gaussian_ = false;
-    out[i++] = spare_gaussian_;
-  }
-  // A keystream is a byte stream, so one fill of k pairs' bytes draws
-  // what k 16-byte fills would.
-  constexpr std::size_t kBlockPairs = 64;
-  std::uint8_t b[16 * kBlockPairs];
-  while (i < out.size()) {
-    const std::size_t pairs = std::min(kBlockPairs, (out.size() - i + 1) / 2);
-    fill({b, 16 * pairs});
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const GaussianPair g = box_muller(b + 16 * p);
-      out[i++] = g.first;
-      if (i < out.size()) {
-        out[i++] = g.second;
-      } else {
-        spare_gaussian_ = g.second;
-        have_spare_gaussian_ = true;
-      }
-    }
-  }
+  return radius * std::cos(angle);
 }
 
 namespace {

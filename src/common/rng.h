@@ -16,8 +16,8 @@ class RandomSource {
  public:
   virtual ~RandomSource() = default;
   // A byte stream: fills of a, b, ... bytes return the bytes one fill of
-  // a + b + ... would. Bulk draws (gaussians(), SamplerZ's per-iteration
-  // draw) rely on that.
+  // a + b + ... would. Bulk draws (fill_normals(), SamplerZ's
+  // per-iteration draw) rely on that.
   virtual void fill(std::span<std::uint8_t> out) = 0;
 
   [[nodiscard]] std::uint8_t next_u8();
@@ -25,12 +25,9 @@ class RandomSource {
   [[nodiscard]] std::uint64_t next_u64();
   // Unbiased uniform draw in [0, bound) via rejection; bound must be > 0.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t bound);
-  // Standard normal via Box-Muller over uniform 53-bit doubles.
+  // Standard normal via Box-Muller over uniform 53-bit doubles (test
+  // data and masks; device noise draws from common/ziggurat.h).
   [[nodiscard]] double gaussian();
-  // Fills `out` with the values out.size() gaussian() calls would return,
-  // in order (a pending spare first), drawing the uniforms of many pairs
-  // per fill.
-  void gaussians(std::span<double> out);
 
  private:
   bool have_spare_gaussian_ = false;

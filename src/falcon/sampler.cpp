@@ -66,30 +66,29 @@ void KeygenGaussian::sample_poly(RandomSource& rng, std::vector<std::int32_t>& o
 namespace {
 
 // Reverse CDT for the half-Gaussian base sampler at sigma_max = 1.8205,
-// 72-bit precision, computed once. RCDT[i] ~ 2^72 * P(X > i) for X
+// 72-bit precision, computed once. RCDT[i] = floor(2^72 * P(X > i)) for X
 // half-Gaussian on Z>=0, held as one 128-bit integer per entry; entries
-// past the table stay 0, which no draw lies below.
+// past the table are 0, which no draw lies below.
 struct Rcdt {
   static constexpr int kMaxZ = 25;
   std::array<unsigned __int128, kMaxZ + 1> entries{};
 
   Rcdt() {
     constexpr long double kSigmaMax = 1.8205L;
-    // rho(z) = exp(-z^2 / (2 sigma^2)); normalize over z >= 0.
-    std::vector<long double> rho;
-    long double total = 0.0L;
-    for (int z = 0; z <= kMaxZ; ++z) {
-      const long double w = std::exp(-static_cast<long double>(z) * z /
-                                     (2.0L * kSigmaMax * kSigmaMax));
-      rho.push_back(w);
-      total += w;
+    // tail[z] = sum_{z' >= z} rho(z'), rho(z) = exp(-z^2 / (2 sigma^2)),
+    // summed from the smallest term up; rho(40) < 2^-400, so the sum
+    // stops there. Entry i is 2^72 * tail[i + 1] / tail[0]. (One minus a
+    // running CDF cancels: in long double it never reaches zero, which
+    // leaves ~303 units in every small entry.)
+    constexpr int kSumZ = 40;
+    std::array<long double, kSumZ + 2> tail{};
+    for (int z = kSumZ; z >= 0; --z) {
+      tail[z] = tail[z + 1] + std::exp(-static_cast<long double>(z) * z /
+                                       (2.0L * kSigmaMax * kSigmaMax));
     }
-    long double tail = 1.0L;
-    for (std::size_t i = 0; i < rho.size(); ++i) {
-      tail -= rho[i] / total;
-      if (tail <= 0.0L) break;
-      // Split 2^72 * tail into hi byte and low 64 bits.
-      const long double scaled = tail * 0x1.0p72L;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      // Split 2^72 * P(X > i) into hi byte and low 64 bits.
+      const long double scaled = tail[i + 1] / tail[0] * 0x1.0p72L;
       const long double hi_part = std::floor(scaled / 0x1.0p64L);
       const std::uint8_t hi = static_cast<std::uint8_t>(hi_part);
       const std::uint64_t lo = static_cast<std::uint64_t>(scaled - hi_part * 0x1.0p64L);
@@ -113,6 +112,8 @@ int rcdt_z0(std::uint64_t lo, std::uint8_t hi) {
 }
 
 }  // namespace
+
+std::span<const unsigned __int128> detail::rcdt_entries() { return rcdt().entries; }
 
 SamplerZ::SamplerZ(double sigma_min, RandomSource& rng)
     : sigma_min_(Fpr::from_double(sigma_min)), rng_(rng) {}

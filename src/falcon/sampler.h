@@ -12,6 +12,7 @@
 //    reference implementation.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,5 +52,14 @@ class SamplerZ {
   fpr::Fpr sigma_min_;
   RandomSource& rng_;
 };
+
+namespace detail {
+
+// The base sampler's reverse CDT: entry i is floor(2^72 * P(X > i)) for
+// the half-Gaussian X at sigma_max = 1.8205, i in [0, 25]. Exposed for
+// the table's pins.
+[[nodiscard]] std::span<const unsigned __int128> rcdt_entries();
+
+}  // namespace detail
 
 }  // namespace fd::falcon

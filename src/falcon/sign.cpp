@@ -90,19 +90,22 @@ void plain_targets(const SecretKey& sk, std::span<const Fpr> cf, std::span<Fpr> 
   fft::poly_mulconst(t0, inv_q, logn);
 }
 
+// The one signing body. A capture run (`capture`) returns right after
+// targets(): every trigger window of both basis rows lies behind that
+// line and nothing after it opens one, so its salt and windows are those
+// of a full run whose first salt passes. It never retries and carries
+// no s2.
 Signature sign_core(const SecretKey& sk, std::string_view message, RandomSource& rng,
-                    TargetFn targets) {
+                    TargetFn targets, bool capture) {
   const unsigned logn = sk.params.logn;
   const std::size_t n = sk.params.n;
 
   // Every attempt works in the same buffers: ten polynomials, then
-  // ff_sampling's scratch.
-  std::vector<Fpr> work(10 * n + ff_sampling_scratch(logn));
+  // ff_sampling's scratch (a capture run uses the first three only).
+  std::vector<Fpr> work(capture ? 3 * n : 10 * n + ff_sampling_scratch(logn));
   const auto poly = [&](std::size_t i) { return std::span<Fpr>(work).subspan(i * n, n); };
-  const auto cf = poly(0), t0 = poly(1), t1 = poly(2), z0 = poly(3), z1 = poly(4);
-  const auto v0 = poly(5), v1 = poly(6), s1f = poly(7), s2f = poly(8), tmp = poly(9);
-  const auto ff_tmp = std::span<Fpr>(work).subspan(10 * n);
-  std::vector<std::int16_t> s2(n);
+  const auto cf = poly(0), t0 = poly(1), t1 = poly(2);
+  std::vector<std::int16_t> s2(capture ? 0 : n);
 
   Signature sig;
   for (int salt_attempt = 0; salt_attempt < 64; ++salt_attempt) {
@@ -114,7 +117,11 @@ Signature sign_core(const SecretKey& sk, std::string_view message, RandomSource&
     fft::fft(cf, logn);
 
     targets(sk, cf, t0, t1, rng);
+    if (capture) return sig;
 
+    const auto z0 = poly(3), z1 = poly(4), v0 = poly(5), v1 = poly(6);
+    const auto s1f = poly(7), s2f = poly(8), tmp = poly(9);
+    const auto ff_tmp = std::span<Fpr>(work).subspan(10 * n);
     SamplerZ samp(sk.params.sigma_min, rng);
     for (int z_attempt = 0; z_attempt < 32; ++z_attempt) {
       ff_sampling(samp, z0, z1, sk.tree, t0, t1, logn, ff_tmp);
@@ -159,7 +166,7 @@ Signature sign_core(const SecretKey& sk, std::string_view message, RandomSource&
 }  // namespace
 
 Signature sign(const SecretKey& sk, std::string_view message, RandomSource& rng) {
-  return sign_core(sk, message, rng, &plain_targets);
+  return sign_core(sk, message, rng, &plain_targets, false);
 }
 
 namespace {
@@ -199,7 +206,12 @@ void masked_targets(const SecretKey& sk, std::span<const Fpr> cf, std::span<Fpr>
 }  // namespace
 
 Signature sign_masked(const SecretKey& sk, std::string_view message, RandomSource& rng) {
-  return sign_core(sk, message, rng, &masked_targets);
+  return sign_core(sk, message, rng, &masked_targets, false);
+}
+
+Signature sign_capture(const SecretKey& sk, std::string_view message, RandomSource& rng,
+                       bool masked) {
+  return sign_core(sk, message, rng, masked ? &masked_targets : &plain_targets, true);
 }
 
 bool verify(const PublicKey& pk, std::string_view message, const Signature& sig) {

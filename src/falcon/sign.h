@@ -36,6 +36,15 @@ struct Signature {
 // which is what gives the side-channel adversary fresh known inputs).
 [[nodiscard]] Signature sign(const SecretKey& sk, std::string_view message, RandomSource& rng);
 
+// The signer a capture rig drives: Alg. 2 up to the target t -- every
+// trigger window of both basis rows, of the plain targets or (masked)
+// sign_masked's two-share ones -- and no further. It draws the salt and
+// the masks as sign()/sign_masked() do, so on the same stream its salt
+// and windows equal theirs whenever their first salt passes the norm
+// check. Returns that salt with an empty s2; nothing verifies it.
+[[nodiscard]] Signature sign_capture(const SecretKey& sk, std::string_view message,
+                                     RandomSource& rng, bool masked);
+
 // Verifies: recomputes c, derives s1 = c - s2*h mod q (centered), and
 // accepts iff ||(s1, s2)||^2 <= floor(beta^2).
 [[nodiscard]] bool verify(const PublicKey& pk, std::string_view message, const Signature& sig);

@@ -101,7 +101,11 @@ struct WorkerProc {
 class Coordinator {
  public:
   Coordinator(const FleetConfig& config, FleetResult& out)
-      : cfg_(config), out_(out), netplan_(config.net_faults) {}
+      : cfg_(config),
+        out_(out),
+        netplan_(config.net_faults),
+        endpoint_tasks_(config.remotes.size(), 0),
+        endpoint_refused_(config.remotes.size(), false) {}
 
   ~Coordinator() {
     sampler_.reset();  // its thread records through the sink below
@@ -375,12 +379,14 @@ class Coordinator {
 
   // One dial to a remote endpoint, through the bounded reconnect
   // policy. `prior_connects` keys the fault plan's per-endpoint refusal
-  // draws (and its permanent blacklist). Returns the ready transport
-  // (fault-wrapped when a plan is armed) or nullptr with spawn_error_.
+  // draws; a blacklisted endpoint refuses every dial. Returns the ready
+  // transport (fault-wrapped when a plan is armed) or nullptr with
+  // spawn_error_.
   std::unique_ptr<Transport> dial_remote(std::size_t ep, std::uint32_t prior_connects) {
     const RemoteEndpoint& r = cfg_.remotes[ep];
     for (std::size_t attempt = 1;; ++attempt) {
-      if (netplan_.enabled() && netplan_.connect_refused(ep, prior_connects, attempt)) {
+      if (endpoint_refused_[ep] ||
+          (netplan_.enabled() && netplan_.connect_refused(ep, prior_connects, attempt))) {
         spawn_error_ = "connection refused (fault plan)";
       } else {
         std::string err;
@@ -971,7 +977,9 @@ class Coordinator {
         }
         if (idle == nullptr) break;
         ++t.attempts;
-        if (!send_task(*idle, t)) {
+        const bool cut = idle->remote && netplan_.enabled() &&
+                         netplan_.refuses_after_task(++endpoint_tasks_[idle->endpoint]);
+        if (!cut && !send_task(*idle, t)) {
           // The reconnect path may revive a remote link in place; the
           // task stays pending either way and is retried next pass.
           handle_disconnect(tasks, *idle, "task write failed");
@@ -984,6 +992,12 @@ class Coordinator {
                     {"worker", static_cast<std::uint64_t>(idle->id)},
                     {"attempt", t.attempts},
                     {"components", t.spec.components.size()}});
+        if (cut) {
+          // The plan's blacklist: the link drops with this task in
+          // flight and every redial is refused, so the task is reassigned.
+          endpoint_refused_[idle->endpoint] = true;
+          handle_disconnect(tasks, *idle, "endpoint refused (fault plan)");
+        }
       }
 
       // Wait for traffic. fds[i] pairs with workers_[i]; a mid-loop
@@ -1108,6 +1122,10 @@ class Coordinator {
   const FleetConfig& cfg_;
   FleetResult& out_;
   NetFaultPlan netplan_;
+  // Per remote endpoint: fresh task dispatches so far (sent or not), and
+  // whether the fault plan has blacklisted it (refuse_after_tasks).
+  std::vector<std::uint32_t> endpoint_tasks_;
+  std::vector<bool> endpoint_refused_;
   exec::RetryPolicy task_retry_;
   exec::RetryPolicy reconnect_retry_;
   std::uint64_t archive_gen_ = 0;

@@ -81,9 +81,6 @@ std::size_t NetFaultPlan::cut_len(std::uint64_t conn, std::uint64_t op, std::siz
 
 bool NetFaultPlan::connect_refused(std::uint64_t endpoint, std::uint64_t prior_connects,
                                    std::uint64_t attempt) const {
-  if (cfg_.refuse_after_connects > 0 && prior_connects >= cfg_.refuse_after_connects) {
-    return true;
-  }
   return cfg_.connect_refusal_rate > 0.0 &&
          draw_unit(cfg_.seed, kTagRefuse, endpoint, (prior_connects << 16) ^ attempt) <
              cfg_.connect_refusal_rate;
@@ -187,7 +184,7 @@ bool parse_net_fault_plan(const std::string& spec, NetFaultConfig& out, std::str
     } else if (key == "refuse") {
       out.connect_refusal_rate = d;
     } else if (key == "refuse_after") {
-      out.refuse_after_connects = static_cast<std::uint32_t>(d);
+      out.refuse_after_tasks = static_cast<std::uint32_t>(d);
     } else {
       error = "unknown net-fault key: " + key;
       return false;

@@ -23,10 +23,10 @@
 //     v4 frames carry a payload CRC, so any flip latches the receiving
 //     decoder ("latched byte corruption") -- corruption is always a
 //     detected connection failure, never silent data damage.
-//   - connect refusal: a dial fails; refuse_after_connects permanently
-//     blacklists an endpoint after N successful connects, the
-//     deterministic way a test forces reconnect-budget exhaustion and
-//     therefore task reassignment.
+//   - connect refusal: a dial fails; refuse_after_tasks drops an
+//     endpoint's link with its N-th task dispatch in flight and
+//     blacklists the endpoint, the deterministic way a test forces
+//     reconnect-budget exhaustion and therefore task reassignment.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,15 +45,16 @@ struct NetFaultConfig {
   double short_write_rate = 0.0;       // P(fragmented send) per write op
   double corrupt_rate = 0.0;           // P(one byte flipped) per op
   double connect_refusal_rate = 0.0;   // P(dial refused) per attempt
-  // 0 = off; otherwise refuse every dial to an endpoint once it has
-  // accepted this many connections (per-endpoint, deterministic).
-  std::uint32_t refuse_after_connects = 0;
+  // 0 = off; otherwise an endpoint's link drops with its N-th fresh
+  // task dispatch in flight (the task frame never leaves), and every
+  // later dial to it is refused (per-endpoint, deterministic).
+  std::uint32_t refuse_after_tasks = 0;
   std::uint64_t seed = 0x9E7F;
 
   [[nodiscard]] bool any() const {
     return write_disconnect_rate > 0.0 || read_disconnect_rate > 0.0 || stall_rate > 0.0 ||
            short_write_rate > 0.0 || corrupt_rate > 0.0 || connect_refusal_rate > 0.0 ||
-           refuse_after_connects > 0;
+           refuse_after_tasks > 0;
   }
 };
 
@@ -82,6 +83,11 @@ class NetFaultPlan {
                                     std::size_t len) const;
   [[nodiscard]] bool connect_refused(std::uint64_t endpoint, std::uint64_t prior_connects,
                                      std::uint64_t attempt) const;
+  // True for the dispatch that blacklists an endpoint: its
+  // refuse_after_tasks-th (counting from 1).
+  [[nodiscard]] bool refuses_after_task(std::uint64_t dispatches) const {
+    return cfg_.refuse_after_tasks > 0 && dispatches == cfg_.refuse_after_tasks;
+  }
 
  private:
   NetFaultConfig cfg_;

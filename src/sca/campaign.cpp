@@ -25,7 +25,7 @@ using fpr::Fpr;
 using Clock = std::chrono::steady_clock;
 
 // Per-campaign telemetry shared by the in-memory and archive capture
-// loops: query/record/retry counters, end-of-campaign throughput
+// loops: query/record counters, end-of-campaign throughput
 // gauges, the capture layer times, and the user-facing progress
 // callback. The callback fires in every build; the metric calls compile
 // to no-ops under FD_OBS=OFF.
@@ -36,15 +36,11 @@ class CampaignTelemetry {
         mode_(mode),
         span_("sca.campaign"),
         queries_(obs::MetricsRegistry::global().counter("sca.campaign.queries")),
-        records_(obs::MetricsRegistry::global().counter("sca.campaign.records")),
-        retries_(obs::MetricsRegistry::global().counter("sca.campaign.sign_retries")) {}
+        records_(obs::MetricsRegistry::global().counter("sca.campaign.records")) {}
 
-  void on_query(const LastWindowRecorder& recorder, std::size_t done,
-                std::size_t records_added) {
+  void on_query(std::size_t done, std::size_t records_added) {
     queries_.add(1);
     records_.add(records_added);
-    const std::size_t attempts = recorder.run_attempts();
-    if (attempts > 1) retries_.add(attempts - 1);
     if (config_.progress_every != 0 && config_.progress &&
         (done % config_.progress_every == 0 || done == config_.num_traces)) {
       config_.progress(done, config_.num_traces);
@@ -88,49 +84,90 @@ class CampaignTelemetry {
   obs::Span span_;
   obs::Counter& queries_;
   obs::Counter& records_;
-  obs::Counter& retries_;
   Clock::duration sign_{};
   Clock::duration synth_{};
 };
 
-// Adversary-side recomputation of FFT(c)[*] from public data.
-std::vector<Fpr> known_fft_of_hash(const falcon::Signature& sig, std::string_view message,
-                                   unsigned logn) {
-  const auto c = falcon::hash_to_point(sig.salt, message, logn);
-  std::vector<Fpr> cf(c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) cf[i] = fpr::fpr_of(c[i]);
-  fft::fft(cf, logn);
-  return cf;
+// The fault plan's decision for campaign-global query `gq`, counted in
+// the sca.faults.* metrics (a dropped query counts only as dropped).
+QueryFault draw_query_fault(const FaultPlan& plan, std::uint64_t gq) {
+  if (!plan.enabled()) return {};
+  const QueryFault qf = plan.query_fault(gq);
+  auto& reg = obs::MetricsRegistry::global();
+  if (qf.drop) {
+    reg.counter("sca.faults.dropped_queries").add(1);
+    return qf;
+  }
+  if (qf.desync != 0) reg.counter("sca.faults.desynced_queries").add(1);
+  if (qf.saturate) reg.counter("sca.faults.saturated_queries").add(1);
+  return qf;
 }
+
+// One capture query, the step every campaign loop shares. Query d signs
+// "trace-<d>" with the capture signer under the recorder, on its own
+// victim stream exec::split_seed(seed ^ 0x5167, d); the device's noise
+// restarts at exec::split_seed(seed ^ 0xD01CE, d); and the adversary
+// recomputes FFT(c) from the public salt. No query's bytes depend on
+// another query, so a dropped query is simply never run.
+class QueryCapture {
+ public:
+  QueryCapture(const falcon::SecretKey& sk, const CampaignConfig& config)
+      : sk_(sk),
+        config_(config),
+        hn_(sk.params.n >> 1),
+        device_(config.device, config.seed ^ 0xD01CE),
+        recorder_(hn_, config.row),
+        known_(sk.params.n) {}
+
+  // Runs query d; returns the time spent signing.
+  Clock::duration run(std::size_t d) {
+    const std::string message = "trace-" + std::to_string(d);
+    const Clock::time_point start = Clock::now();
+    ChaCha20Prng victim_rng(exec::split_seed(config_.seed ^ 0x5167, d));
+    recorder_.start_run();
+    falcon::Signature sig;
+    {
+      fpr::ScopedLeakageSink scope(&recorder_);
+      sig = falcon::sign_capture(sk_, message, victim_rng, config_.masked);
+    }
+    const Clock::duration signing = Clock::now() - start;
+    device_.reseed(exec::split_seed(config_.seed ^ 0xD01CE, d));
+    const auto c = falcon::hash_to_point(sig.salt, message, sk_.params.logn);
+    for (std::size_t i = 0; i < c.size(); ++i) known_[i] = fpr::fpr_of(c[i]);
+    fft::fft(known_, sk_.params.logn);
+    return signing;
+  }
+
+  [[nodiscard]] const std::vector<fpr::LeakageEvent>& window(std::size_t slot) const {
+    return recorder_.window(slot);
+  }
+  [[nodiscard]] Fpr known_re(std::size_t slot) const { return known_[slot]; }
+  [[nodiscard]] Fpr known_im(std::size_t slot) const { return known_[slot + hn_]; }
+  EmDeviceModel& device() { return device_; }
+
+ private:
+  const falcon::SecretKey& sk_;
+  const CampaignConfig& config_;
+  std::size_t hn_;
+  EmDeviceModel device_;
+  LastWindowRecorder recorder_;
+  std::vector<Fpr> known_;  // FFT(c) of the last query
+};
 
 }  // namespace
 
 TraceSet run_signing_campaign(const falcon::SecretKey& sk, std::size_t slot,
                               const CampaignConfig& config) {
-  const unsigned logn = sk.params.logn;
-  const std::size_t hn = sk.params.n >> 1;
-
-  ChaCha20Prng victim_rng(config.seed ^ 0x5167);
-  EmDeviceModel device(config.device, config.seed ^ 0xD01CE);
-  LastWindowRecorder recorder(hn, config.row);
-  const SignerFn signer = config.signer ? config.signer : SignerFn(&falcon::sign);
-
+  QueryCapture step(sk, config);
   TraceSet set;
   set.slot = slot;
   set.traces.reserve(config.num_traces);
   for (std::size_t d = 0; d < config.num_traces; ++d) {
-    const std::string message = "trace-" + std::to_string(d);
-    recorder.start_run();
-    falcon::Signature sig;
-    {
-      fpr::ScopedLeakageSink scope(&recorder);
-      sig = signer(sk, message, victim_rng);
-    }
-    const auto cf = known_fft_of_hash(sig, message, logn);
+    (void)step.run(d);
     CapturedTrace ct;
-    ct.trace = device.synthesize(recorder.window(slot));
-    ct.known_re = cf[slot];
-    ct.known_im = cf[slot + hn];
+    ct.trace = step.device().synthesize(step.window(slot));
+    ct.known_re = step.known_re(slot);
+    ct.known_im = step.known_im(slot);
     set.traces.push_back(std::move(ct));
   }
   return set;
@@ -162,13 +199,8 @@ namespace {
 ArchiveCampaignResult capture_to_archive(const falcon::SecretKey& sk, const CampaignConfig& config,
                                          const std::string& path, std::size_t traces_per_chunk,
                                          std::uint32_t extra_flags) {
-  const unsigned logn = sk.params.logn;
   const std::size_t hn = sk.params.n >> 1;
-
-  ChaCha20Prng victim_rng(config.seed ^ 0x5167);
-  EmDeviceModel device(config.device, config.seed ^ 0xD01CE);
-  LastWindowRecorder recorder(hn, config.row);
-  const SignerFn signer = config.signer ? config.signer : SignerFn(&falcon::sign);
+  QueryCapture step(sk, config);
 
   ArchiveCampaignResult out;
   CampaignTelemetry telemetry(config, "archive");
@@ -176,36 +208,20 @@ ArchiveCampaignResult capture_to_archive(const falcon::SecretKey& sk, const Camp
   tracestore::ArchiveWriter writer;
   tracestore::TraceRecord rec;  // its samples buffer is reused by every window
   for (std::size_t d = 0; d < config.num_traces; ++d) {
-    const std::string message = "trace-" + std::to_string(d);
-    recorder.start_run();
-    falcon::Signature sig;
-    const Clock::time_point sign_start = Clock::now();
-    {
-      fpr::ScopedLeakageSink scope(&recorder);
-      sig = signer(sk, message, victim_rng);
-    }
-    telemetry.add_sign(Clock::now() - sign_start);
     const std::uint64_t gq = config.fault_query_offset + d;
-    const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
+    const QueryFault qf = draw_query_fault(fplan, gq);
     if (qf.drop) {
-      // Missed trigger: the victim signed (its RNG stream advanced as
-      // usual) but the scope captured nothing -- no records, no FFT(c)
-      // recomputation, the query index simply never appears on disk.
-      obs::MetricsRegistry::global().counter("sca.faults.dropped_queries").add(1);
+      // Missed trigger: the scope captured nothing, so the query is not
+      // run at all -- no signing, no FFT(c) recomputation, and its index
+      // never appears on disk.
       ++out.queries;
-      telemetry.on_query(recorder, d + 1, 0);
+      telemetry.on_query(d + 1, 0);
       continue;
     }
-    if (qf.desync != 0) {
-      obs::MetricsRegistry::global().counter("sca.faults.desynced_queries").add(1);
-    }
-    if (qf.saturate) {
-      obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
-    }
-    const auto cf = known_fft_of_hash(sig, message, logn);
+    telemetry.add_sign(step.run(d));
     const Clock::time_point synth_start = Clock::now();
     for (std::size_t s = 0; s < hn; ++s) {
-      device.synthesize_into(recorder.window(s), rec.samples);
+      step.device().synthesize_into(step.window(s), rec.samples);
       if (!writer.is_open()) {
         // First captured window fixes the archive's trace length.
         auto meta = make_archive_meta(sk, config, rec.samples.size(), traces_per_chunk);
@@ -223,8 +239,8 @@ ArchiveCampaignResult capture_to_archive(const falcon::SecretKey& sk, const Camp
       if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, rec.samples);
       rec.slot = static_cast<std::uint32_t>(s);
       rec.index = static_cast<std::uint32_t>(d);
-      rec.known_re_bits = cf[s].bits();
-      rec.known_im_bits = cf[s + hn].bits();
+      rec.known_re_bits = step.known_re(s).bits();
+      rec.known_im_bits = step.known_im(s).bits();
       if (!writer.append(rec)) {
         out.error = writer.error();
         return out;
@@ -233,7 +249,7 @@ ArchiveCampaignResult capture_to_archive(const falcon::SecretKey& sk, const Camp
     }
     telemetry.add_synth(Clock::now() - synth_start);
     ++out.queries;
-    telemetry.on_query(recorder, d + 1, hn);
+    telemetry.on_query(d + 1, hn);
   }
   if (!writer.is_open()) {
     if (config.num_traces == 0) {
@@ -241,10 +257,9 @@ ArchiveCampaignResult capture_to_archive(const falcon::SecretKey& sk, const Camp
       return out;
     }
     // Every query dropped (possible for a small shard under a harsh
-    // plan): emit a valid empty archive so sharded merges still work.
-    // The recorder holds the last run's windows, which fixes the length.
-    const Trace probe = device.synthesize(recorder.window(0));
-    auto meta = make_archive_meta(sk, config, probe.samples.size(), traces_per_chunk);
+    // plan): emit a valid empty archive so sharded merges still work,
+    // with the trace length of a real window.
+    auto meta = make_archive_meta(sk, config, config.device.window_samples(), traces_per_chunk);
     meta.flags |= extra_flags;
     if (!writer.open(path, meta)) {
       out.error = writer.error();
@@ -422,13 +437,8 @@ bool load_trace_sets_for(tracestore::ArchiveReader& reader,
 
 std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
                                         const CampaignConfig& config) {
-  const unsigned logn = sk.params.logn;
   const std::size_t hn = sk.params.n >> 1;
-
-  ChaCha20Prng victim_rng(config.seed ^ 0x5167);
-  EmDeviceModel device(config.device, config.seed ^ 0xD01CE);
-  LastWindowRecorder recorder(hn, config.row);
-  const SignerFn signer = config.signer ? config.signer : SignerFn(&falcon::sign);
+  QueryCapture step(sk, config);
 
   CampaignTelemetry telemetry(config, "inmemory");
   const FaultPlan fplan(config.faults);
@@ -439,41 +449,25 @@ std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
   }
   std::size_t captured = 0;
   for (std::size_t d = 0; d < config.num_traces; ++d) {
-    const std::string message = "trace-" + std::to_string(d);
-    recorder.start_run();
-    falcon::Signature sig;
-    const Clock::time_point sign_start = Clock::now();
-    {
-      fpr::ScopedLeakageSink scope(&recorder);
-      sig = signer(sk, message, victim_rng);
-    }
-    telemetry.add_sign(Clock::now() - sign_start);
     const std::uint64_t gq = config.fault_query_offset + d;
-    const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
+    const QueryFault qf = draw_query_fault(fplan, gq);
     if (qf.drop) {
-      obs::MetricsRegistry::global().counter("sca.faults.dropped_queries").add(1);
-      telemetry.on_query(recorder, d + 1, 0);
+      telemetry.on_query(d + 1, 0);
       continue;
     }
-    if (qf.desync != 0) {
-      obs::MetricsRegistry::global().counter("sca.faults.desynced_queries").add(1);
-    }
-    if (qf.saturate) {
-      obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
-    }
-    const auto cf = known_fft_of_hash(sig, message, logn);
+    telemetry.add_sign(step.run(d));
     const Clock::time_point synth_start = Clock::now();
     for (std::size_t s = 0; s < hn; ++s) {
       CapturedTrace ct;
-      device.synthesize_into(recorder.window(s), ct.trace.samples);
+      step.device().synthesize_into(step.window(s), ct.trace.samples);
       if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, ct.trace.samples);
-      ct.known_re = cf[s];
-      ct.known_im = cf[s + hn];
+      ct.known_re = step.known_re(s);
+      ct.known_im = step.known_im(s);
       sets[s].traces.push_back(std::move(ct));
     }
     telemetry.add_synth(Clock::now() - synth_start);
     ++captured;
-    telemetry.on_query(recorder, d + 1, hn);
+    telemetry.on_query(d + 1, hn);
   }
   telemetry.finish(config.num_traces, captured * hn);
   return sets;

@@ -25,11 +25,6 @@
 
 namespace fd::sca {
 
-// The victim operation driven by a campaign; defaults to falcon::sign.
-// Countermeasure studies substitute falcon::sign_masked here.
-using SignerFn = std::function<falcon::Signature(const falcon::SecretKey&, std::string_view,
-                                                 RandomSource&)>;
-
 struct CapturedTrace {
   Trace trace;
   fpr::Fpr known_re;  // Re FFT(c)[slot], recomputed by the adversary
@@ -44,8 +39,13 @@ struct TraceSet {
 struct CampaignConfig {
   std::size_t num_traces = 1000;
   DeviceConfig device;
-  std::uint64_t seed = 1;  // drives victim randomness and device noise
-  SignerFn signer;         // empty -> falcon::sign
+  // Root of the per-query victim and device-noise streams (DESIGN.md
+  // section 25).
+  std::uint64_t seed = 1;
+  // The victim runs falcon::sign_capture: the plain target computation,
+  // or with `masked` sign_masked's two-share one (the countermeasure
+  // study of masked_sign.h).
+  bool masked = false;
   // Which basis-row multiplication to capture: each signing run triggers
   // every slot once per row, f-row (t1, FFT(-f)) first then F-row (t0,
   // FFT(-F)). 0 captures the f-row windows, 1 the F-row windows.
@@ -96,7 +96,7 @@ struct CampaignConfig {
                                                         std::size_t traces_per_chunk);
 
 struct ArchiveCampaignResult {
-  std::size_t queries = 0;  // signing runs captured
+  std::size_t queries = 0;  // queries run, dropped ones included
   std::size_t records = 0;  // (query, slot) windows written
   bool ok = false;
   std::string error;

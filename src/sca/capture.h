@@ -69,11 +69,13 @@ class EventWindowRecorder final : public fpr::LeakageSink {
 
 // The campaign recorder: keeps, per slot, the most recent window of
 // basis row `row` (0: the f-row, even occurrences; 1: the F-row, odd
-// ones). A signing run triggers each slot once per basis row and per
-// internal salt retry; the final occurrence of the row is the one
-// matching the emitted signature's salt. Windowed: the window is open
-// exactly while `recording_` is set, so data events it would drop never
-// reach it.
+// ones). A full signing run triggers each slot once per basis row and
+// per internal salt retry; the final occurrence of the row is the one
+// matching the emitted signature's salt. (The masked signer triggers
+// each slot twice per basis row, mask share then key share; `row` then
+// picks the share, and the window kept is the F-row's.) Windowed:
+// the window is open exactly while `recording_` is set, so data events
+// it would drop never reach it.
 class LastWindowRecorder final : public fpr::LeakageSink {
  public:
   explicit LastWindowRecorder(std::size_t num_slots, unsigned row = 0)
@@ -108,13 +110,6 @@ class LastWindowRecorder final : public fpr::LeakageSink {
     std::fill(occurrence_.begin(), occurrence_.end(), 0U);
     recording_ = false;
     set_window_open(false);
-  }
-
-  // Signing attempts of the last run: each attempt (including internal
-  // salt retries the signer makes before a signature passes its norm
-  // check) triggers every slot once per basis row, i.e. twice.
-  [[nodiscard]] std::size_t run_attempts() const {
-    return occurrence_.empty() ? 0 : occurrence_[0] / 2;
   }
 
  private:

@@ -23,6 +23,7 @@
 
 #include "common/popcount.h"
 #include "common/rng.h"
+#include "common/ziggurat.h"
 #include "fpr/leakage.h"
 #include "tracestore/archive.h"
 
@@ -90,10 +91,13 @@ struct DeviceConfig {
   // or noise_sigma. The window bound also rejects the one jitter_max
   // whose + 1 wraps (2^32 - 1).
   [[nodiscard]] bool valid() const {
-    const std::uint64_t window_samples =
-        std::uint64_t{window::kEventsPerWindow} * samples_per_event + jitter_max;
-    return samples_per_event != 0 && window_samples <= window::kMaxSamples &&
+    return samples_per_event != 0 && window_samples() <= window::kMaxSamples &&
            std::isfinite(alpha) && std::isfinite(noise_sigma);
+  }
+
+  // Samples of one synthesized window of window::kEventsPerWindow events.
+  [[nodiscard]] std::uint64_t window_samples() const {
+    return std::uint64_t{window::kEventsPerWindow} * samples_per_event + jitter_max;
   }
 };
 
@@ -107,9 +111,13 @@ class EmDeviceModel {
 
   [[nodiscard]] const DeviceConfig& config() const { return config_; }
 
+  // Restarts the noise stream at `noise_seed` (a campaign gives each
+  // query its own).
+  void reseed(std::uint64_t noise_seed) { noise_rng_ = ChaCha20Prng(noise_seed); }
+
   // Synthesizes one noisy trace from a captured event window into `out`,
-  // reusing its capacity: the jitter uniform is drawn first, then one
-  // Gaussian per sample.
+  // reusing its capacity: the jitter uniform is drawn first, then the
+  // window's unit normals in one fill_normals call.
   void synthesize_into(const std::vector<fpr::LeakageEvent>& events, std::vector<float>& out) {
     const unsigned spe = config_.samples_per_event;
     const std::size_t jitter =
@@ -122,7 +130,7 @@ class EmDeviceModel {
       }
     }
     noise_.resize(out.size());
-    noise_rng_.gaussians(noise_);
+    fill_normals(noise_rng_, noise_);
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] += static_cast<float>(config_.noise_sigma * noise_[i]);
     }

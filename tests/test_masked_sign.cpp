@@ -65,9 +65,7 @@ TEST(MaskedSign, SharesChangePerQuery) {
   sca::CampaignConfig cfg;
   cfg.num_traces = 6;
   cfg.device.noise_sigma = 0.0;
-  cfg.signer = [](const SecretKey& sk, std::string_view msg, RandomSource& r) {
-    return sign_masked(sk, msg, r);
-  };
+  cfg.masked = true;
   const auto set = sca::run_signing_campaign(kp.sk, 0, cfg);
 
   // With zero noise, the x-operand events (secret share) must differ
@@ -89,9 +87,7 @@ TEST(MaskedSign, DefeatsComponentAttack) {
   cfg.num_traces = 800;
   cfg.device.noise_sigma = 1.0;  // generous to the attacker
   cfg.seed = 0xD400;
-  cfg.signer = [](const SecretKey& sk, std::string_view msg, RandomSource& r) {
-    return sign_masked(sk, msg, r);
-  };
+  cfg.masked = true;
   const auto set = sca::run_signing_campaign(kp.sk, 1, cfg);
 
   const auto truth = kp.sk.b01[1];

@@ -10,8 +10,8 @@
 //   - that identity survives an ARMED network-fault plan: a seeded plan
 //     forcing mid-frame disconnects and latched corruption completes
 //     via reconnect-with-resume, and a plan that blacklists an endpoint
-//     (refuse_after) exhausts the reconnect budget and completes via
-//     reassignment -- with the same bytes either way;
+//     with a task in flight (refuse_after) exhausts the reconnect budget
+//     and completes via reassignment -- with the same bytes either way;
 //   - a wrong --token is a clean bounded failure (the flap cap), never
 //     a livelock, and the --serve process survives to serve the next
 //     correctly-authenticated coordinator.
@@ -523,14 +523,17 @@ TEST(NetFaults, DrawsAreDeterministicSeededAndBounded) {
     EXPECT_FALSE(always.write_disconnects(9, op));
   }
 
-  // refuse_after permanently blacklists an endpoint past N connects.
+  // refuse_after blacklists an endpoint at its N-th task dispatch; the
+  // dial draws themselves stay rate-only.
   fleet::NetFaultConfig refuse;
-  refuse.refuse_after_connects = 2;
+  refuse.refuse_after_tasks = 2;
   const fleet::NetFaultPlan gate(refuse);
-  EXPECT_FALSE(gate.connect_refused(0, 0, 1));
-  EXPECT_FALSE(gate.connect_refused(0, 1, 1));
-  EXPECT_TRUE(gate.connect_refused(0, 2, 1));
-  EXPECT_TRUE(gate.connect_refused(0, 7, 3));
+  EXPECT_TRUE(gate.enabled());
+  EXPECT_FALSE(gate.refuses_after_task(1));
+  EXPECT_TRUE(gate.refuses_after_task(2));
+  EXPECT_FALSE(gate.refuses_after_task(3));
+  EXPECT_FALSE(gate.connect_refused(0, 7, 3));
+  EXPECT_FALSE(fleet::NetFaultPlan(quiet).refuses_after_task(1));
 }
 
 TEST(NetFaults, SpecAndEndpointParsing) {
@@ -548,7 +551,7 @@ TEST(NetFaults, SpecAndEndpointParsing) {
   EXPECT_DOUBLE_EQ(cfg.short_write_rate, 0.3);
   EXPECT_DOUBLE_EQ(cfg.corrupt_rate, 0.02);
   EXPECT_DOUBLE_EQ(cfg.connect_refusal_rate, 0.1);
-  EXPECT_EQ(cfg.refuse_after_connects, 2u);
+  EXPECT_EQ(cfg.refuse_after_tasks, 2u);
   EXPECT_EQ(cfg.seed, 0x9E7Full);
   EXPECT_TRUE(cfg.any());
 
@@ -854,9 +857,12 @@ TEST(NetFleet, RefusedEndpointDegradesToReassignmentBitIdentically) {
   const Reference ref = single_process_reference(ref_tmp.path);
   ASSERT_TRUE(ref.pipeline.ok) << ref.pipeline.error;
 
-  // One local + one remote whose endpoint the plan blacklists after 3
-  // connects: the remote reconnects while it can, then its task is
-  // reassigned onto the local worker.
+  // One local + one remote whose endpoint the plan blacklists at its
+  // second task dispatch: the remote works, reconnecting, through its
+  // first task (a capture shard), then its link drops with the second
+  // in flight and that task is reassigned onto the local worker. Each
+  // stage hands both idle workers a task, so the second dispatch
+  // always comes.
   TempFile tmp("net_refuse.fdtrace");
   auto fc = base_fleet(tmp.path, 1);
   auto sp = ServeProc::spawn("refuse");
@@ -866,7 +872,7 @@ TEST(NetFleet, RefusedEndpointDegradesToReassignmentBitIdentically) {
   fc.reconnect_backoff_ms = 1;
   std::string err;
   ASSERT_TRUE(fleet::parse_net_fault_plan(
-      "wdisc=0.06,rdisc=0.03,short=0.25,corrupt=0.01,refuse_after=3,seed=0x52", fc.net_faults,
+      "wdisc=0.06,rdisc=0.03,short=0.25,corrupt=0.01,refuse_after=2,seed=0x52", fc.net_faults,
       err))
       << err;
 

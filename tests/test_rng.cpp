@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numbers>
 #include <iterator>
 #include <vector>
 
 #include "common/hex.h"
 #include "common/rng.h"
 #include "common/shake256.h"
+#include "common/ziggurat.h"
 
 namespace fd {
 namespace {
@@ -136,26 +139,6 @@ TEST(ChaCha20, BlockKeystreamMatchesPerCounterBlocks) {
   EXPECT_GT(bytes, std::size_t{64 * 8 * 20});  // many refills crossed
 }
 
-TEST(Gaussian, BulkDrawsMatchRepeatedCalls) {
-  // Lengths across the block size, odd and even, after a pending spare
-  // and without one; then the two sources must still be in step.
-  constexpr std::size_t kSizes[] = {0, 1, 2, 3, 63, 64, 127, 128, 129, 1000, 4097};
-  ChaCha20Prng bulk(std::uint64_t{0x6A55});
-  ChaCha20Prng one(std::uint64_t{0x6A55});
-  for (int round = 0; round < 3; ++round) {
-    for (const std::size_t n : kSizes) {
-      std::vector<double> got(n);
-      bulk.gaussians(got);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double want = one.gaussian();
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want))
-            << "round " << round << " length " << n << " index " << i;
-      }
-    }
-    ASSERT_EQ(bulk.next_u64(), one.next_u64()) << "round " << round;
-  }
-}
-
 TEST(ChaCha20, EveryBodyMatchesBlockReference) {
   // Each refill body this CPU runs (the portable one always) against 16
   // calls of block(), at counters whose 16-block run crosses 2^32.
@@ -233,6 +216,75 @@ TEST(RandomSource, GaussianMoments) {
   const double var = sum2 / kDraws - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.02);
   EXPECT_NEAR(var, 1.0, 0.03);
+}
+
+// --- device noise: the table ziggurat ------------------------------------
+
+TEST(Normal, ZigguratTablesHaveEqualLayers) {
+  const auto& t = ziggurat::tables();
+  EXPECT_EQ(t.x[1], ziggurat::kR);
+  EXPECT_EQ(t.x[ziggurat::kLayers], 0.0);
+  EXPECT_EQ(t.f[ziggurat::kLayers], 1.0);
+  const double r = ziggurat::kR;
+  const double v = r * std::exp(-r * r / 2) +
+                   std::sqrt(std::numbers::pi / 2) * std::erfc(r / std::numbers::sqrt2);
+  EXPECT_NEAR(t.x[0] * t.f[1], v, 1e-15);  // base strip plus tail
+  for (std::size_t i = 1; i < ziggurat::kLayers; ++i) {
+    ASSERT_LT(t.x[i + 1], t.x[i]) << "layer " << i;
+    EXPECT_NEAR(t.x[i] * (t.f[i + 1] - t.f[i]), v, 1e-12) << "layer " << i;
+  }
+}
+
+TEST(Normal, ZigguratMomentsShapeAndTail) {
+  constexpr std::size_t kDraws = std::size_t{1} << 20;
+  ChaCha20Prng rng(std::uint64_t{0x2166});
+  std::vector<double> z(kDraws);
+  fill_normals(rng, z);
+  const double n = static_cast<double>(kDraws);
+  double s1 = 0.0, s2 = 0.0, s4 = 0.0;
+  std::size_t beyond_r = 0;
+  for (const double v : z) {
+    s1 += v;
+    s2 += v * v;
+    s4 += v * v * v * v;
+    beyond_r += std::abs(v) > ziggurat::kR ? 1 : 0;
+  }
+  // Five standard errors each: mean 1/sqrt(n), variance sqrt(2/n),
+  // kurtosis sqrt(24/n).
+  const double mean = s1 / n;
+  const double var = s2 / n - mean * mean;
+  EXPECT_LT(std::abs(mean), 5.0 / std::sqrt(n));
+  EXPECT_LT(std::abs(var - 1.0), 5.0 * std::sqrt(2.0 / n));
+  EXPECT_LT(std::abs(s4 / n / (var * var) - 3.0), 5.0 * std::sqrt(24.0 / n));
+
+  // The tail sampler's share: P(|Z| > r) = erfc(r / sqrt 2), ~270 draws.
+  const double tail_p = std::erfc(ziggurat::kR / std::numbers::sqrt2);
+  EXPECT_LT(std::abs(static_cast<double>(beyond_r) - n * tail_p), 5.0 * std::sqrt(n * tail_p));
+
+  // Kolmogorov-Smirnov against Phi: sqrt(n) * D < 1.95 (p = 0.001).
+  std::sort(z.begin(), z.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double cdf = 0.5 * std::erfc(-z[i] / std::numbers::sqrt2);
+    d = std::max({d, cdf - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - cdf});
+  }
+  EXPECT_LT(std::sqrt(n) * d, 1.95);
+}
+
+TEST(Normal, FillsSplitAtBlockBoundariesDrawTheSameValues) {
+  // A fill works in blocks of 256 from its own start, each block's
+  // rejects finished before the next block's words are drawn; so a fill
+  // of 556 equals fills of 256 and 300, and the streams stay in step.
+  ChaCha20Prng whole(std::uint64_t{0x2167});
+  ChaCha20Prng split(std::uint64_t{0x2167});
+  std::vector<double> a(556), b(556);
+  fill_normals(whole, a);
+  fill_normals(split, std::span<double>(b).first(256));
+  fill_normals(split, std::span<double>(b).subspan(256));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i])) << i;
+  }
+  EXPECT_EQ(whole.next_u64(), split.next_u64());
 }
 
 }  // namespace

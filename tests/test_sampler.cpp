@@ -73,6 +73,19 @@ TEST(SamplerZBase, HalfGaussianSupportAndShape) {
   EXPECT_GT(hist[1], hist[2]);
 }
 
+TEST(SamplerZBase, RcdtEntriesAreTailMasses) {
+  // floor(2^72 * P(X > i)) from a 60-digit evaluation of the tail sums:
+  // entry 10 is 20680885154302, entry 17 is 1, and every later entry is 0.
+  const auto rcdt = detail::rcdt_entries();
+  ASSERT_EQ(rcdt.size(), 26U);
+  EXPECT_TRUE(rcdt[10] == static_cast<unsigned __int128>(20680885154302ULL));
+  EXPECT_TRUE(rcdt[17] == 1);
+  for (std::size_t i = 18; i < rcdt.size(); ++i) EXPECT_TRUE(rcdt[i] == 0) << "entry " << i;
+  for (std::size_t i = 1; i < rcdt.size(); ++i) {
+    EXPECT_TRUE(rcdt[i] <= rcdt[i - 1]) << "entry " << i;
+  }
+}
+
 TEST(SamplerZ, BerExpProbability) {
   ChaCha20Prng rng(0x6004);
   SamplerZ s(1.2778, rng);

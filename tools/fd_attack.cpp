@@ -311,6 +311,51 @@ std::string recovery_json(const Options& opt, std::size_t n,
   return buf;
 }
 
+// The text report of a recovery, the same in both modes; a fleet run
+// adds its mechanics after the captured-record count.
+void print_recovery(const attack::RecoveryPipelineResult& res, const fleet::FleetResult* fleet) {
+  for (const auto& stage : res.stages) {
+    std::printf("  stage %-9s %s (%.1f ms)\n", stage.name.c_str(),
+                stage.ran ? "done" : "skipped", stage.wall_ms);
+  }
+  std::printf("captured records: %zu\n", res.captured_records);
+  if (fleet != nullptr) {
+    std::printf("fleet: %zu spawned, %zu died, %zu reassignment%s, %zu attack shard%s\n",
+                fleet->workers_spawned, fleet->worker_deaths, fleet->reassignments,
+                fleet->reassignments == 1 ? "" : "s", fleet->attack_shards,
+                fleet->attack_shards == 1 ? "" : "s");
+    if (fleet->remote_workers > 0) {
+      std::printf("remote: %zu worker%s, %zu reconnect%s, %zu staged chunk%s\n",
+                  fleet->remote_workers, fleet->remote_workers == 1 ? "" : "s",
+                  fleet->reconnects, fleet->reconnects == 1 ? "" : "s", fleet->staged_chunks,
+                  fleet->staged_chunks == 1 ? "" : "s");
+    }
+  }
+  if (res.quality.total > 0) {
+    std::printf("quality gate: %zu/%zu traces accepted (%zu saturated, %zu energy, "
+                "%zu misaligned rejected; %zu realigned)\n",
+                res.quality.accepted, res.quality.total, res.quality.rejected_saturated,
+                res.quality.rejected_energy, res.quality.rejected_alignment,
+                res.quality.realigned);
+  }
+  if (res.resumed) std::printf("resumed from checkpoint: %s\n", res.checkpoint_path.c_str());
+  if (res.remeasure_rounds > 0 || res.capture_attempts > 1) {
+    std::printf("adaptive re-measurement: %zu extra round%s, %zu capture attempt%s\n",
+                res.remeasure_rounds, res.remeasure_rounds == 1 ? "" : "s",
+                res.capture_attempts, res.capture_attempts == 1 ? "" : "s");
+  }
+  if (res.partial) {
+    std::printf("PARTIAL: %zu component%s below the confidence bar at budget end\n",
+                res.flagged_components.size(), res.flagged_components.size() == 1 ? "" : "s");
+  }
+  std::printf("components recovered exactly: %zu / %zu\n", res.recovery.components_correct,
+              res.recovery.components_total);
+  std::printf("f recovered exactly: %s\n", res.recovery.f_exact ? "YES" : "no");
+  std::printf("NTRU equation re-solved: %s\n", res.recovery.ntru_solved ? "YES" : "no");
+  std::printf("forged signature verified by victim's PUBLIC key: %s\n",
+              res.recovery.forgery_verified ? "YES -- key fully compromised" : "no");
+}
+
 // Fleet mode: same experiment, N worker subprocesses, same key.
 int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg,
                    const char* argv0) {
@@ -358,30 +403,7 @@ int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg
     json_field(buf, "attack_shards", std::to_string(res.attack_shards));
     std::printf("{%s}\n", buf.c_str());
   } else {
-    for (const auto& stage : res.stages) {
-      std::printf("  stage %-9s %s (%.1f ms)\n", stage.name.c_str(),
-                  stage.ran ? "done" : "skipped", stage.wall_ms);
-    }
-    std::printf("captured records: %zu\n", res.captured_records);
-    std::printf("fleet: %zu spawned, %zu died, %zu reassignment%s, %zu attack shard%s\n",
-                res.workers_spawned, res.worker_deaths, res.reassignments,
-                res.reassignments == 1 ? "" : "s", res.attack_shards,
-                res.attack_shards == 1 ? "" : "s");
-    if (res.remote_workers > 0) {
-      std::printf("remote: %zu worker%s, %zu reconnect%s, %zu staged chunk%s\n",
-                  res.remote_workers, res.remote_workers == 1 ? "" : "s", res.reconnects,
-                  res.reconnects == 1 ? "" : "s", res.staged_chunks,
-                  res.staged_chunks == 1 ? "" : "s");
-    }
-    if (res.partial) {
-      std::printf("PARTIAL: %zu component%s flagged\n", res.flagged_components.size(),
-                  res.flagged_components.size() == 1 ? "" : "s");
-    }
-    std::printf("components recovered exactly: %zu / %zu\n", res.recovery.components_correct,
-                res.recovery.components_total);
-    std::printf("f recovered exactly: %s\n", res.recovery.f_exact ? "YES" : "no");
-    std::printf("forged signature verified by victim's PUBLIC key: %s\n",
-                res.recovery.forgery_verified ? "YES -- key fully compromised" : "no");
+    print_recovery(res, &res);
   }
   return res.recovery.forgery_verified ? 0 : 1;
 }
@@ -520,34 +542,7 @@ int main(int argc, char** argv) {
   if (opt.json) {
     std::printf("{%s}\n", recovery_json(opt, victim.pk.params.n, res).c_str());
   } else {
-    for (const auto& stage : res.stages) {
-      std::printf("  stage %-8s %s (%.1f ms)\n", stage.name.c_str(),
-                  stage.ran ? "done" : "skipped", stage.wall_ms);
-    }
-    std::printf("captured records: %zu\n", res.captured_records);
-    if (res.quality.total > 0) {
-      std::printf("quality gate: %zu/%zu traces accepted (%zu saturated, %zu energy, "
-                  "%zu misaligned rejected; %zu realigned)\n",
-                  res.quality.accepted, res.quality.total, res.quality.rejected_saturated,
-                  res.quality.rejected_energy, res.quality.rejected_alignment,
-                  res.quality.realigned);
-    }
-    if (res.resumed) std::printf("resumed from checkpoint: %s\n", res.checkpoint_path.c_str());
-    if (res.remeasure_rounds > 0 || res.capture_attempts > 1) {
-      std::printf("adaptive re-measurement: %zu extra round%s, %zu capture attempt%s\n",
-                  res.remeasure_rounds, res.remeasure_rounds == 1 ? "" : "s",
-                  res.capture_attempts, res.capture_attempts == 1 ? "" : "s");
-    }
-    if (res.partial) {
-      std::printf("PARTIAL: %zu component%s below the confidence bar at budget end\n",
-                  res.flagged_components.size(), res.flagged_components.size() == 1 ? "" : "s");
-    }
-    std::printf("components recovered exactly: %zu / %zu\n", res.recovery.components_correct,
-                res.recovery.components_total);
-    std::printf("f recovered exactly: %s\n", res.recovery.f_exact ? "YES" : "no");
-    std::printf("NTRU equation re-solved: %s\n", res.recovery.ntru_solved ? "YES" : "no");
-    std::printf("forged signature verified by victim's PUBLIC key: %s\n",
-                res.recovery.forgery_verified ? "YES -- key fully compromised" : "no");
+    print_recovery(res, nullptr);
   }
   return res.recovery.forgery_verified ? 0 : 1;
 }
