@@ -6,6 +6,7 @@
 
 #include "falcon/ntru_solve.h"
 #include "fft/fft.h"
+#include "obs/sink.h"
 #include "obs/span.h"
 #include "zq/zq.h"
 
@@ -150,12 +151,14 @@ void repair_row(std::vector<Fpr>& recovered, std::vector<ComponentResult>& resul
   // the one that lowers the metric most, taken only if it gains
   // min_gain. (A first-improvement pass can take small gains on correct
   // components before the wrong component's large one, and those moves
-  // break correct components.)
+  // break correct components.) Every move lowers the metric, which is
+  // bounded below by 0, by at least min_gain, so the descent ends
+  // without a move cap. Returns the number of moves taken.
   const auto descend = [&](auto&& term, double tol, double min_gain) {
-    constexpr int kMaxMoves = 64;
     refresh();
     double residual = priced(term, 0, 0.0);
-    for (int move = 0; move < kMaxMoves && residual > tol; ++move) {
+    std::size_t moves = 0;
+    while (residual > tol) {
       double best = residual - min_gain;
       std::size_t best_idx = n;
       unsigned best_exp = 0;
@@ -179,11 +182,17 @@ void repair_row(std::vector<Fpr>& recovered, std::vector<ComponentResult>& resul
       recovered[best_idx] = Fpr::from_bits(assemble_bits(r.sign, best_exp, r.x1, r.x0));
       refresh();
       residual = priced(term, 0, 0.0);
+      ++moves;
     }
-    return residual;
+    return moves;
   };
-  descend(magnitude_excess, /*tol=*/1e-9, /*min_gain=*/1.0);
-  descend(integrality, /*tol=*/1e-6, /*min_gain=*/0.05);
+  const std::size_t magnitude_moves = descend(magnitude_excess, /*tol=*/1e-9, /*min_gain=*/1.0);
+  const std::size_t integrality_moves = descend(integrality, /*tol=*/1e-6, /*min_gain=*/0.05);
+  obs::event("key_recovery.repair")
+      .with("n", n)
+      .with("magnitude_moves", magnitude_moves)
+      .with("integrality_moves", integrality_moves)
+      .emit();
 }
 
 }  // namespace

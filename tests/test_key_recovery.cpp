@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/hypothesis.h"
 #include "attack/key_recovery.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
@@ -46,6 +47,36 @@ TEST(KeyRecovery, HidingCountermeasureDefeatsAttack) {
   // component recovery collapses to chance.
   EXPECT_LT(res.components_correct, res.components_total / 2);
   EXPECT_FALSE(res.f_exact);
+}
+
+TEST(KeyRecovery, RepairFixesMoreAliasesThanAnyMoveCap) {
+  // A FALCON-512 row of otherwise exact components in which every fifth
+  // exponent (103 of 512) took its alias 2^24 too large, each
+  // component's tie class being {true, alias}. The repair makes one move
+  // per alias, so a cap of 64 moves per stage would leave 39 of them.
+  ChaCha20Prng rng("repair many aliases");
+  const auto victim = falcon::keygen(9, rng);
+  const std::size_t n = victim.sk.params.n;
+  std::vector<ComponentResult> results(n);
+  std::size_t aliased = 0;
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const KnownOperand truth = KnownOperand::from(victim.sk.b01[idx]);
+    ComponentResult& r = results[idx];
+    r.sign = truth.sign;
+    r.x0 = truth.y0;
+    r.x1 = truth.y1;
+    r.exp_phase.top = {{truth.exponent, 1.0}, {truth.exponent + 24, 1.0}};
+    r.exponent = idx % 5 == 0 ? truth.exponent + 24 : truth.exponent;
+    aliased += r.exponent != truth.exponent;
+    r.bits = assemble_bits(r.sign, r.exponent, r.x1, r.x0);
+  }
+  ASSERT_GT(aliased, 64u);
+
+  const RowAssembly row = assemble_row(results, victim.sk.params.logn, /*row=*/0);
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    EXPECT_EQ(row.recovered[idx].bits(), victim.sk.b01[idx].bits()) << "component " << idx;
+  }
+  EXPECT_EQ(row.poly, victim.sk.f);
 }
 
 TEST(ForgeKey, RejectsWrongF) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "attack/template_attack.h"
@@ -40,15 +41,16 @@ Rig make_rig(std::size_t traces, double noise, std::uint64_t seed) {
 }
 
 TEST(TemplateAttack, ProfileRecoversDeviceParameters) {
-  const Rig rig = make_rig(600, 3.0, 0xE001);
+  const Rig rig = make_rig(3600, 3.0, 0xE001);
   const auto ds = build_component_dataset(rig.clone_set, false);
   const auto prof = profile_device(ds, rig.clone.sk.b01[0]);
 
   // The device has alpha = 1, beta = 0, sigma = 3 at every point.
   // Slope precision scales with 1/sqrt(Var(h)*N): single-bit offsets
-  // (sign, standard error ~0.25 here) are wobbly, the wide mantissa
-  // products (~0.03) are tight, so each slope is held to five of its
-  // own standard errors.
+  // (sign) are wobbly, the wide mantissa products are tight. Each slope
+  // is held to 0.4 and to five of its own standard errors, whichever is
+  // tighter; 3600 traces put the sign's standard error near 0.1, so
+  // 0.4 is four of them.
   int fitted = 0;
   for (std::size_t off = 0; off < prof.points.size(); ++off) {
     const auto& p = prof.points[off];
@@ -65,7 +67,7 @@ TEST(TemplateAttack, ProfileRecoversDeviceParameters) {
     }
     const double var_h = sum_sq / count - (sum / count) * (sum / count);
     const double alpha_se = p.sigma / std::sqrt(count * var_h);
-    EXPECT_NEAR(p.alpha, 1.0, 5.0 * alpha_se) << "offset " << off;
+    EXPECT_NEAR(p.alpha, 1.0, std::min(0.4, 5.0 * alpha_se)) << "offset " << off;
     EXPECT_NEAR(p.beta, 0.0, 6.0);
     EXPECT_NEAR(p.sigma, 3.0, 0.8);
     ++fitted;
