@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
     // structure is identical; more traces only sharpen the correlations).
     const std::size_t d_full = 1500;
     const auto ds_full = attack::build_component_dataset(set, false, d_full);
-    attack::StreamingScan scan({ds_full.views[0].samples[sca::window::kOffProdLL]});
+    const attack::SampleColumn col = ds_full.views[0].samples[sca::window::kOffProdLL];
+    attack::StreamingScan scan(std::span(&col, 1));
     std::printf("  [exhaustive mode: scanning all 2^25 low-mantissa guesses over %zu traces]\n",
                 d_full);
     extend_top = scan.top_k(0, std::uint64_t{1} << 25, y0_model(ds_full, 1), 8);

@@ -6,7 +6,10 @@
 // FALCON-512 (sign + gated windows + trace synthesis + archive append)
 // and at FALCON-16 (paper16's shape), and the kernels under it: signing
 // under the recorder, one query's unit normals, the ChaCha20 keystream
-// of the trace noise, one query's synthesis alone, and the chunk CRC32.
+// of the trace noise, one query's synthesis alone, and the chunk CRC32;
+// then the attack side of paper16's shape: the demux of a FALCON-16,
+// 24k-query archive into slot matrices, and the exponent tie-break at
+// 24k traces.
 //
 //   ./bench_tracestore [logn] [num_traces] [--json <path>]
 
@@ -15,6 +18,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "attack/slot_matrix.h"
 #include "attack/streaming_cpa.h"
 #include "bench_harness.h"
 #include "bench_util.h"
@@ -283,6 +287,67 @@ int main(int argc, char** argv) {
                 cap4_ms / kQueries, kLogn, kQueries, cap4.records);
     harness.report("capture_query_logn4", params4, cap4_ms, kQueries * 1e3 / cap4_ms,
                    "queries/s");
+  }
+
+  // paper16's re-attack shape: a FALCON-16 archive of 24k queries at
+  // sigma 12, demuxed ungated into its 8 slot matrices (one scan), then the
+  // exponent tie-break of one component over all 24k traces.
+  {
+    constexpr unsigned kLogn = 4;
+    constexpr std::size_t kQueries = 24000;
+    ChaCha20Prng krng(0xA2C420);
+    const auto kp4 = falcon::keygen(kLogn, krng);
+    sca::CampaignConfig cfg4;
+    cfg4.num_traces = kQueries;
+    cfg4.device.noise_sigma = 12.0;
+    cfg4.seed = 0xA2C420;
+    const auto cap4 = sca::run_campaign_to_archive(kp4.sk, cfg4, path);
+    tracestore::ArchiveReader demux_reader;
+    if (!cap4.ok || !demux_reader.open(path)) {
+      std::fprintf(stderr, "paper16 archive failed: %s\n", cap4.error.c_str());
+      return 1;
+    }
+    const std::size_t hn = kp4.sk.params.n >> 1;
+    std::vector<std::size_t> slots(hn);
+    for (std::size_t s = 0; s < hn; ++s) slots[s] = s;
+    std::vector<attack::SlotMatrix> matrices;
+    std::string error;
+    t0 = Clock::now();
+    if (!attack::demux_slots(demux_reader, slots, matrices, /*whole_windows=*/false, &error)) {
+      std::fprintf(stderr, "demux failed: %s\n", error.c_str());
+      return 1;
+    }
+    const double demux_ms = seconds_since(t0) * 1e3;
+    std::size_t bytes = 0;
+    for (const auto& m : matrices) bytes += m.resident_bytes();
+    const double resident_mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
+    char params_demux[64];
+    std::snprintf(params_demux, sizeof params_demux, "logn=%u queries=%zu", kLogn, kQueries);
+    std::printf("demux          %8.3f ms (logn=%u, %zu records, %.1f MiB resident)\n", demux_ms,
+                kLogn, cap4.records, resident_mib);
+    harness.report("demux_logn4", params_demux, demux_ms, resident_mib / demux_ms * 1e3,
+                   "MiB/s");
+
+    // The alias class of a window of eight exponents, matched kPasses
+    // times against slot 0's real part.
+    constexpr std::size_t kTies = 8;
+    constexpr std::size_t kPasses = 8;
+    const attack::ComponentDataset ds = attack::component_dataset(matrices[0], false);
+    std::vector<attack::StreamingScan::Scored> ties;
+    for (std::uint32_t e = 1024; e < 1024 + kTies; ++e) ties.push_back({e, 0.0});
+    std::uint32_t pick = 0;
+    t0 = Clock::now();
+    for (std::size_t i = 0; i < kPasses; ++i) {
+      pick = attack::resolve_exponent_ties(ds, ties, ties[0].guess, 1029);
+    }
+    const double ties_ms = seconds_since(t0) * 1e3;
+    char params_ties[64];
+    std::snprintf(params_ties, sizeof params_ties, "traces=%zu ties=%zu passes=%zu",
+                  ds.num_traces, kTies, kPasses);
+    std::printf("exponent ties  %8.3f ms (%zu traces, %zu ties, %zu passes, pick %u)\n", ties_ms,
+                ds.num_traces, kTies, kPasses, pick);
+    harness.report("exponent_ties", params_ties, ties_ms,
+                   static_cast<double>(ds.num_traces * kPasses) / ties_ms, "traces/ms");
   }
 
   // Chunk CRC32 over one 64 KiB payload, repeated: 32 MiB per timing.

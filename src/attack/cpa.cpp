@@ -75,18 +75,39 @@ std::vector<std::size_t> CpaEngine::ranking() const {
   return cpa_ranking(sums_);
 }
 
-StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,
+namespace {
+
+std::vector<SampleColumn> column_views(const std::vector<std::vector<float>>& columns) {
+  std::vector<SampleColumn> views;
+  views.reserve(columns.size());
+  for (const auto& c : columns) views.push_back(SampleColumn::of(c));
+  return views;
+}
+
+}  // namespace
+
+StreamingScan::StreamingScan(const std::vector<std::vector<float>>& sample_columns,
+                             CpaKernelConfig kernel)
+    : StreamingScan(column_views(sample_columns), kernel) {}
+
+StreamingScan::StreamingScan(std::span<const SampleColumn> sample_columns,
                              CpaKernelConfig kernel)
     : kernel_(kernel) {
-  assert(!sample_columns.empty());
+  if (sample_columns.empty()) throw std::invalid_argument("StreamingScan: no sample columns");
   d_ = sample_columns[0].size();
+  for (std::size_t c = 1; c < sample_columns.size(); ++c) {
+    if (sample_columns[c].size() != d_) {
+      throw std::invalid_argument("StreamingScan: column " + std::to_string(c) + " has " +
+                                  std::to_string(sample_columns[c].size()) +
+                                  " traces, column 0 has " + std::to_string(d_));
+    }
+  }
   cols_.resize(sample_columns.size() * d_);
   col_sum_.resize(sample_columns.size());
   col_var_.resize(sample_columns.size());
   const double dn = static_cast<double>(d_);
   for (std::size_t c = 0; c < sample_columns.size(); ++c) {
-    const auto& src = sample_columns[c];
-    assert(src.size() == d_);
+    const SampleColumn& src = sample_columns[c];
     // Store the column shifted by its first trace: Pearson r is
     // shift-invariant, and the dn*st2 - st*st form below no longer
     // cancels catastrophically when the raw samples carry a large DC

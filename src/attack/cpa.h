@@ -83,11 +83,20 @@ class CpaEngine {
 // routes the scan through hypothesis_scan_scores: hypotheses generated a
 // SIMD block of guesses at a time, scores bit-identical to a callback
 // returning the same hypotheses.
+// One per-trace operand array the model borrows: it must outlive the
+// scan calls the model is passed to. A temporary vector would dangle,
+// so it does not convert.
+struct OperandSpan : std::span<const std::uint32_t> {
+  using std::span<const std::uint32_t>::span;
+  OperandSpan(std::span<const std::uint32_t> s) : std::span<const std::uint32_t>(s) {}
+  OperandSpan(std::vector<std::uint32_t>&&) = delete;
+};
+
 struct HypothesisModel {
   struct Column {
     LeakKind kind = LeakKind::kProduct;
-    std::uint32_t guess_or = 0;           // kZ1b / kZu: x0's bits above 25
-    std::vector<std::uint32_t> ops[4];    // a, b, c, d: the first leak_operands(kind) are read
+    std::uint32_t guess_or = 0;  // kZ1b / kZu: x0's bits above 25
+    OperandSpan ops[4];          // a, b, c, d: the first leak_operands(kind) are read
   };
   std::vector<Column> columns;            // one per scan column, in column order
 };
@@ -98,6 +107,19 @@ struct HypothesisModel {
 // the known operand half of trace t (hyp_low_mul_* / hyp_high_mul_*).
 struct ProductModel {
   std::vector<std::uint32_t> multipliers;  // column-major: [column * traces + trace]
+};
+
+// One column of trace samples read in place: sample t at data[t *
+// stride]. A column of a row-major trace matrix has the row width as
+// its stride; a contiguous column has stride 1.
+struct SampleColumn {
+  const float* data = nullptr;
+  std::size_t count = 0;
+  std::size_t stride = 1;
+
+  [[nodiscard]] static SampleColumn of(std::span<const float> v) { return {v.data(), v.size(), 1}; }
+  [[nodiscard]] std::size_t size() const { return count; }
+  [[nodiscard]] float operator[](std::size_t t) const { return data[t * stride]; }
 };
 
 // Memory-light streaming scan for huge guess spaces (the 2^25 / 2^27
@@ -114,8 +136,13 @@ struct ProductModel {
 // held to.
 class StreamingScan {
  public:
+  // One SampleColumn per scan column, read once into the scan's own
+  // shifted double columns. No columns, or columns of different
+  // lengths, throw std::invalid_argument.
+  explicit StreamingScan(std::span<const SampleColumn> sample_columns,
+                         CpaKernelConfig kernel = {});
   // samples: column-major: samples[col][trace].
-  explicit StreamingScan(std::vector<std::vector<float>> sample_columns,
+  explicit StreamingScan(const std::vector<std::vector<float>>& sample_columns,
                          CpaKernelConfig kernel = {});
 
   // Shard top_k/top_k_list over `shards` contiguous guess chunks run

@@ -1,9 +1,9 @@
 #include "attack/extend_prune.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "common/popcount.h"
@@ -22,28 +22,51 @@ ComponentDataset build_component_dataset(const sca::TraceSet& set, bool imag_par
                                          std::size_t max_traces) {
   const std::size_t d =
       max_traces == 0 ? set.traces.size() : std::min(max_traces, set.traces.size());
+  for (std::size_t t = 0; t < d; ++t) {
+    const std::size_t len = set.traces[t].trace.samples.size();
+    if (len < kDatasetWindowSamples) {
+      throw std::invalid_argument("build_component_dataset: trace " + std::to_string(t) +
+                                  " of slot " + std::to_string(set.slot) + " has " +
+                                  std::to_string(len) + " samples, the views read " +
+                                  std::to_string(kDatasetWindowSamples));
+    }
+  }
+  // One block of 2 x 17 sample columns and one of 2 x 4 operand arrays,
+  // each D long: view v's column s at samples[(v * 17 + s) * D], its
+  // operand field f at known[(v * 4 + f) * D].
+  struct Storage {
+    std::vector<float> samples;
+    std::vector<std::uint32_t> known;
+  };
+  auto store = std::make_shared<Storage>();
+  store->samples.resize(2 * ww::kEventsPerMul * d);
+  store->known.resize(2 * 4 * d);
   ComponentDataset ds;
   ds.num_traces = d;
   for (unsigned v = 0; v < 2; ++v) {
-    const std::size_t base = ww::mul_base(
-        static_cast<unsigned>(ww::mul_block_for(imag_part, v)));
-    auto& view = ds.views[v];
-    view.known.reserve(d);
-    view.samples.assign(ww::kEventsPerMul, std::vector<float>(d));
+    // Known operand of this block: re*re and im*im use matching parts,
+    // re*im and im*re the crossed ones -- encoded in mul_block_for:
+    // blocks 0/1 use (re, im) known respectively, blocks 2/3 crossed.
+    const std::size_t block = ww::mul_block_for(imag_part, v);
+    const std::size_t base = ww::mul_base(static_cast<unsigned>(block));
+    float* cols = store->samples.data() + v * ww::kEventsPerMul * d;
+    std::uint32_t* known = store->known.data() + v * 4 * d;
     for (std::size_t t = 0; t < d; ++t) {
       const auto& ct = set.traces[t];
-      // Known operand of this block: re*re and im*im use matching parts,
-      // re*im and im*re the crossed ones -- encoded in mul_block_for:
-      // blocks 0/1 use (re, im) known respectively, blocks 2/3 crossed.
-      const std::size_t block = ww::mul_block_for(imag_part, v);
-      const fpr::Fpr known =
-          (block == 0 || block == 3) ? ct.known_re : ct.known_im;
-      view.known.push_back(KnownOperand::from(known));
+      const KnownOperand k =
+          KnownOperand::from((block == 0 || block == 3) ? ct.known_re : ct.known_im);
+      known[t] = k.y0;
+      known[d + t] = k.y1;
+      known[2 * d + t] = k.exponent;
+      known[3 * d + t] = k.sign;
       for (std::size_t s = 0; s < ww::kEventsPerMul; ++s) {
-        view.samples[s][t] = ct.trace.samples[base + s];
+        cols[s * d + t] = ct.trace.samples[base + s];
       }
     }
+    ds.views[v].samples = {cols, d, 1, d};
+    ds.views[v].known = {{known, d}, {known + d, d}, {known + 2 * d, d}, {known + 3 * d, d}};
   }
+  ds.storage = std::move(store);
   return ds;
 }
 
@@ -89,14 +112,16 @@ std::vector<std::uint32_t> MantissaCandidates::adversarial(std::uint32_t truth, 
 namespace {
 
 // One phase's scan: a sample column per (view, offset) pair, view-major,
-// under the config's kernel and guess-space sharding.
+// under the config's kernel and guess-space sharding. The scan reads
+// the dataset's columns in place.
 StreamingScan phase_scan(const ComponentDataset& ds, std::span<const std::size_t> offsets,
                          const ComponentAttackConfig& config) {
-  std::vector<std::vector<float>> cols;
+  std::vector<SampleColumn> cols;
+  cols.reserve(2 * offsets.size());
   for (unsigned v = 0; v < 2; ++v) {
     for (const std::size_t off : offsets) cols.push_back(ds.views[v].samples[off]);
   }
-  StreamingScan scan(std::move(cols), config.kernel);
+  StreamingScan scan(cols, config.kernel);
   scan.set_parallelism(config.cpa_shards, config.scan_pool);
   return scan;
 }
@@ -115,8 +140,8 @@ PhaseOutcome phase_outcome(std::vector<StreamingScan::Scored> top) {
 // as a range, so the extend phases' 2^25 / 2^27 guesses are never
 // materialized -- against the phase's hypotheses as data: one column per
 // (view, offset) pair in phase_scan's order, whose leak kind and
-// per-trace operands fill(column, offset, known) sets from the view's
-// known operands.
+// per-trace operands fill(column, offset, view) sets, pointing at the
+// view's known operand arrays.
 PhaseOutcome run_phase(const ComponentDataset& ds, std::span<const std::size_t> offsets,
                        std::span<const std::uint32_t> candidates, std::uint32_t lo,
                        std::uint32_t hi, std::size_t keep, const ComponentAttackConfig& config,
@@ -125,22 +150,11 @@ PhaseOutcome run_phase(const ComponentDataset& ds, std::span<const std::size_t> 
   HypothesisModel model;
   model.columns.reserve(2 * offsets.size());
   for (unsigned v = 0; v < 2; ++v) {
-    for (const std::size_t off : offsets) fill(model.columns.emplace_back(), off, ds.views[v].known);
+    for (const std::size_t off : offsets) fill(model.columns.emplace_back(), off, v);
   }
   return phase_outcome(candidates.empty() ? scan.top_k(lo, hi, model, keep)
                                           : scan.top_k_list(candidates, model, keep));
 }
-
-// One operand per trace: op(known).
-std::vector<std::uint32_t> per_trace(std::span<const KnownOperand> known, auto&& op) {
-  std::vector<std::uint32_t> out;
-  out.reserve(known.size());
-  for (const KnownOperand& k : known) out.push_back(op(k));
-  return out;
-}
-
-std::uint32_t y0_of(const KnownOperand& k) { return k.y0; }
-std::uint32_t y1_of(const KnownOperand& k) { return k.y1; }
 
 // An extend phase: the partial products x*y0 / x*y1 (ProdLL/ProdHL
 // multiply by the known y0 half, ProdLH/ProdHH by y1).
@@ -148,10 +162,10 @@ PhaseOutcome run_extend(const ComponentDataset& ds, std::span<const std::size_t>
                         std::span<const std::uint32_t> candidates, std::uint32_t lo,
                         std::uint32_t hi, std::size_t keep, const ComponentAttackConfig& config) {
   return run_phase(ds, offsets, candidates, lo, hi, keep, config,
-                   [](HypothesisModel::Column& col, std::size_t off,
-                      std::span<const KnownOperand> known) {
+                   [&ds](HypothesisModel::Column& col, std::size_t off, unsigned v) {
+                     const KnownOperands& known = ds.views[v].known;
                      const bool y0_half = off == ww::kOffProdLL || off == ww::kOffProdHL;
-                     col.ops[0] = per_trace(known, y0_half ? y0_of : y1_of);
+                     col.ops[0] = y0_half ? known.y0 : known.y1;
                    });
 }
 
@@ -191,15 +205,15 @@ LinearCalibration calibrate_device(const ComponentDataset& ds) {
   std::size_t count = 0;
   for (unsigned v = 0; v < 2; ++v) {
     const auto& view = ds.views[v];
+    const SampleColumn cols[3] = {view.samples[ww::kOffYLo], view.samples[ww::kOffYHi],
+                                  view.samples[ww::kOffExpY]};
     for (std::size_t t = 0; t < ds.num_traces; ++t) {
-      const KnownOperand& k = view.known[t];
-      const double hws[3] = {static_cast<double>(popcount64(k.y0)),
-                             static_cast<double>(popcount64(k.y1)),
-                             static_cast<double>(popcount64(k.exponent))};
-      const std::size_t offs[3] = {ww::kOffYLo, ww::kOffYHi, ww::kOffExpY};
+      const double hws[3] = {static_cast<double>(popcount64(view.known.y0[t])),
+                             static_cast<double>(popcount64(view.known.y1[t])),
+                             static_cast<double>(popcount64(view.known.exponent[t]))};
       for (int i = 0; i < 3; ++i) {
         const double h = hws[i];
-        const double s = view.samples[offs[i]][t];
+        const double s = cols[i][t];
         sh += h;
         sh2 += h * h;
         st += s;
@@ -214,6 +228,83 @@ LinearCalibration calibrate_device(const ComponentDataset& ds) {
   cal.alpha = var_h > 0.0 ? (dn * sht - sh * st) / var_h : 0.0;
   cal.beta = (st - cal.alpha * sh) / dn;
   return cal;
+}
+
+std::uint32_t resolve_exponent_ties(const ComponentDataset& ds,
+                                    std::span<const StreamingScan::Scored> ties,
+                                    std::uint32_t pick, unsigned exp_prior) {
+  if (ties.empty()) return pick;
+  const LinearCalibration cal = calibrate_device(ds);
+  if (std::fabs(cal.alpha) <= 1e-6) {
+    const auto dist = [&](std::uint32_t e) {
+      return e > exp_prior ? e - exp_prior : exp_prior - e;
+    };
+    for (const auto& s : ties) {
+      if (dist(s.guess) < dist(pick)) pick = s.guess;
+    }
+    return pick;
+  }
+  if (ds.num_traces == 0) return ties[0].guess;  // every error sum is 0
+  // The exponent-sum addition's prediction depends on the trace only
+  // through its known exponent, so each tie's predicted level is a
+  // table over the known exponents present, each entry the same double
+  // expression cal.alpha * hyp_exponent(guess, k) + cal.beta a per-trace
+  // evaluation computes. The register load's prediction is constant per
+  // tie (its Hamming weight is invisible to Pearson, decisive here).
+  unsigned emin = ~0U;
+  unsigned emax = 0;
+  for (unsigned v = 0; v < 2; ++v) {
+    for (const std::uint32_t e : ds.views[v].known.exponent) {
+      emin = std::min(emin, e);
+      emax = std::max(emax, e);
+    }
+  }
+  // Ties go in blocks of four, padded with dummy entries, so a block's
+  // error sums live in registers.
+  constexpr std::size_t kBlock = 4;
+  const std::size_t nt = ties.size();
+  const std::size_t np = (nt + kBlock - 1) / kBlock * kBlock;
+  std::vector<double> pred_x(np, 0.0);
+  for (std::size_t i = 0; i < nt; ++i) {
+    pred_x[i] = cal.alpha * popcount64(ties[i].guess) + cal.beta;
+  }
+  std::vector<double> pred_sum((emax - emin + 1) * np, 0.0);  // [(e - emin) * np + i]
+  for (unsigned e = emin; e <= emax; ++e) {
+    const KnownOperand k{0, 0, e, false};
+    for (std::size_t i = 0; i < nt; ++i) {
+      pred_sum[(e - emin) * np + i] = cal.alpha * hyp_exponent(ties[i].guess, k) + cal.beta;
+    }
+  }
+  // Each tie's error sum adds the same terms in the same (view, trace)
+  // order as a per-trace evaluation.
+  std::vector<double> sse(np, 0.0);
+  for (std::size_t i0 = 0; i0 < np; i0 += kBlock) {
+    double acc[kBlock] = {};
+    for (unsigned v = 0; v < 2; ++v) {
+      const SampleColumn col_sum = ds.views[v].samples[ww::kOffExpSum];
+      const SampleColumn col_x = ds.views[v].samples[ww::kOffExpX];
+      const std::span<const std::uint32_t> exps = ds.views[v].known.exponent;
+      for (std::size_t t = 0; t < ds.num_traces; ++t) {
+        const double* pred = pred_sum.data() + (exps[t] - emin) * np + i0;
+        const double s_sum = col_sum[t];
+        const double s_x = col_x[t];
+        for (std::size_t j = 0; j < kBlock; ++j) {
+          const double e1 = s_sum - pred[j];
+          const double e2 = s_x - pred_x[i0 + j];
+          acc[j] += e1 * e1 + e2 * e2;
+        }
+      }
+    }
+    for (std::size_t j = 0; j < kBlock; ++j) sse[i0 + j] = acc[j];
+  }
+  double best_sse = 1e300;
+  for (std::size_t i = 0; i < nt; ++i) {
+    if (sse[i] < best_sse) {
+      best_sse = sse[i];
+      pick = ties[i].guess;
+    }
+  }
+  return pick;
 }
 
 std::uint64_t assemble_bits(bool sign, unsigned exponent, std::uint32_t x1, std::uint32_t x0) {
@@ -245,12 +336,9 @@ ComponentResult attack_component(const ComponentDataset& ds,
     const std::size_t offsets[] = {ww::kOffSign};
     const std::uint32_t guesses[] = {0, 1};
     res.sign_phase = run_phase(ds, offsets, guesses, 0, 0, 2, config,
-                               [](HypothesisModel::Column& col, std::size_t,
-                                  std::span<const KnownOperand> known) {
+                               [&ds](HypothesisModel::Column& col, std::size_t, unsigned v) {
                                  col.kind = LeakKind::kSign;
-                                 col.ops[0] = per_trace(known, [](const KnownOperand& k) {
-                                   return static_cast<std::uint32_t>(k.sign);
-                                 });
+                                 col.ops[0] = ds.views[v].known.sign;
                                });
     res.sign = res.sign_phase.value != 0;
     note_phase(config, "sign", 2, res.sign_phase, start);
@@ -266,72 +354,23 @@ ComponentResult attack_component(const ComponentDataset& ds,
     guesses.reserve(config.exp_max - config.exp_min + 1);
     for (std::uint32_t e = config.exp_min; e <= config.exp_max; ++e) guesses.push_back(e);
     res.exp_phase = run_phase(ds, offsets, guesses, 0, 0, guesses.size(), config,
-                              [](HypothesisModel::Column& col, std::size_t,
-                                 std::span<const KnownOperand> known) {
+                              [&ds](HypothesisModel::Column& col, std::size_t, unsigned v) {
                                 col.kind = LeakKind::kExpSum;
-                                col.ops[0] = per_trace(known, [](const KnownOperand& k) {
-                                  return static_cast<std::uint32_t>(k.exponent);
-                                });
+                                col.ops[0] = ds.views[v].known.exponent;
                               });
-    // Keep only the tie class, then prefer the guess nearest the prior.
+    // Keep only the tie class, then template-match its members' absolute
+    // levels (resolve_exponent_ties).
     const double eps =
         config.exp_tie_epsilon >= 0.0
             ? config.exp_tie_epsilon
             : std::max(1e-6, 4.0 / std::sqrt(static_cast<double>(ds.num_traces)));
     const double best = res.exp_phase.top.empty() ? 0.0 : res.exp_phase.top[0].score;
-    std::uint32_t pick = res.exp_phase.value;
     std::vector<StreamingScan::Scored> ties;
     for (const auto& s : res.exp_phase.top) {
       if (s.score >= best - eps) ties.push_back(s);
     }
-    // Tie resolution: Pearson is blind to affine prediction shifts, but
-    // the aliases DO predict different absolute per-trace amplitudes.
-    // With the device gain/offset self-calibrated from known-value
-    // events, template-match each tie member: pick the guess minimizing
-    // the per-trace squared error against alpha*h + beta.
-    const LinearCalibration cal = calibrate_device(ds);
-    if (std::fabs(cal.alpha) > 1e-6) {
-      // Ties run innermost: each tie's error sum takes the same
-      // operations in the same (view, trace) order as a tie-by-tie loop,
-      // but the ties' dependency chains overlap.
-      std::vector<double> sse(ties.size(), 0.0);
-      std::vector<double> pred_x(ties.size());
-      for (unsigned v = 0; v < 2; ++v) {
-        // The exponent-sum addition (per-trace varying) plus the
-        // secret-exponent register load (constant Hamming weight --
-        // invisible to Pearson, decisive for the template).
-        const auto& col_sum = ds.views[v].samples[ww::kOffExpSum];
-        const auto& col_x = ds.views[v].samples[ww::kOffExpX];
-        for (std::size_t i = 0; i < ties.size(); ++i) {
-          pred_x[i] = cal.alpha * popcount64(ties[i].guess) + cal.beta;
-        }
-        for (std::size_t t = 0; t < ds.num_traces; ++t) {
-          const KnownOperand& k = ds.views[v].known[t];
-          for (std::size_t i = 0; i < ties.size(); ++i) {
-            const double pred_sum = cal.alpha * hyp_exponent(ties[i].guess, k) + cal.beta;
-            const double e1 = col_sum[t] - pred_sum;
-            const double e2 = col_x[t] - pred_x[i];
-            sse[i] += e1 * e1 + e2 * e2;
-          }
-        }
-      }
-      double best_sse = 1e300;
-      for (std::size_t i = 0; i < ties.size(); ++i) {
-        if (sse[i] < best_sse) {
-          best_sse = sse[i];
-          pick = ties[i].guess;
-        }
-      }
-    } else {
-      // Degenerate calibration (e.g. a hiding countermeasure): fall back
-      // to the magnitude prior.
-      for (const auto& s : ties) {
-        const auto dist = [&](std::uint32_t e) {
-          return e > config.exp_prior ? e - config.exp_prior : config.exp_prior - e;
-        };
-        if (dist(s.guess) < dist(pick)) pick = s.guess;
-      }
-    }
+    const std::uint32_t pick =
+        resolve_exponent_ties(ds, ties, res.exp_phase.value, config.exp_prior);
     res.exp_phase.top = std::move(ties);
     res.exp_phase.value = pick;
     res.exponent = pick;
@@ -357,11 +396,10 @@ ComponentResult attack_component(const ComponentDataset& ds,
     for (const auto& s : res.low_extend.top) survivors.push_back(s.guess);
     const std::size_t add_offsets[] = {ww::kOffAccZ1a};
     res.low_prune = run_phase(ds, add_offsets, survivors, 0, 0, survivors.size(), config,
-                              [](HypothesisModel::Column& col, std::size_t,
-                                 std::span<const KnownOperand> known) {
+                              [&ds](HypothesisModel::Column& col, std::size_t, unsigned v) {
                                 col.kind = LeakKind::kZ1a;
-                                col.ops[0] = per_trace(known, y0_of);
-                                col.ops[1] = per_trace(known, y1_of);
+                                col.ops[0] = ds.views[v].known.y0;
+                                col.ops[1] = ds.views[v].known.y1;
                               });
     res.x0 = res.low_prune.value;
     note_phase(config, "low_prune", survivors.size(), res.low_prune, start);
@@ -387,23 +425,31 @@ ComponentResult attack_component(const ComponentDataset& ds,
     for (const auto& s : res.high_extend.top) survivors.push_back(s.guess);
     const std::size_t add_offsets[] = {ww::kOffAccZ1b, ww::kOffAccZu};
     const std::uint32_t x0 = res.x0;
+    // Per view: z1a and prod_lh >> 25 of x0 times the known mantissa.
+    std::vector<std::uint32_t> z1a[2], plh[2];
+    for (unsigned v = 0; v < 2; ++v) {
+      z1a[v].reserve(ds.num_traces);
+      plh[v].reserve(ds.num_traces);
+      for (const KnownOperand k : ds.views[v].known) {
+        const std::uint64_t ym = (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
+        const fpr::MulMantissaSteps st = fpr::mul_mantissa_steps(x0, ym);
+        z1a[v].push_back(st.z1a);
+        plh[v].push_back(static_cast<std::uint32_t>(st.prod_lh >> fpr::kMantLowBits));
+      }
+    }
     res.high_prune = run_phase(
         ds, add_offsets, survivors, 0, 0, survivors.size(), config,
-        [&](HypothesisModel::Column& col, std::size_t off, std::span<const KnownOperand> known) {
+        [&](HypothesisModel::Column& col, std::size_t off, unsigned v) {
           const bool zu = off == ww::kOffAccZu;
           col.kind = zu ? LeakKind::kZu : LeakKind::kZ1b;
           col.guess_or = x0 >> fpr::kMantLowBits;
-          col.ops[0] = per_trace(known, y0_of);
-          for (const KnownOperand& k : known) {
-            const std::uint64_t ym = (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
-            const fpr::MulMantissaSteps s = fpr::mul_mantissa_steps(x0, ym);
-            if (zu) {
-              col.ops[1].push_back(k.y1);
-              col.ops[2].push_back(s.z1a);
-              col.ops[3].push_back(static_cast<std::uint32_t>(s.prod_lh >> fpr::kMantLowBits));
-            } else {
-              col.ops[1].push_back(s.z1a);
-            }
+          col.ops[0] = ds.views[v].known.y0;
+          if (zu) {
+            col.ops[1] = ds.views[v].known.y1;
+            col.ops[2] = z1a[v];
+            col.ops[3] = plh[v];
+          } else {
+            col.ops[1] = z1a[v];
           }
         });
     res.x1 = res.high_prune.value;

@@ -18,6 +18,7 @@
 // and imaginary part of the FFT(c) slot), giving two independent "views"
 // whose correlations are averaged.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -31,25 +32,51 @@
 
 namespace fd::attack {
 
+// Samples of one window a dataset reads: the four fpr_mul blocks. A
+// shorter window is refused (build_component_dataset, the archive
+// demux of slot_matrix.h), never read past.
+inline constexpr std::size_t kDatasetWindowSamples = 4 * sca::window::kEventsPerMul;
+
+// The 17 sample columns of one fpr_mul block across a dataset's
+// traces, read in place: column `offset` starts at base + offset *
+// column_stride and steps trace_stride floats per trace.
+struct BlockSamples {
+  const float* base = nullptr;
+  std::size_t traces = 0;
+  std::size_t trace_stride = 1;
+  std::size_t column_stride = 0;
+
+  [[nodiscard]] SampleColumn operator[](std::size_t offset) const {
+    return {base + offset * column_stride, traces, trace_stride};
+  }
+};
+
 // Per-component trace view: the 17 samples of one fpr_mul block plus the
 // known operand, for each of the two multiplications involving this
-// component.
+// component. The views point into storage the dataset does not copy:
+// its own `storage` when built from a TraceSet, or a SlotMatrix
+// (slot_matrix.h) that must outlive it. Copies and moves share the
+// storage, so a moved dataset stays valid.
 struct ComponentDataset {
   struct View {
-    std::vector<KnownOperand> known;           // D entries
-    std::vector<std::vector<float>> samples;   // 17 columns x D
+    KnownOperands known;    // D entries
+    BlockSamples samples;   // samples[offset][trace], 17 columns x D
   };
   View views[2];
   std::size_t num_traces = 0;
+  std::shared_ptr<const void> storage;  // owned samples and operands, or null
 
-  // Column c of view v as a StreamingScan input.
-  [[nodiscard]] std::vector<std::vector<float>> columns(std::size_t offset) const {
+  // Column `offset` of both views as a StreamingScan input.
+  [[nodiscard]] std::array<SampleColumn, 2> columns(std::size_t offset) const {
     return {views[0].samples[offset], views[1].samples[offset]};
   }
 };
 
 // Extracts the dataset for the real (imag_part=false) or imaginary part
-// of the slot captured in the trace set. max_traces == 0 means all.
+// of the slot captured in the trace set: one copy of the 34 sample
+// columns and the known operands it reads. max_traces == 0 means all.
+// A window shorter than kDatasetWindowSamples throws
+// std::invalid_argument.
 [[nodiscard]] ComponentDataset build_component_dataset(const sca::TraceSet& set, bool imag_part,
                                                        std::size_t max_traces = 0);
 
@@ -141,6 +168,19 @@ struct LinearCalibration {
   double beta = 0.0;
 };
 [[nodiscard]] LinearCalibration calibrate_device(const ComponentDataset& ds);
+
+// The exponent phase's alias tie-break, shared by the CPA staging and
+// the profiled scorers. Pearson is blind to affine prediction shifts,
+// but the aliases predict different absolute per-trace amplitudes: with
+// the device gain/offset self-calibrated from known-value events
+// (calibrate_device), returns the tie whose predicted levels of the
+// exponent-sum addition and the secret-exponent register load have the
+// least squared error against the samples. A degenerate calibration
+// (e.g. a hiding countermeasure) falls back to the tie nearest
+// `exp_prior`, starting from `pick`; no ties returns `pick`.
+[[nodiscard]] std::uint32_t resolve_exponent_ties(const ComponentDataset& ds,
+                                                  std::span<const StreamingScan::Scored> ties,
+                                                  std::uint32_t pick, unsigned exp_prior);
 
 struct PhaseOutcome {
   std::uint32_t value = 0;

@@ -8,7 +8,9 @@
 // mul_mantissa_steps() pipeline as the device, so predictions match the
 // leaked values bit for bit; only the measurement noise separates them.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/popcount.h"
 #include "fpr/fpr.h"
@@ -27,6 +29,32 @@ struct KnownOperand {
     return {static_cast<std::uint32_t>(m) & fpr::kMantLowMask,
             static_cast<std::uint32_t>(m >> fpr::kMantLowBits), v.biased_exponent(), v.sign()};
   }
+};
+
+// One known operand per trace, held as the four u32 arrays the CPA
+// kernel's hypothesis columns read (HypothesisColumn::ops) and
+// assembled into a KnownOperand on access. A dataset's hypothesis
+// columns point straight at these arrays.
+struct KnownOperands {
+  std::span<const std::uint32_t> y0, y1, exponent, sign;
+
+  [[nodiscard]] std::size_t size() const { return y0.size(); }
+  [[nodiscard]] KnownOperand operator[](std::size_t t) const {
+    return {y0[t], y1[t], exponent[t], sign[t] != 0};
+  }
+
+  struct Iterator {
+    const KnownOperands* ops;
+    std::size_t t;
+    KnownOperand operator*() const { return (*ops)[t]; }
+    Iterator& operator++() {
+      ++t;
+      return *this;
+    }
+    bool operator==(const Iterator& o) const { return t == o.t; }
+  };
+  [[nodiscard]] Iterator begin() const { return {this, 0}; }
+  [[nodiscard]] Iterator end() const { return {this, size()}; }
 };
 
 // --- sign / exponent ------------------------------------------------------

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
+#include "attack/slot_matrix.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -12,22 +14,19 @@ namespace fd::attack {
 
 namespace {
 
-// The one component fan-out. sets[s] holds slot s (hn slots; only the
-// slots of `components` need records). Each listed component screens
-// its slot's set through the gate -- a private copy when the gate is
-// on, the shared set in place when it is off (screen_trace_set is then
-// a no-op) -- and attacks it. A bad id, an empty slot or a slot the
-// gate emptied records the first error and skips that component; the
-// others still run. One component per chunk: component attacks are the
-// coarse unit of work (seconds each at paper sizes), so finer chunking
-// buys nothing and per-index chunks keep the static plan balanced.
-bool fan_out(const std::vector<sca::TraceSet>& sets, const QualityConfig& gate,
-             unsigned jitter_max, const ComponentConfigFn& config_for,
+// The one component fan-out over hn slots. prepare(ci, ds, rep) yields
+// component ci's dataset and its slot's gate report, or a reason it
+// cannot be attacked; a bad id or a failed prepare records the first
+// error and skips that component, the others still run. One component
+// per chunk: component attacks are the coarse unit of work (seconds
+// each at paper sizes), so finer chunking buys nothing and per-index
+// chunks keep the static plan balanced.
+template <typename Prepare>
+bool fan_out(std::size_t hn, Prepare&& prepare, const ComponentConfigFn& config_for,
              exec::ThreadPool* pool, std::span<const std::size_t> components,
              std::vector<ComponentResult>& results,
              std::vector<std::size_t>& accepted_traces, QualityReport& total,
              std::string& error) {
-  const std::size_t hn = sets.size();
   const std::size_t n = hn * 2;
   std::mutex mu;  // guards error and the aggregate report
   const auto fail = [&](std::string msg) {
@@ -43,27 +42,15 @@ bool fan_out(const std::vector<sca::TraceSet>& sets, const QualityConfig& gate,
         continue;
       }
       const ComponentIndex ci = component_index(idx, hn);
-      if (sets[ci.slot].traces.empty()) {
-        fail("no records for slot " + std::to_string(ci.slot));
-        continue;
-      }
-      sca::TraceSet screened;
-      const sca::TraceSet* set = &sets[ci.slot];
+      ComponentDataset ds;
       QualityReport rep;
-      if (gate.enabled) {
-        screened = *set;
-        rep = screen_trace_set(screened, gate, jitter_max);
-        set = &screened;
-      } else {
-        rep.total = rep.accepted = set->traces.size();
-      }
-      if (set->traces.empty()) {
-        fail("quality gate rejected every trace of slot " + std::to_string(ci.slot));
+      std::string why = prepare(ci, ds, rep);
+      if (!why.empty()) {
+        fail(std::move(why));
         continue;
       }
-      const ComponentDataset ds = build_component_dataset(*set, ci.imag);
       results[idx] = attack_component(ds, config_for(ci));
-      accepted_traces[idx] = set->traces.size();
+      accepted_traces[idx] = ds.num_traces;
       std::lock_guard<std::mutex> lock(mu);
       total.add(rep);
     }
@@ -86,8 +73,20 @@ std::vector<ComponentResult> attack_all_components_parallel(
   std::vector<std::size_t> accepted(n);
   QualityReport report;
   std::string error;
-  (void)fan_out(sets, QualityConfig{}, 0, config_for, pool, all, results, accepted, report,
-                error);
+  // Each component copies its columns out of its slot's set; no gate.
+  const auto prepare = [&sets](const ComponentIndex& ci, ComponentDataset& ds,
+                               QualityReport& rep) -> std::string {
+    const sca::TraceSet& set = sets[ci.slot];
+    if (set.traces.empty()) return "no records for slot " + std::to_string(ci.slot);
+    try {
+      ds = build_component_dataset(set, ci.imag);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    rep.total = rep.accepted = set.traces.size();
+    return {};
+  };
+  (void)fan_out(sets.size(), prepare, config_for, pool, all, results, accepted, report, error);
   return results;
 }
 
@@ -109,26 +108,72 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
   if (accepted_traces.size() != n) accepted_traces.assign(n, 0);
 
   // The requested components' unique slots, demultiplexed in ONE scan
-  // and filed by slot; the fan-out reports out-of-range ids.
+  // into one slot matrix each; the fan-out reports out-of-range ids.
+  // Ungated, a row keeps only the samples the datasets read.
   std::vector<std::size_t> slots;
   for (const std::size_t idx : components) {
     if (idx < n) slots.push_back(component_index(idx, hn).slot);
   }
   std::sort(slots.begin(), slots.end());
   slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-  obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
-  std::vector<sca::TraceSet> loaded;
-  if (!sca::load_trace_sets_for(reader, slots, loaded)) {
-    if (error != nullptr) *error = "failed to demux archive records";
-    return false;
+  std::vector<SlotMatrix> matrices;
+  {
+    obs::Span demux("attack.demux");
+    std::string why;
+    if (!demux_slots(reader, slots, matrices, /*whole_windows=*/gate.enabled, &why)) {
+      if (error != nullptr) *error = "failed to demux archive records: " + why;
+      return false;
+    }
+    obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
+    std::size_t records = 0;
+    std::size_t bytes = 0;
+    for (const SlotMatrix& m : matrices) {
+      records += m.rows;
+      bytes += m.resident_bytes();
+    }
+    demux.note("records", records);
+    demux.note("slots", matrices.size());
+    demux.note("resident_mib", (bytes + (std::size_t{1} << 20) - 1) >> 20);
   }
-  std::vector<sca::TraceSet> sets(hn);
-  for (sca::TraceSet& set : loaded) sets[set.slot] = std::move(set);
 
+  // The gate screens each slot once, in place, before the fan-out; each
+  // requested component of the slot then adds the slot's report, so the
+  // aggregate counts every component's traces as a per-component screen
+  // would.
+  struct Slot {
+    const SlotMatrix* m = nullptr;
+    QualityReport rep;
+  };
+  std::vector<Slot> by_slot(hn);
+  for (const SlotMatrix& m : matrices) by_slot[m.slot].m = &m;
+  const unsigned jitter_max = reader.meta().jitter_max;
+  const auto screen = [&](exec::ChunkRange r, std::size_t) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      by_slot[matrices[i].slot].rep = screen_slot(matrices[i], gate, jitter_max);
+    }
+  };
+  if (gate.enabled) {
+    obs::Span screen_span("attack.screen");
+    exec::parallel_for_chunks(pool, matrices.size(), matrices.size(), screen);
+  } else {
+    screen({0, matrices.size()}, 0);
+  }
+
+  const auto prepare = [&by_slot](const ComponentIndex& ci, ComponentDataset& ds,
+                                  QualityReport& rep) -> std::string {
+    const Slot& s = by_slot[ci.slot];
+    if (s.rep.total == 0) return "no records for slot " + std::to_string(ci.slot);
+    if (s.m->rows == 0) {
+      return "quality gate rejected every trace of slot " + std::to_string(ci.slot);
+    }
+    ds = component_dataset(*s.m, ci.imag);
+    rep = s.rep;
+    return {};
+  };
   QualityReport total;
   std::string first_error;
-  const bool ok = fan_out(sets, gate, reader.meta().jitter_max, config_for, pool, components,
-                          results, accepted_traces, total, first_error);
+  const bool ok = fan_out(hn, prepare, config_for, pool, components, results, accepted_traces,
+                          total, first_error);
   if (quality != nullptr) *quality = total;
   if (!ok && error != nullptr) *error = first_error;
   return ok;

@@ -45,8 +45,8 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
 // Attacks all n = 2 * hn components of `sets` (hn slots, re + im each;
 // sets[s] holds slot s) and returns results in component-index order.
 // Null pool -> the same loop runs serially; results are identical
-// either way. No quality gate: every component reads its slot's set in
-// place.
+// either way. No quality gate: every component copies its columns out
+// of its slot's set (build_component_dataset).
 [[nodiscard]] std::vector<ComponentResult> attack_all_components_parallel(
     const std::vector<sca::TraceSet>& sets, const ComponentConfigFn& config_for,
     exec::ThreadPool* pool);
@@ -54,13 +54,14 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
 // Archive-backed, quality-gated, subset-capable fan-out: attacks only
 // the listed global component ids (resume and re-measurement both need
 // "just these"). The listed components' slots are demultiplexed in ONE
-// serial archive scan (sca::load_trace_sets_for), then the attacks fan
-// out over the pool in memory, so memory is O(requested slots); callers
-// that need it bounded pass small batches (the recovery pipeline's
-// checkpoint_every). With the gate on, each component screens a private
-// copy of its slot's set before dataset extraction, so a slot shared by
-// Re and Im counts twice in the report; with it off, both read the
-// shared set in place.
+// serial archive scan into one slot matrix each (demux_slots,
+// slot_matrix.h), the gate screens each slot once in place, then the
+// attacks fan out over the pool reading the matrices in place, so
+// memory is O(requested slots); callers that need it bounded pass
+// small batches (the recovery pipeline's checkpoint_every). Each
+// requested component adds its slot's gate report to the aggregate, so
+// a slot shared by Re and Im counts twice in it. An archive whose
+// windows are shorter than kDatasetWindowSamples fails the call.
 //
 // `results` and `accepted_traces` are indexed by global component id
 // and resized to n when they aren't already -- entries of ids NOT in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "attack/cpa.h"
@@ -14,7 +15,7 @@ namespace {
 
 // Pearson correlation between `w` samples of `a` (starting at a_off) and
 // the reference `ref` (length w).
-double window_corr(const std::vector<float>& a, std::size_t a_off,
+double window_corr(std::span<const float> a, std::size_t a_off,
                    const std::vector<double>& ref) {
   const std::size_t w = ref.size();
   double sa = 0.0;
@@ -52,23 +53,20 @@ double median_of(std::vector<double> v) {
   return m;
 }
 
-}  // namespace
-
-QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
-                               unsigned jitter_max) {
+// The gate over `num` trace windows, row(t) -> std::span<float> of
+// trace t: screens 1-3, realigning accepted windows in place. Marks the
+// rejects in `reject` and counts them in the report; the caller erases
+// them and sets `accepted`.
+template <typename RowFn>
+QualityReport screen_rows(std::size_t num, RowFn&& row, const QualityConfig& config,
+                          unsigned jitter_max, std::vector<bool>& reject) {
   QualityReport rep;
-  rep.total = set.traces.size();
-  if (!config.enabled || set.traces.empty()) {
-    rep.accepted = rep.total;
-    return rep;
-  }
-
-  const std::size_t num = set.traces.size();
-  std::vector<bool> reject(num, false);
+  rep.total = num;
+  reject.assign(num, false);
 
   // --- 1. saturation: exact-value pile-ups at the extremes ------------------
   for (std::size_t t = 0; t < num; ++t) {
-    const auto& s = set.traces[t].trace.samples;
+    const std::span<const float> s = row(t);
     if (s.empty()) {
       reject[t] = true;  // an empty window is unusable for any column
       ++rep.rejected_saturated;
@@ -102,7 +100,7 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
     for (std::size_t t = 0; t < num; ++t) {
       if (reject[t]) continue;
       double e = 0.0;
-      for (const float v : set.traces[t].trace.samples) {
+      for (const float v : row(t)) {
         e += static_cast<double>(v) * static_cast<double>(v);
       }
       energy[t] = e;
@@ -131,7 +129,7 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
   // defensively. W = S - L is the jitter-free span every lag can serve.
   std::size_t slen = std::numeric_limits<std::size_t>::max();
   for (std::size_t t = 0; t < num; ++t) {
-    if (!reject[t]) slen = std::min(slen, set.traces[t].trace.samples.size());
+    if (!reject[t]) slen = std::min(slen, row(t).size());
   }
   const std::size_t lag_max =
       config.max_lag != 0 ? config.max_lag : static_cast<std::size_t>(jitter_max);
@@ -147,7 +145,7 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
     if (lag_max > 0) {
       for (std::size_t t = 0; t < num; ++t) {
         if (reject[t]) continue;
-        const auto& s = set.traces[t].trace.samples;
+        const std::span<const float> s = row(t);
         double sum = 0.0;
         for (std::size_t i = 0; i < w; ++i) sum += s[i];
         double best = sum;
@@ -171,7 +169,7 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
       std::size_t contributors = 0;
       for (std::size_t t = 0; t < num; ++t) {
         if (reject[t]) continue;
-        const auto& s = set.traces[t].trace.samples;
+        const std::span<const float> s = row(t);
         for (std::size_t i = 0; i < w; ++i) ref[i] += s[lag[t] + i];
         ++contributors;
       }
@@ -179,7 +177,7 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
       for (auto& v : ref) v /= static_cast<double>(contributors);
       for (std::size_t t = 0; t < num; ++t) {
         if (reject[t]) continue;
-        const auto& s = set.traces[t].trace.samples;
+        const std::span<const float> s = row(t);
         double best = -2.0;
         std::size_t best_lag = lag[t];
         for (std::size_t l = 0; l <= lag_max; ++l) {
@@ -202,25 +200,17 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
         // Shift the window back to lag 0; the tail the trigger offset
         // pushed out of frame is zero-filled (columns past w are never
         // read once every accepted trace is anchored).
-        auto& s = set.traces[t].trace.samples;
+        const std::span<float> s = row(t);
         for (std::size_t i = 0; i + lag[t] < s.size(); ++i) s[i] = s[i + lag[t]];
         std::fill(s.end() - static_cast<std::ptrdiff_t>(lag[t]), s.end(), 0.0F);
         ++rep.realigned;
       }
     }
   }
+  return rep;
+}
 
-  // --- erase the rejects, preserving order ----------------------------------
-  std::size_t keep = 0;
-  for (std::size_t t = 0; t < num; ++t) {
-    if (!reject[t]) {
-      if (keep != t) set.traces[keep] = std::move(set.traces[t]);
-      ++keep;
-    }
-  }
-  set.traces.resize(keep);
-  rep.accepted = keep;
-
+void count_screen(const QualityReport& rep) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("attack.quality.screened").add(rep.total);
   reg.counter("attack.quality.accepted").add(rep.accepted);
@@ -228,6 +218,65 @@ QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
   reg.counter("attack.quality.rejected_energy").add(rep.rejected_energy);
   reg.counter("attack.quality.rejected_alignment").add(rep.rejected_alignment);
   reg.counter("attack.quality.realigned").add(rep.realigned);
+}
+
+}  // namespace
+
+QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
+                               unsigned jitter_max) {
+  if (!config.enabled || set.traces.empty()) {
+    QualityReport rep;
+    rep.total = rep.accepted = set.traces.size();
+    return rep;
+  }
+  std::vector<bool> reject;
+  QualityReport rep = screen_rows(
+      set.traces.size(),
+      [&set](std::size_t t) { return std::span<float>(set.traces[t].trace.samples); }, config,
+      jitter_max, reject);
+  // Erase the rejects, preserving order.
+  std::size_t keep = 0;
+  for (std::size_t t = 0; t < set.traces.size(); ++t) {
+    if (!reject[t]) {
+      if (keep != t) set.traces[keep] = std::move(set.traces[t]);
+      ++keep;
+    }
+  }
+  set.traces.resize(keep);
+  rep.accepted = keep;
+  count_screen(rep);
+  return rep;
+}
+
+QualityReport screen_slot(SlotMatrix& m, const QualityConfig& config, unsigned jitter_max) {
+  if (!config.enabled || m.rows == 0) {
+    QualityReport rep;
+    rep.total = rep.accepted = m.rows;
+    return rep;
+  }
+  std::vector<bool> reject;
+  QualityReport rep = screen_rows(
+      m.rows, [&m](std::size_t t) { return m.row(t); }, config, jitter_max, reject);
+  // Compact the accepted rows and their operands, preserving order.
+  std::size_t keep = 0;
+  for (std::size_t t = 0; t < m.rows; ++t) {
+    if (reject[t]) continue;
+    if (keep != t) {
+      std::copy_n(m.samples.data() + t * m.width, m.width, m.samples.data() + keep * m.width);
+      for (auto& part : m.known) {
+        for (auto& field : part) field[keep] = field[t];
+      }
+    }
+    ++keep;
+  }
+  m.rows = keep;
+  m.samples.resize(keep * m.width);
+  for (auto& part : m.known) {
+    for (auto& field : part) field.resize(keep);
+  }
+  rep.accepted = keep;
+  count_screen(rep);
+  obs::MetricsRegistry::global().counter("attack.quality.slots_screened").add(1);
   return rep;
 }
 

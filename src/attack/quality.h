@@ -35,6 +35,7 @@
 #include <cstddef>
 
 #include "attack/extend_prune.h"
+#include "attack/slot_matrix.h"
 #include "sca/campaign.h"
 
 namespace fd::attack {
@@ -80,6 +81,12 @@ struct QualityReport {
 // through obs metrics (attack.quality.*).
 QualityReport screen_trace_set(sca::TraceSet& set, const QualityConfig& config,
                                unsigned jitter_max);
+
+// The same gate over a slot matrix, in place: rejected rows and their
+// operands are compacted out (order preserved), realigned rows shifted
+// to lag 0. Bit-identical to screen_trace_set over the slot's TraceSet.
+// A screen that runs also adds one to attack.quality.slots_screened.
+QualityReport screen_slot(SlotMatrix& m, const QualityConfig& config, unsigned jitter_max);
 
 // --- acceptance confidence -------------------------------------------------
 //

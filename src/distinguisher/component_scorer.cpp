@@ -119,7 +119,8 @@ PhaseOutcome run_profiled_phase(const ComponentDataset& ds,
 // shifts: the exponent window's +-2^k alias family comes back as an
 // exact tie class. Resolve it the way the CPA staging does -- keep the
 // statistical ties, then template-match their absolute predicted
-// levels under the self-calibrated device gain (extend_prune.cpp).
+// levels under the self-calibrated device gain
+// (attack::resolve_exponent_ties).
 void resolve_exponent_aliases(const ComponentDataset& ds, const ComponentAttackConfig& config,
                               PhaseOutcome& phase) {
   if (phase.top.empty()) return;
@@ -135,38 +136,8 @@ void resolve_exponent_aliases(const ComponentDataset& ds, const ComponentAttackC
   for (const auto& s : phase.top) {
     if (s.score >= best - eps) ties.push_back(s);
   }
-  std::uint32_t pick = phase.value;
-  const attack::LinearCalibration cal = attack::calibrate_device(ds);
-  if (std::fabs(cal.alpha) > 1e-6) {
-    double best_sse = 1e300;
-    for (const auto& s : ties) {
-      double sse = 0.0;
-      for (unsigned v = 0; v < 2; ++v) {
-        const auto& col_sum = ds.views[v].samples[ww::kOffExpSum];
-        const auto& col_x = ds.views[v].samples[ww::kOffExpX];
-        const double pred_x = cal.alpha * popcount64(s.guess) + cal.beta;
-        for (std::size_t t = 0; t < ds.num_traces; ++t) {
-          const double pred_sum =
-              cal.alpha * attack::hyp_exponent(s.guess, ds.views[v].known[t]) + cal.beta;
-          const double e1 = col_sum[t] - pred_sum;
-          const double e2 = col_x[t] - pred_x;
-          sse += e1 * e1 + e2 * e2;
-        }
-      }
-      if (sse < best_sse) {
-        best_sse = sse;
-        pick = s.guess;
-      }
-    }
-  } else {
-    // Degenerate calibration: fall back to the magnitude prior.
-    for (const auto& s : ties) {
-      const auto dist = [&](std::uint32_t e) {
-        return e > config.exp_prior ? e - config.exp_prior : config.exp_prior - e;
-      };
-      if (dist(s.guess) < dist(pick)) pick = s.guess;
-    }
-  }
+  const std::uint32_t pick =
+      attack::resolve_exponent_ties(ds, ties, phase.value, config.exp_prior);
   phase.top = std::move(ties);
   phase.value = pick;
 }

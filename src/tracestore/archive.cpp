@@ -91,19 +91,16 @@ void encode_record(const TraceRecord& r, std::vector<std::uint8_t>& out) {
   }
 }
 
-// Decodes into `r`, reusing its sample buffer: a caller that passes the
-// same record back every time allocates nothing per record.
-void decode_record(const std::uint8_t* p, std::size_t num_samples, TraceRecord& r) {
+// Decodes the fields in place; the samples stay at p + 24.
+RecordRef decode_record_ref(const std::uint8_t* p, std::size_t num_samples) {
+  RecordRef r;
   r.slot = get_u32(p);
   r.index = get_u32(p + 4);
   r.known_re_bits = get_u64(p + 8);
   r.known_im_bits = get_u64(p + 16);
-  r.samples.resize(num_samples);
-  if constexpr (kNativeLE) {
-    std::memcpy(r.samples.data(), p + 24, 4 * num_samples);
-  } else {
-    for (std::size_t i = 0; i < num_samples; ++i) r.samples[i] = get_f32(p + 24 + 4 * i);
-  }
+  r.sample_bytes = p + 24;
+  r.num_samples = num_samples;
+  return r;
 }
 
 // A header with more samples per trace is corrupt or hostile, refused
@@ -536,18 +533,46 @@ bool ArchiveReader::load_next_chunk() {
   }
 }
 
+void RecordRef::copy_samples(std::span<float> out) const {
+  if constexpr (kNativeLE) {
+    std::memcpy(out.data(), sample_bytes, 4 * out.size());
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = get_f32(sample_bytes + 4 * i);
+  }
+}
+
+// Reuses `out`'s sample buffer: a caller that passes the same record
+// back every time allocates nothing per record.
 bool ArchiveReader::next(TraceRecord& out) {
+  RecordRef ref;
+  if (!next(ref)) return false;
+  out.slot = ref.slot;
+  out.index = ref.index;
+  out.known_re_bits = ref.known_re_bits;
+  out.known_im_bits = ref.known_im_bits;
+  out.samples.resize(ref.num_samples);
+  ref.copy_samples(out.samples);
+  return true;
+}
+
+bool ArchiveReader::next(RecordRef& out) {
   if (file_ == nullptr) return false;
   if (!scan_counted_) {
     scan_counted_ = true;
     ++scans_started_;
   }
   if (chunk_pos_ == chunk_records_ && !load_next_chunk()) return false;
-  decode_record(payload_.data() + chunk_pos_ * meta_.record_bytes(), meta_.samples_per_trace,
-                out);
+  out = decode_record_ref(payload_.data() + chunk_pos_ * meta_.record_bytes(),
+                          meta_.samples_per_trace);
   ++chunk_pos_;
   ++stats_.records_read;
   return true;
+}
+
+std::size_t ArchiveReader::record_bound() const {
+  if (file_ == nullptr || file_bytes_ <= static_cast<long>(kHeaderBytes)) return 0;
+  return static_cast<std::size_t>(file_bytes_ - static_cast<long>(kHeaderBytes)) /
+         meta_.record_bytes();
 }
 
 std::size_t ArchiveReader::next_batch(std::vector<TraceRecord>& out,

@@ -124,6 +124,21 @@ struct TraceRecord {
   std::vector<float> samples;
 };
 
+// One record decoded in place: its fields by value, its samples still
+// in the reader's chunk buffer -- valid until the reader's next next()
+// or rewind(). A demux copies them straight to their destination.
+struct RecordRef {
+  std::uint32_t slot = 0;
+  std::uint32_t index = 0;
+  std::uint64_t known_re_bits = 0;
+  std::uint64_t known_im_bits = 0;
+  const std::uint8_t* sample_bytes = nullptr;  // num_samples little-endian f32
+  std::size_t num_samples = 0;
+
+  // Writes the first out.size() (<= num_samples) samples to out.
+  void copy_samples(std::span<float> out) const;
+};
+
 struct ArchiveStats {
   std::size_t records_read = 0;
   std::size_t chunks_ok = 0;
@@ -191,6 +206,8 @@ class ArchiveReader {
   // `out` in place: passing the same record every call reuses its
   // sample buffer, so a scan allocates nothing per record.
   [[nodiscard]] bool next(TraceRecord& out);
+  // The same record stream, decoded in place (see RecordRef).
+  [[nodiscard]] bool next(RecordRef& out);
   // Appends up to `max_records` records to `out`; returns how many.
   std::size_t next_batch(std::vector<TraceRecord>& out, std::size_t max_records);
   // Back to the first record (stats reset).
@@ -199,6 +216,10 @@ class ArchiveReader {
   [[nodiscard]] bool is_open() const { return file_ != nullptr; }
   [[nodiscard]] const ArchiveMeta& meta() const { return meta_; }
   [[nodiscard]] const ArchiveStats& stats() const { return stats_; }
+  // Most records the file can hold: its payload bytes over the record
+  // size. A demux sizes its buffers from it, so they never outgrow the
+  // file.
+  [[nodiscard]] std::size_t record_bound() const;
   // High-water mark of decoded records held at once -- the bounded-
   // memory guarantee, asserted by tests to be <= traces_per_chunk.
   [[nodiscard]] std::size_t max_resident_records() const { return max_resident_; }

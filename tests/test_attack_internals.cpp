@@ -1,11 +1,15 @@
 // Attack-layer internals: device self-calibration, streaming-scan
-// properties, candidate generation edge cases, dataset truncation.
+// properties and shape errors, candidate generation edge cases, dataset
+// truncation and ownership.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <iterator>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "attack/extend_prune.h"
@@ -182,6 +186,85 @@ TEST(Dataset, TruncationLimitsTraces) {
       EXPECT_EQ(part.views[v].samples[0][t], full.views[v].samples[0][t]);
     }
   }
+}
+
+TEST(StreamingScan, NoColumnsIsCheckedError) {
+  EXPECT_THROW(StreamingScan(std::span<const SampleColumn>{}), std::invalid_argument);
+  EXPECT_THROW(StreamingScan(std::vector<std::vector<float>>{}), std::invalid_argument);
+}
+
+TEST(StreamingScan, RaggedColumnsIsCheckedError) {
+  const std::vector<std::vector<float>> ragged = {std::vector<float>(10, 1.0F),
+                                                  std::vector<float>(9, 1.0F)};
+  EXPECT_THROW(StreamingScan{ragged}, std::invalid_argument);
+  const std::vector<float> a(10, 1.0F);
+  const SampleColumn cols[] = {SampleColumn::of(a), {a.data(), 5, 2}};
+  EXPECT_THROW(StreamingScan{cols}, std::invalid_argument);
+}
+
+TEST(Dataset, MovedDatasetStaysValid) {
+  // The extend-bench pattern: a set and its dataset built together in
+  // one object, then moved elsewhere while the original goes away.
+  struct Input {
+    sca::TraceSet set;
+    ComponentDataset ds;
+  };
+  const auto set = small_campaign(1.0, 0xAA08, 60);
+  const ComponentDataset ref = build_component_dataset(set, true);
+  auto make = [&] {
+    Input in;
+    in.set = set;
+    in.ds = build_component_dataset(in.set, true);
+    return in;
+  };
+  std::unique_ptr<Input> moved;
+  {
+    Input first = make();
+    moved = std::make_unique<Input>(std::move(first));
+  }
+  Input second;
+  second = std::move(*moved);
+  moved.reset();
+  const ComponentDataset& ds = second.ds;
+  ASSERT_EQ(ds.num_traces, ref.num_traces);
+  for (unsigned v = 0; v < 2; ++v) {
+    for (std::size_t t = 0; t < ds.num_traces; ++t) {
+      for (std::size_t off = 0; off < sca::window::kEventsPerMul; ++off) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ds.views[v].samples[off][t]),
+                  std::bit_cast<std::uint32_t>(ref.views[v].samples[off][t]));
+      }
+      const KnownOperand a = ds.views[v].known[t];
+      const KnownOperand b = ref.views[v].known[t];
+      EXPECT_EQ(a.y0, b.y0);
+      EXPECT_EQ(a.y1, b.y1);
+      EXPECT_EQ(a.exponent, b.exponent);
+      EXPECT_EQ(a.sign, b.sign);
+    }
+  }
+  // A copy shares the storage and outlives the original.
+  const ComponentDataset fresh = build_component_dataset(set, false);
+  ComponentDataset copy;
+  {
+    const ComponentDataset original = build_component_dataset(set, false);
+    copy = original;
+  }
+  for (std::size_t t = 0; t < copy.num_traces; ++t) {
+    EXPECT_EQ(copy.views[1].samples[sca::window::kOffExpSum][t],
+              fresh.views[1].samples[sca::window::kOffExpSum][t]);
+  }
+}
+
+TEST(Dataset, ShortWindowIsCheckedError) {
+  // Four samples per window: the views read 68.
+  sca::TraceSet set;
+  set.slot = 1;
+  set.traces.resize(3);
+  for (auto& ct : set.traces) ct.trace.samples.assign(4, 1.0F);
+  EXPECT_THROW((void)build_component_dataset(set, false), std::invalid_argument);
+  set.traces[0].trace.samples.assign(kDatasetWindowSamples, 1.0F);
+  EXPECT_THROW((void)build_component_dataset(set, true), std::invalid_argument);
+  // Traces past max_traces are never read, so they are not checked.
+  EXPECT_NO_THROW((void)build_component_dataset(set, true, 1));
 }
 
 TEST(Confidence, IntervalShrinksWithTraces) {

@@ -1066,7 +1066,7 @@ TEST(ProductScan, ExtendPhasesMatchTheCallbackReference) {
 
   const auto callback_top = [&](std::size_t off_a, std::size_t off_b,
                                 std::span<const std::uint32_t> cands, auto&& hyp) {
-    std::vector<std::vector<float>> cols;
+    std::vector<SampleColumn> cols;
     std::vector<std::pair<unsigned, std::size_t>> meta;
     for (unsigned v = 0; v < 2; ++v) {
       for (const std::size_t off : {off_a, off_b}) {
@@ -1074,7 +1074,7 @@ TEST(ProductScan, ExtendPhasesMatchTheCallbackReference) {
         meta.emplace_back(v, off);
       }
     }
-    const StreamingScan scan(std::move(cols), cfg.kernel);
+    const StreamingScan scan(cols, cfg.kernel);
     return scan.top_k_list(
         cands,
         [&](std::uint32_t g, std::size_t t, std::size_t c) {
@@ -1108,6 +1108,7 @@ enum class Phase { kSign, kExponent, kProduct, kLowPrune, kHighPrune };
 struct PhaseCase {
   std::vector<std::vector<float>> cols;
   std::vector<std::vector<KnownOperand>> known;  // per column
+  std::vector<std::vector<std::uint32_t>> operands;  // what the model's columns point at
   HypothesisModel model;
   Phase phase;
   std::uint32_t x0 = 0;
@@ -1166,7 +1167,7 @@ PhaseCase make_phase_case(Phase phase, std::size_t traces, std::uint32_t truth,
   const auto ops = [&](std::size_t c, auto&& f) {
     std::vector<std::uint32_t> v;
     for (const KnownOperand& k : pc.known[c]) v.push_back(f(k));
-    return v;
+    return std::span<const std::uint32_t>(pc.operands.emplace_back(std::move(v)));
   };
   const auto steps = [x0](const KnownOperand& k) {
     return fpr::mul_mantissa_steps(x0, (static_cast<std::uint64_t>(k.y1) << 25) | k.y0);
@@ -1319,7 +1320,8 @@ TEST(HypothesisScan, ConstantHypothesisOrColumnScoresPositiveZero) {
               0U)
         << cpa_simd_name(kind);
     PhaseCase sign = make_phase_case(Phase::kSign, 65, 1, 0x4C03);
-    for (auto& col : sign.model.columns) col.ops[0].assign(65, 1);
+    const std::vector<std::uint32_t> ones(65, 1);
+    for (auto& col : sign.model.columns) col.ops[0] = ones;
     for (const std::uint32_t g : {0U, 1U}) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(StreamingScan(sign.cols).score_one(g, sign.model)),
                 0U)
@@ -1336,10 +1338,12 @@ TEST(HypothesisScan, ShapeMismatchIsCheckedError) {
   fewer.columns.pop_back();
   EXPECT_THROW((void)scan.top_k_list(guesses, fewer, 2), std::invalid_argument);
   HypothesisModel short_operand = pc.model;
-  short_operand.columns[1].ops[3].pop_back();  // zu reads all four
+  auto& zu_d = short_operand.columns[1].ops[3];
+  zu_d = zu_d.first(zu_d.size() - 1);  // zu reads all four
   EXPECT_THROW((void)scan.top_k_list(guesses, short_operand, 2), std::invalid_argument);
   HypothesisModel unread = pc.model;
-  unread.columns[0].ops[3].assign(3, 0);  // z1b reads only a and b
+  const std::vector<std::uint32_t> three(3, 0);
+  unread.columns[0].ops[3] = three;  // z1b reads only a and b
   EXPECT_NO_THROW((void)scan.top_k_list(guesses, unread, 2));
 }
 
@@ -1362,7 +1366,7 @@ TEST(HypothesisScan, AttackComponentPhasesMatchTheCallbackReference) {
   const auto callback_top = [&](std::span<const std::size_t> offsets,
                                 std::span<const std::uint32_t> cands, std::size_t keep,
                                 auto&& hyp) {
-    std::vector<std::vector<float>> cols;
+    std::vector<SampleColumn> cols;
     std::vector<std::pair<unsigned, std::size_t>> meta;
     for (unsigned v = 0; v < 2; ++v) {
       for (const std::size_t off : offsets) {
@@ -1370,7 +1374,7 @@ TEST(HypothesisScan, AttackComponentPhasesMatchTheCallbackReference) {
         meta.emplace_back(v, off);
       }
     }
-    const StreamingScan scan(std::move(cols), cfg.kernel);
+    const StreamingScan scan(cols, cfg.kernel);
     return scan.top_k_list(
         cands,
         [&](std::uint32_t g, std::size_t t, std::size_t c) {

@@ -8,13 +8,17 @@
 //   - the parallel all-component attack returns results identical to
 //     the serial loop at every worker count;
 //   - the component fan-out (archive and in-memory) returns results
-//     pinned to digests of the implementation it replaced.
+//     pinned to digests of the implementation it replaced, and the
+//     archive fan-out over slot matrices equals, bit for bit, the
+//     per-component TraceSet path (screen a copy, copy the columns,
+//     attack) with the gate screening each requested slot once.
 // Worker count must never leak into results; only the shard count (a
 // config value, part of the experiment's identity) may.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -26,7 +30,9 @@
 
 #include "attack/key_recovery.h"
 #include "attack/parallel_attack.h"
+#include "attack/quality.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "exec/job_graph.h"
 #include "exec/parallel_for.h"
 #include "exec/seed_split.h"
@@ -466,6 +472,182 @@ TEST(ParallelAttack, ResultsPinnedToParent) {
     ASSERT_EQ(results.size(), n);
     EXPECT_EQ(fan_out_digest(results, all, nullptr, nullptr), 0xB9ADA51B6FBF4EE4ULL)
         << (p != nullptr ? "3-worker pool" : "no pool");
+  }
+}
+
+// --- slot matrices against the per-component TraceSet path ----------------
+
+// Every field of a phase, scores compared by bit pattern.
+void expect_same_phase(const attack::PhaseOutcome& got, const attack::PhaseOutcome& want,
+                       const std::string& ctx) {
+  EXPECT_EQ(got.value, want.value) << ctx;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.score), std::bit_cast<std::uint64_t>(want.score))
+      << ctx;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.score_sd),
+            std::bit_cast<std::uint64_t>(want.score_sd))
+      << ctx;
+  ASSERT_EQ(got.top.size(), want.top.size()) << ctx;
+  for (std::size_t i = 0; i < got.top.size(); ++i) {
+    EXPECT_EQ(got.top[i].guess, want.top[i].guess) << ctx << " rank " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.top[i].score),
+              std::bit_cast<std::uint64_t>(want.top[i].score))
+        << ctx << " rank " << i;
+  }
+}
+
+void expect_same_result(const attack::ComponentResult& got, const attack::ComponentResult& want,
+                        const std::string& ctx) {
+  EXPECT_EQ(got.bits, want.bits) << ctx;
+  EXPECT_EQ(got.sign, want.sign) << ctx;
+  EXPECT_EQ(got.exponent, want.exponent) << ctx;
+  EXPECT_EQ(got.x0, want.x0) << ctx;
+  EXPECT_EQ(got.x1, want.x1) << ctx;
+  expect_same_phase(got.sign_phase, want.sign_phase, ctx + " sign");
+  expect_same_phase(got.exp_phase, want.exp_phase, ctx + " exponent");
+  expect_same_phase(got.low_extend, want.low_extend, ctx + " low_extend");
+  expect_same_phase(got.low_prune, want.low_prune, ctx + " low_prune");
+  expect_same_phase(got.high_extend, want.high_extend, ctx + " high_extend");
+  expect_same_phase(got.high_prune, want.high_prune, ctx + " high_prune");
+}
+
+// The gated fan-out on `archive` for `components`, gate on and off, no
+// pool and a 3-worker pool, against the per-component reference: load
+// the slot's TraceSet, screen a private copy, build_component_dataset,
+// attack_component. Results, accepted counts and the summed report
+// must all agree.
+void expect_gated_matches_reference(const falcon::SecretKey& sk, const std::string& archive,
+                                    const std::vector<std::size_t>& components,
+                                    const attack::KeyRecoveryConfig& cfg) {
+  const std::size_t hn = sk.params.n >> 1;
+  const auto config_for = [&](const attack::ComponentIndex& ci) {
+    return attack::component_attack_config(sk, cfg, /*row=*/0, ci.slot, ci.imag);
+  };
+  std::vector<sca::TraceSet> sets;
+  unsigned jitter_max = 0;
+  {
+    tracestore::ArchiveReader reader;
+    ASSERT_TRUE(reader.open(archive)) << reader.error();
+    std::vector<std::size_t> slots(hn);
+    for (std::size_t s = 0; s < hn; ++s) slots[s] = s;
+    ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, sets));
+    jitter_max = reader.meta().jitter_max;
+  }
+  exec::ThreadPool pool(3);
+  for (const bool gate_on : {false, true}) {
+    attack::QualityConfig gate;
+    gate.enabled = gate_on;
+    std::vector<attack::ComponentResult> want(2 * hn);
+    std::vector<std::size_t> want_accepted(2 * hn, 0);
+    attack::QualityReport want_report;
+    for (const std::size_t idx : components) {
+      const attack::ComponentIndex ci = attack::component_index(idx, hn);
+      sca::TraceSet set = sets[ci.slot];
+      want_report.add(attack::screen_trace_set(set, gate, jitter_max));
+      const attack::ComponentDataset ds = attack::build_component_dataset(set, ci.imag);
+      want[idx] = attack::attack_component(ds, config_for(ci));
+      want_accepted[idx] = set.traces.size();
+    }
+    for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+      const std::string ctx = std::string("gate ") + (gate_on ? "on" : "off") +
+                              (p != nullptr ? ", 3-worker pool" : ", no pool");
+      std::vector<attack::ComponentResult> got;
+      std::vector<std::size_t> got_accepted;
+      attack::QualityReport report;
+      std::string error;
+      ASSERT_TRUE(attack::attack_components_gated(archive, gate, config_for, p, components, got,
+                                                  got_accepted, &report, &error))
+          << ctx << ": " << error;
+      for (const std::size_t idx : components) {
+        expect_same_result(got[idx], want[idx], ctx + ", component " + std::to_string(idx));
+        EXPECT_EQ(got_accepted[idx], want_accepted[idx]) << ctx << ", component " << idx;
+      }
+      EXPECT_EQ(report.total, want_report.total) << ctx;
+      EXPECT_EQ(report.accepted, want_report.accepted) << ctx;
+      EXPECT_EQ(report.rejected_saturated, want_report.rejected_saturated) << ctx;
+      EXPECT_EQ(report.rejected_energy, want_report.rejected_energy) << ctx;
+      EXPECT_EQ(report.rejected_alignment, want_report.rejected_alignment) << ctx;
+      EXPECT_EQ(report.realigned, want_report.realigned) << ctx;
+    }
+  }
+}
+
+TEST(ParallelAttack, SlotMatricesMatchPerComponentDatasetsFalcon16) {
+  // ResultsPinnedToParent's faulted, jittered archive: the gate rejects
+  // on all three screens and realigns, every component requested.
+  ChaCha20Prng rng("parallel attack pin");
+  const auto kp = falcon::keygen(4, rng);
+  TempFile archive("exec_slot_matrix16.fdtrace");
+  sca::CampaignConfig camp;
+  camp.num_traces = 300;
+  camp.device.noise_sigma = 2.0;
+  camp.device.jitter_max = 2;
+  camp.seed = 0xFA2;
+  camp.faults.desync_rate = 0.05;
+  camp.faults.saturate_rate = 0.03;
+  camp.faults.glitch_rate = 0.02;
+  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, camp, archive.path).ok);
+  attack::KeyRecoveryConfig cfg;
+  cfg.seed = 0xFA2;
+  cfg.adversarial_random = 40;
+  std::vector<std::size_t> all(kp.sk.params.n);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  expect_gated_matches_reference(kp.sk, archive.path, all, cfg);
+}
+
+TEST(ParallelAttack, SlotMatricesMatchPerComponentDatasetsFalcon512Subset) {
+  // Four FALCON-512 queries; a subset of slots, some with both parts.
+  ChaCha20Prng rng("slot matrix 512");
+  const auto kp = falcon::keygen(9, rng);
+  TempFile archive("exec_slot_matrix512.fdtrace");
+  sca::CampaignConfig camp;
+  camp.num_traces = 4;
+  camp.device.noise_sigma = 2.0;
+  camp.seed = 0x512;
+  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, camp, archive.path).ok);
+  attack::KeyRecoveryConfig cfg;
+  cfg.seed = 0x512;
+  cfg.adversarial_random = 8;
+  const std::vector<std::size_t> subset = {0, 7, 256 + 7, 255, 300, 511};
+  expect_gated_matches_reference(kp.sk, archive.path, subset, cfg);
+}
+
+TEST(ParallelAttack, GateScreensEachRequestedSlotOnce) {
+  if (!FD_OBS_ENABLED) GTEST_SKIP() << "built with FD_OBS=OFF";
+  ChaCha20Prng rng("gate once");
+  const auto kp = falcon::keygen(3, rng);
+  TempFile archive("exec_gate_once.fdtrace");
+  sca::CampaignConfig camp;
+  camp.num_traces = 120;
+  camp.device.noise_sigma = 2.0;
+  camp.device.jitter_max = 2;
+  camp.seed = 0x6A7E;
+  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, camp, archive.path).ok);
+  attack::KeyRecoveryConfig cfg;
+  cfg.adversarial_random = 8;
+  const auto config_for = [&](const attack::ComponentIndex& ci) {
+    return attack::component_attack_config(kp.sk, cfg, /*row=*/0, ci.slot, ci.imag);
+  };
+  // FALCON-8: slots 0..3. Slot 1 twice (Re and Im), slot 3 once.
+  const std::vector<std::size_t> components = {1, 5, 3};
+  auto& screened = obs::MetricsRegistry::global().counter("attack.quality.slots_screened");
+  exec::ThreadPool pool(3);
+  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    attack::QualityConfig gate;
+    gate.enabled = true;
+    std::vector<attack::ComponentResult> results;
+    std::vector<std::size_t> accepted;
+    std::string error;
+    const std::uint64_t before = screened.value();
+    ASSERT_TRUE(attack::attack_components_gated(archive.path, gate, config_for, p, components,
+                                                results, accepted, nullptr, &error))
+        << error;
+    EXPECT_EQ(screened.value() - before, 2U);
+    gate.enabled = false;
+    const std::uint64_t before_off = screened.value();
+    ASSERT_TRUE(attack::attack_components_gated(archive.path, gate, config_for, p, components,
+                                                results, accepted, nullptr, &error))
+        << error;
+    EXPECT_EQ(screened.value(), before_off);  // no gate, no screen
   }
 }
 

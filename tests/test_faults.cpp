@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -465,6 +466,54 @@ ComponentResult sample_result(std::uint64_t tag) {
   r.high_prune.top = {{r.x1, 0.88}};
   r.exp_phase.top = {{r.exponent, 0.5}, {r.exponent + 16, 0.5}};
   return r;
+}
+
+TEST(ShortWindow, FourSampleArchiveIsAStructuredError) {
+  // A well-formed FALCON-4 archive whose windows hold 4 samples: the
+  // header passes ArchiveReader::open, but a component's views read the
+  // 68 samples of four fpr_mul blocks. The attack must refuse it, never
+  // read past a window.
+  TempFile archive("faults_short_window.fdtrace");
+  tracestore::ArchiveMeta meta;
+  meta.logn = 2;
+  meta.num_slots = 2;
+  meta.samples_per_trace = 4;
+  {
+    tracestore::ArchiveWriter w;
+    ASSERT_TRUE(w.open(archive.path, meta)) << w.error();
+    for (std::uint32_t q = 0; q < 20; ++q) {
+      for (std::uint32_t slot = 0; slot < 2; ++slot) {
+        tracestore::TraceRecord rec;
+        rec.slot = slot;
+        rec.index = q;
+        rec.known_re_bits = fpr::Fpr::from_double(1.5 + q).bits();
+        rec.known_im_bits = fpr::Fpr::from_double(-2.25 - q).bits();
+        rec.samples = {1.0F, 2.0F, 3.0F, static_cast<float>(q)};
+        ASSERT_TRUE(w.append(rec)) << w.error();
+      }
+    }
+    ASSERT_TRUE(w.close());
+  }
+  const auto config_for = [](const ComponentIndex&) { return ComponentAttackConfig{}; };
+  const std::vector<std::size_t> all = {0, 1, 2, 3};
+  for (const bool gate_on : {false, true}) {
+    QualityConfig gate;
+    gate.enabled = gate_on;
+    std::vector<ComponentResult> results;
+    std::vector<std::size_t> accepted;
+    std::string error;
+    EXPECT_FALSE(attack_components_gated(archive.path, gate, config_for, nullptr, all, results,
+                                         accepted, nullptr, &error));
+    EXPECT_NE(error.find("4 samples"), std::string::npos) << error;
+  }
+  // The TraceSet path refuses the same windows.
+  tracestore::ArchiveReader reader;
+  ASSERT_TRUE(reader.open(archive.path)) << reader.error();
+  std::vector<sca::TraceSet> sets;
+  const std::vector<std::size_t> slots = {0, 1};
+  ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, sets));
+  ASSERT_EQ(sets[1].traces.size(), 20U);
+  EXPECT_THROW((void)build_component_dataset(sets[1], true), std::invalid_argument);
 }
 
 TEST(Checkpoint, RoundTripsBitExactly) {
