@@ -1,10 +1,9 @@
-// The blocked CPA kernel vs the naive per-trace fold, the product scan
-// vs the per-cell callback, and the single-pass multi-component archive
-// driver.
+// The blocked CPA kernel vs the naive per-trace fold, and the product
+// scan vs the per-cell callback.
 //
 //   ./bench_cpa_kernel [traces] [--json out.jsonl]
-//   (default: 20000 traces for the fold shapes, 240 for the archive;
-//   the product scan's shape is fixed)
+//   (default: 20000 traces for the fold shapes; the product scan's
+//   shape is fixed)
 //
 // Fold shapes: g49/s1 is the default attack shape (the exponent phase's
 // 49-guess scan over one sample column); g49/s17 folds a full fpr_mul
@@ -21,11 +20,6 @@
 // mantissa space three ways: the per-cell model callback the extend
 // phases used to pass, the ProductModel kernel forced scalar, and the
 // dispatched lane-parallel kernel. All three must rank identically.
-//
-// The archive row times all 2N exponent components of a FALCON-16
-// campaign through the single-pass demux (run_cpa_streaming_multi, ONE
-// scan), then checks each ranking against a dedicated
-// run_cpa_streaming pass (untimed).
 
 #include <bit>
 #include <cstdio>
@@ -35,13 +29,9 @@
 
 #include "attack/cpa.h"
 #include "attack/cpa_kernel.h"
-#include "attack/streaming_cpa.h"
 #include "bench_harness.h"
 #include "common/rng.h"
-#include "falcon/falcon.h"
 #include "obs/profile.h"
-#include "sca/campaign.h"
-#include "tracestore/archive.h"
 
 using namespace fd;
 
@@ -130,18 +120,6 @@ double scan_ms(const attack::StreamingScan& scan, std::uint64_t begin, std::uint
     best = std::min(best, timer.ms());
   }
   return best;
-}
-
-attack::StreamingCpaSpec exponent_spec(std::size_t slot, bool imag) {
-  attack::StreamingCpaSpec spec;
-  spec.slot = slot;
-  spec.imag_part = imag;
-  spec.sample_offsets = {sca::window::kOffExpSum};
-  for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
-  spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {
-    return attack::hyp_exponent(guess, k);
-  };
-  return spec;
 }
 
 }  // namespace
@@ -265,56 +243,6 @@ int main(int argc, char** argv) {
     harness.report("extend_product", params + " simd=" + active, product_ms,
                    callback_ms / product_ms, "x_vs_callback");
   }
-
-  // --- single-pass demux over every component -----------------------------
-  const unsigned logn = 4;
-  const std::size_t campaign_traces = 240;
-  ChaCha20Prng rng("cpa kernel bench key");
-  const auto kp = falcon::keygen(logn, rng);
-  sca::CampaignConfig camp;
-  camp.num_traces = campaign_traces;
-  camp.device.noise_sigma = 2.0;
-  camp.seed = 0xF01D;
-  const std::string path = "bench_cpa_kernel.fdtrace";
-  if (!sca::run_campaign_to_archive(kp.sk, camp, path).ok) {
-    std::fprintf(stderr, "capture failed\n");
-    return 2;
-  }
-
-  const std::size_t hn = kp.sk.params.n >> 1;
-  std::vector<attack::StreamingCpaSpec> specs;
-  for (std::size_t slot = 0; slot < hn; ++slot) {
-    specs.push_back(exponent_spec(slot, false));
-    specs.push_back(exponent_spec(slot, true));
-  }
-  const std::string params = "logn=" + std::to_string(logn) +
-                             " traces=" + std::to_string(campaign_traces) +
-                             " components=" + std::to_string(specs.size());
-
-  tracestore::ArchiveReader reader;
-  if (!reader.open(path)) {
-    std::fprintf(stderr, "reopen failed: %s\n", reader.error().c_str());
-    return 2;
-  }
-  bench::WallTimer timer;
-  const std::vector<attack::CpaEngine> demuxed =
-      attack::run_cpa_streaming_multi(reader, specs);
-  const double multi_ms = timer.ms();
-
-  // The demux must rank exactly as one dedicated pass per component.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (demuxed[i].ranking() != attack::run_cpa_streaming(reader, specs[i]).ranking()) {
-      std::fprintf(stderr, "ranking mismatch on spec %zu\n", i);
-      std::remove(path.c_str());
-      return 2;
-    }
-  }
-  std::remove(path.c_str());
-
-  std::printf("\nall-%zu-component exponent attack, FALCON-%zu, %zu traces:\n", specs.size(),
-              kp.pk.params.n, campaign_traces);
-  std::printf("%-22s %10.1f ms  (1 archive scan)\n", "single_pass_demux", multi_ms);
-  harness.report("archive_single_pass", params, multi_ms);
 
   if (sink == 12345.0) std::printf("%f\n", sink);  // defeat dead-code elimination
   return 0;

@@ -1,8 +1,7 @@
 // Trace-archive throughput: write and stream-read bandwidth of the
 // .fdtrace format, a one-shard merge (what a single-shard sharded
-// capture pays after its capture), streamed-CPA (disk) vs in-memory CPA
-// wall time on the same seeded campaign -- the cost of
-// capture-once/attack-many -- the per-query capture cost at
+// capture pays after its capture), in-memory CPA on one slot of the
+// same seeded campaign, the per-query capture cost at
 // FALCON-512 (sign + gated windows + trace synthesis + archive append)
 // and at FALCON-16 (paper16's shape), and the kernels under it: signing
 // under the recorder, one query's unit normals, the ChaCha20 keystream
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
   harness.report("merge_1shard", params, merge_s * 1e3, mib / merge_s, "MiB/s");
   std::remove("bench_tracestore_merged.fdtrace");
 
-  // Exponent-phase CPA on one slot: streamed from disk vs in memory.
+  // Exponent-phase CPA on one slot, in memory.
   attack::StreamingCpaSpec spec;
   spec.slot = 1;
   spec.sample_offsets = {sca::window::kOffExpSum};
@@ -136,26 +135,16 @@ int main(int argc, char** argv) {
   };
 
   t0 = Clock::now();
-  const auto streamed = attack::run_cpa_streaming(reader, spec);
-  const double cpa_stream_s = seconds_since(t0);
-
-  t0 = Clock::now();
   const auto sets = sca::run_full_campaign(kp.sk, cfg);
   const double recapture_s = seconds_since(t0);
   t0 = Clock::now();
   const auto inmem = attack::run_cpa_inmemory(sets[spec.slot], spec);
   const double cpa_mem_s = seconds_since(t0);
 
-  std::printf("CPA streamed   %8.3f s  (archive already on disk)\n", cpa_stream_s);
-  std::printf("CPA in-memory  %8.3f s  (+%.3f s to re-run the victim)\n", cpa_mem_s,
-              recapture_s);
-  harness.report("cpa_streamed", params, cpa_stream_s * 1e3,
-                 static_cast<double>(streamed.num_traces()) / cpa_stream_s, "traces/s");
+  std::printf("CPA in-memory  %8.3f s  (+%.3f s to re-run the victim; top guess %u)\n",
+              cpa_mem_s, recapture_s, spec.guesses[inmem.ranking()[0]]);
   harness.report("cpa_inmemory", params, cpa_mem_s * 1e3,
                  static_cast<double>(inmem.num_traces()) / cpa_mem_s, "traces/s");
-  std::printf("rankings match %s  (top guess %u vs %u)\n",
-              streamed.ranking() == inmem.ranking() ? "yes" : "NO",
-              spec.guesses[streamed.ranking()[0]], spec.guesses[inmem.ranking()[0]]);
 
   // Per-query capture cost at the paper's ring size, independent of the
   // logn argument: 256 windows synthesized and appended per query.

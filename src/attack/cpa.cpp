@@ -33,10 +33,6 @@ CpaEngine::CpaEngine(std::size_t num_guesses, std::size_t num_samples,
   sums_.reset(num_guesses, num_samples);
 }
 
-CpaEngine::CpaEngine(CpaSums sums, CpaKernelConfig kernel)
-    : kernel_(sums.num_guesses, sums.num_samples, kernel),
-      sums_(std::move(sums)) {}
-
 void CpaEngine::add_trace(std::span<const double> hypotheses, std::span<const float> samples) {
   kernel_.add_trace(sums_, hypotheses, samples);
 }
@@ -45,6 +41,8 @@ double CpaEngine::correlation(std::size_t guess, std::size_t sample) const {
   kernel_.flush(sums_);
   return sums_.correlation(guess, sample);
 }
+
+namespace {
 
 double cpa_peak(const CpaSums& sums, std::size_t guess) {
   double best = -2.0;
@@ -64,6 +62,8 @@ std::vector<std::size_t> cpa_ranking(const CpaSums& sums) {
                    [&](std::size_t a, std::size_t b) { return peaks[a] > peaks[b]; });
   return order;
 }
+
+}  // namespace
 
 double CpaEngine::peak(std::size_t guess) const {
   kernel_.flush(sums_);

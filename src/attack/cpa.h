@@ -32,27 +32,11 @@ namespace fd::attack {
   return confidence_z(confidence) / std::sqrt(static_cast<double>(num_traces));
 }
 
-// Peak score / descending ranking over an already-flushed CpaSums --
-// the scoring arithmetic of CpaEngine factored out so any owner of a
-// fold (the engine, the distinguisher backend, a deserialized fleet
-// shard) ranks identically by construction. A guess scores its max |r|
-// over the sample points: an inverted leakage model (HW anti-correlated
-// with the measured amplitude) leaks exactly as much as the upright
-// one. `sums` must have no batched tail pending in its kernel;
-// CpaEngine flushes before delegating here.
-[[nodiscard]] double cpa_peak(const CpaSums& sums, std::size_t guess);
-[[nodiscard]] std::vector<std::size_t> cpa_ranking(const CpaSums& sums);
-
 // Incremental Pearson-correlation accumulator over G guesses x S samples.
 class CpaEngine {
  public:
   explicit CpaEngine(std::size_t num_guesses, std::size_t num_samples,
                      CpaKernelConfig kernel = {});
-
-  // Adopts an already-accumulated fold (e.g. sharded CpaBatchKernel
-  // folds recombined through merge_cpa_sums): the engine continues from
-  // those statistics as if it had folded every trace itself.
-  explicit CpaEngine(CpaSums sums, CpaKernelConfig kernel = {});
 
   // hypotheses: G predicted leakage values; samples: S trace samples.
   void add_trace(std::span<const double> hypotheses, std::span<const float> samples);
@@ -65,9 +49,11 @@ class CpaEngine {
   // Pearson r for one (guess, sample); 0 when either side is constant.
   // Reads flush any batched tail first, so they are always exact.
   [[nodiscard]] double correlation(std::size_t guess, std::size_t sample) const;
-  // The "leakiest point" score: max over samples of |r|.
+  // The "leakiest point" score: max over samples of |r|. An inverted
+  // leakage model (HW anti-correlated with the measured amplitude)
+  // leaks exactly as much as the upright one.
   [[nodiscard]] double peak(std::size_t guess) const;
-  // Guess indices sorted by descending peak().
+  // Guess indices sorted by descending peak(); ties keep index order.
   [[nodiscard]] std::vector<std::size_t> ranking() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -1306,145 +1305,6 @@ double CpaSums::correlation(std::size_t guess, std::size_t sample) const {
   const double var_t = dn * sum_t2[sample] - st * st;
   if (var_h <= 0.0 || var_t <= 0.0) return 0.0;
   return cov / std::sqrt(var_h * var_t);
-}
-
-// --- shard-fold merge and wire serde ---------------------------------------
-
-bool merge_cpa_sums(CpaSums& dst, const CpaSums& src) {
-  if (src.traces == 0 || !src.have_ref) return true;
-  if (dst.traces == 0 || !dst.have_ref) {
-    dst = src;
-    return true;
-  }
-  // Checked in release builds too: a wrong-shaped fold deserialized off
-  // the fleet wire must be an error the caller can surface, never an
-  // out-of-bounds write.
-  if (dst.num_guesses != src.num_guesses || dst.num_samples != src.num_samples) {
-    return false;
-  }
-  const std::size_t gs = dst.num_guesses;
-  const std::size_t ss = dst.num_samples;
-  const double n = static_cast<double>(src.traces);
-  // Rebase src's shifted sums onto dst's references: each src value x
-  // entered its sums as (x - r_src); relative to dst's reference it is
-  // (x - r_dst) = (x - r_src) + d with d = r_src - r_dst. Per-cell
-  // expression order below is fixed -- it is the determinism contract.
-  for (std::size_t g = 0; g < gs; ++g) {
-    const double dh = src.ref_h[g] - dst.ref_h[g];
-    dst.sum_h[g] += src.sum_h[g] + n * dh;
-    dst.sum_h2[g] += src.sum_h2[g] + 2.0 * dh * src.sum_h[g] + n * dh * dh;
-  }
-  for (std::size_t s = 0; s < ss; ++s) {
-    const double dt = src.ref_t[s] - dst.ref_t[s];
-    dst.sum_t[s] += src.sum_t[s] + n * dt;
-    dst.sum_t2[s] += src.sum_t2[s] + 2.0 * dt * src.sum_t[s] + n * dt * dt;
-  }
-  for (std::size_t g = 0; g < gs; ++g) {
-    const double dh = src.ref_h[g] - dst.ref_h[g];
-    const double* sht = src.sum_ht.data() + g * ss;
-    double* dht = dst.sum_ht.data() + g * ss;
-    for (std::size_t s = 0; s < ss; ++s) {
-      const double dt = src.ref_t[s] - dst.ref_t[s];
-      dht[s] += sht[s] + dh * src.sum_t[s] + dt * src.sum_h[g] + n * dh * dt;
-    }
-  }
-  dst.traces += src.traces;
-  return true;
-}
-
-namespace {
-
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& b, double v) {
-  put_u64(b, std::bit_cast<std::uint64_t>(v));
-}
-
-// Bounds-checked little-endian reader over the fold wire format.
-struct FoldCursor {
-  std::span<const std::uint8_t> bytes;
-  std::size_t off;
-  bool fail = false;
-
-  std::uint64_t u64() {
-    if (fail || bytes.size() - off < 8) {
-      fail = true;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes[off + i]) << (8 * i);
-    off += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  void f64_vec(std::vector<double>& out, std::size_t n) {
-    out.clear();
-    if (fail || (bytes.size() - off) / 8 < n) {
-      fail = true;
-      return;
-    }
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(f64());
-  }
-};
-
-}  // namespace
-
-void serialize_cpa_sums(std::vector<std::uint8_t>& out, const CpaSums& sums) {
-  put_u64(out, sums.num_guesses);
-  put_u64(out, sums.num_samples);
-  put_u64(out, sums.traces);
-  put_u64(out, sums.have_ref ? 1 : 0);
-  for (const auto* v :
-       {&sums.ref_h, &sums.sum_h, &sums.sum_h2}) {
-    for (const double x : *v) put_f64(out, x);
-  }
-  for (const auto* v : {&sums.ref_t, &sums.sum_t, &sums.sum_t2}) {
-    for (const double x : *v) put_f64(out, x);
-  }
-  for (const double x : sums.sum_ht) put_f64(out, x);
-}
-
-bool deserialize_cpa_sums(std::span<const std::uint8_t> bytes, std::size_t& offset,
-                          CpaSums& out) {
-  if (offset > bytes.size()) return false;
-  FoldCursor c{bytes, offset};
-  const std::uint64_t g = c.u64();
-  const std::uint64_t s = c.u64();
-  const std::uint64_t traces = c.u64();
-  const std::uint64_t have_ref = c.u64();
-  // Shape sanity bound: a fold's G x S table never exceeds the wire
-  // payload it arrived in, so this rejects garbage before allocating.
-  if (c.fail || have_ref > 1 || g > (1U << 20) || s > (1U << 20) ||
-      (bytes.size() - c.off) / 8 < g * s) {
-    return false;
-  }
-  // Header consistency: the kernel sets have_ref on the very first
-  // add_trace, so a fold has a reference exactly when it has traces,
-  // and a non-empty fold always has a non-empty shape. A trace count no
-  // campaign can produce (2^40 traces is ~4 PB of raw samples) is
-  // equally impossible. Such headers only arrive from corrupt or
-  // hostile fold frames -- reject them here so merge_cpa_sums never
-  // sees them.
-  if ((have_ref != 0) != (traces != 0)) return false;
-  if (traces != 0 && (g == 0 || s == 0)) return false;
-  if (traces > (1ULL << 40)) return false;
-  out.num_guesses = static_cast<std::size_t>(g);
-  out.num_samples = static_cast<std::size_t>(s);
-  out.traces = static_cast<std::size_t>(traces);
-  out.have_ref = have_ref != 0;
-  c.f64_vec(out.ref_h, g);
-  c.f64_vec(out.sum_h, g);
-  c.f64_vec(out.sum_h2, g);
-  c.f64_vec(out.ref_t, s);
-  c.f64_vec(out.sum_t, s);
-  c.f64_vec(out.sum_t2, s);
-  c.f64_vec(out.sum_ht, g * s);
-  if (c.fail) return false;
-  offset = c.off;
-  return true;
 }
 
 // --- CpaBatchKernel --------------------------------------------------------

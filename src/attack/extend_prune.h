@@ -109,8 +109,6 @@ class ComponentScorer {
   virtual ~ComponentScorer();
   [[nodiscard]] virtual ComponentResult attack(const ComponentDataset& ds,
                                                const ComponentAttackConfig& config) const = 0;
-  // Wire/checkpoint-stable id (distinguisher::Backend's underlying value).
-  [[nodiscard]] virtual std::uint8_t backend_id() const = 0;
 };
 
 struct ComponentAttackConfig {

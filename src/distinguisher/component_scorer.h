@@ -36,9 +36,6 @@ class TemplateScorer final : public attack::ComponentScorer {
   [[nodiscard]] attack::ComponentResult attack(
       const attack::ComponentDataset& ds,
       const attack::ComponentAttackConfig& config) const override;
-  [[nodiscard]] std::uint8_t backend_id() const override {
-    return static_cast<std::uint8_t>(Backend::kTemplate);
-  }
 
   [[nodiscard]] const PooledProfile& profile() const { return profile_; }
 
@@ -55,9 +52,6 @@ class LrScorer final : public attack::ComponentScorer {
   [[nodiscard]] attack::ComponentResult attack(
       const attack::ComponentDataset& ds,
       const attack::ComponentAttackConfig& config) const override;
-  [[nodiscard]] std::uint8_t backend_id() const override {
-    return static_cast<std::uint8_t>(Backend::kLr);
-  }
 
   [[nodiscard]] const std::array<LrHead, PooledProfile::kDim>& heads() const {
     return heads_;

@@ -1,78 +1,7 @@
 #include "distinguisher/distinguisher.h"
 
-#include <bit>
-
-#include "distinguisher/cpa_backend.h"
-#include "distinguisher/lr_backend.h"
-#include "distinguisher/template_backend.h"
-#include "distinguisher/types.h"
-
 namespace fd::distinguisher {
 
 Distinguisher::~Distinguisher() = default;
-
-namespace wire {
-
-void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  b.push_back(static_cast<std::uint8_t>(v));
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
-  b.push_back(static_cast<std::uint8_t>(v >> 16));
-  b.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  put_u32(b, static_cast<std::uint32_t>(v));
-  put_u32(b, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_f64(std::vector<std::uint8_t>& b, double v) {
-  put_u64(b, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint8_t Cursor::u8() {
-  if (fail || bytes.size() - off < 1) {
-    fail = true;
-    return 0;
-  }
-  return bytes[off++];
-}
-
-std::uint32_t Cursor::u32() {
-  if (fail || bytes.size() - off < 4) {
-    fail = true;
-    return 0;
-  }
-  const std::uint32_t v = static_cast<std::uint32_t>(bytes[off]) |
-                          static_cast<std::uint32_t>(bytes[off + 1]) << 8 |
-                          static_cast<std::uint32_t>(bytes[off + 2]) << 16 |
-                          static_cast<std::uint32_t>(bytes[off + 3]) << 24;
-  off += 4;
-  return v;
-}
-
-std::uint64_t Cursor::u64() {
-  const std::uint64_t lo = u32();
-  return lo | static_cast<std::uint64_t>(u32()) << 32;
-}
-
-double Cursor::f64() { return std::bit_cast<double>(u64()); }
-
-}  // namespace wire
-
-std::unique_ptr<Distinguisher> deserialize_distinguisher(std::span<const std::uint8_t> bytes,
-                                                         std::size_t& offset) {
-  if (offset >= bytes.size()) return nullptr;
-  // Peek the backend tag; each backend's deserializer re-reads it.
-  switch (static_cast<Backend>(bytes[offset])) {
-    case Backend::kCpa:
-      return CpaDistinguisher::deserialize(bytes, offset);
-    case Backend::kTemplate:
-      return TemplateDistinguisher::deserialize(bytes, offset);
-    case Backend::kLr:
-      return LrDistinguisher::deserialize(bytes, offset);
-    default:
-      return nullptr;
-  }
-}
 
 }  // namespace fd::distinguisher

@@ -1,13 +1,10 @@
 #pragma once
 // The pluggable distinguisher interface (DESIGN.md section 14).
 //
-// A Distinguisher is one streaming guess-ranking statistic: traces are
-// folded in arrival order through observe(), shard folds recombine
-// through merge(), and ranking() orders the guesses by score. The
-// three backends behind the interface are
-//   - CpaDistinguisher (cpa_backend.h): the paper's non-profiled
-//     Pearson correlation, sharing the blocked CpaBatchKernel fold with
-//     CpaEngine so its rankings are bit-identical to the direct path;
+// A Distinguisher is one streaming guess-ranking statistic of a
+// profiled backend: traces are folded in arrival order through
+// observe(), and ranking() orders the guesses by score. The two
+// backends behind the interface are
 //   - TemplateDistinguisher (template_backend.h): pooled-covariance
 //     Gaussian templates -- joint log-likelihood over all of a phase's
 //     sample columns under one residual covariance fitted on profiling
@@ -15,27 +12,21 @@
 //   - LrDistinguisher (lr_backend.h): logistic-regression heads trained
 //     on known-value profiling events, scored batch-tiled through the
 //     same lanes4 reduction primitives as the CPA kernel.
+// The paper's non-profiled Pearson CPA is not behind this interface:
+// Backend::kCpa selects attack_component's built-in staging directly.
 //
 // Determinism contract (shared with cpa_kernel.h): every backend's
 // state is a pure function of the observation stream -- fixed-order
-// accumulation, no clocks, no global RNG -- and serialize() round-trips
-// that state bit-exactly (doubles travel as raw IEEE-754 bits), which
-// is what lets fleet shards and checkpoint resumes reproduce a serial
-// run exactly.
+// accumulation, no clocks, no global RNG.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 namespace fd::distinguisher {
 
 // One streamed trace observation. `hypotheses` is guess-major with
-// hyp_stride() values per guess:
-//   stride 1             -- one prediction per guess, broadcast across
-//                           every sample column (the CPA G x S layout);
-//   stride num_columns() -- one prediction per (guess, column), the
-//                           layout of the profiled backends.
+// num_columns() values per guess: one prediction per (guess, column).
 // `samples` is the num_columns() measured values of this trace.
 struct TraceObservation {
   std::span<const double> hypotheses;
@@ -46,58 +37,22 @@ class Distinguisher {
  public:
   virtual ~Distinguisher();
 
-  [[nodiscard]] virtual std::uint8_t backend_id() const = 0;
   [[nodiscard]] virtual std::size_t num_guesses() const = 0;
   [[nodiscard]] virtual std::size_t num_columns() const = 0;
-  [[nodiscard]] virtual std::size_t hyp_stride() const = 0;
   [[nodiscard]] virtual std::size_t num_traces() const = 0;
 
   // Folds a batch of observations in order. Observations must outlive
   // the call only.
   virtual void observe(std::span<const TraceObservation> batch) = 0;
 
-  // Merges another shard's fold of the same backend and shape (throws
-  // std::invalid_argument otherwise). Merging shard folds in shard
-  // order reproduces the serial fold per the backend's merge contract
-  // (bit-identical for sum-based backends; see merge_cpa_sums for the
-  // CPA rebasing rules).
-  virtual void merge(const Distinguisher& other) = 0;
-
-  // Higher is better. score() of the CPA backend is the peak |r| (the
-  // CpaEngine::peak contract); profiled backends return the mean
-  // per-trace log-likelihood and expose its per-trace standard
-  // deviation through score_sd() for calibrated confidence gating.
+  // Higher is better. The template backend returns the mean per-trace
+  // log-likelihood, the LR backend its centered covariance score
+  // (lr_backend.h); both expose the per-trace standard deviation
+  // through score_sd() for calibrated confidence gating.
   [[nodiscard]] virtual double score(std::size_t guess) const = 0;
   [[nodiscard]] virtual double score_sd(std::size_t guess) const = 0;
   // Guess indices by descending score; ties keep index order.
   [[nodiscard]] virtual std::vector<std::size_t> ranking() const = 0;
-
-  // Appends the full fold state (self-describing, backend-tagged).
-  virtual void serialize(std::vector<std::uint8_t>& out) const = 0;
 };
-
-// Rebuilds a serialized distinguisher: reads one record at `offset`
-// (advanced past it on success), dispatching on the backend tag.
-// Returns nullptr on truncated, malformed, or unknown-backend input.
-[[nodiscard]] std::unique_ptr<Distinguisher> deserialize_distinguisher(
-    std::span<const std::uint8_t> bytes, std::size_t& offset);
-
-// --- shared serde helpers (used by every backend's serialize()) -----------
-
-namespace wire {
-void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v);
-void put_f64(std::vector<std::uint8_t>& b, double v);
-// Bounds-checked little-endian reads; false latches on overrun.
-struct Cursor {
-  std::span<const std::uint8_t> bytes;
-  std::size_t off = 0;
-  bool fail = false;
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-};
-}  // namespace wire
 
 }  // namespace fd::distinguisher

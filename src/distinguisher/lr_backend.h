@@ -65,24 +65,15 @@ class LrDistinguisher final : public Distinguisher {
   LrDistinguisher(std::size_t num_guesses, std::vector<LrHead> heads,
                   std::size_t batch_traces);
 
-  [[nodiscard]] std::uint8_t backend_id() const override {
-    return static_cast<std::uint8_t>(Backend::kLr);
-  }
   [[nodiscard]] std::size_t num_guesses() const override { return sum_.size(); }
   [[nodiscard]] std::size_t num_columns() const override { return heads_.size(); }
-  [[nodiscard]] std::size_t hyp_stride() const override { return heads_.size(); }
   [[nodiscard]] std::size_t num_traces() const override { return traces_; }
 
   void observe(std::span<const TraceObservation> batch) override;
-  void merge(const Distinguisher& other) override;
 
   [[nodiscard]] double score(std::size_t guess) const override;
   [[nodiscard]] double score_sd(std::size_t guess) const override;
   [[nodiscard]] std::vector<std::size_t> ranking() const override;
-
-  void serialize(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] static std::unique_ptr<Distinguisher> deserialize(
-      std::span<const std::uint8_t> bytes, std::size_t& offset);
 
   [[nodiscard]] const std::vector<LrHead>& heads() const { return heads_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 
 namespace fd::distinguisher {
 
@@ -58,19 +57,6 @@ void TemplateDistinguisher::observe(std::span<const TraceObservation> batch) {
   }
 }
 
-void TemplateDistinguisher::merge(const Distinguisher& other) {
-  const auto* o = dynamic_cast<const TemplateDistinguisher*>(&other);
-  if (o == nullptr || o->num_guesses() != num_guesses() ||
-      o->num_columns() != num_columns()) {
-    throw std::invalid_argument("TemplateDistinguisher::merge: backend/shape mismatch");
-  }
-  for (std::size_t g = 0; g < ll_sum_.size(); ++g) {
-    ll_sum_[g] += o->ll_sum_[g];
-    ll_sumsq_[g] += o->ll_sumsq_[g];
-  }
-  traces_ += o->traces_;
-}
-
 double TemplateDistinguisher::score(std::size_t guess) const {
   return traces_ == 0 ? 0.0 : ll_sum_[guess] / static_cast<double>(traces_);
 }
@@ -85,43 +71,6 @@ double TemplateDistinguisher::score_sd(std::size_t guess) const {
 
 std::vector<std::size_t> TemplateDistinguisher::ranking() const {
   return rank_by_score(*this);
-}
-
-void TemplateDistinguisher::serialize(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(Backend::kTemplate));
-  wire::put_u32(out, static_cast<std::uint32_t>(ll_sum_.size()));
-  wire::put_u32(out, static_cast<std::uint32_t>(alpha_.size()));
-  wire::put_u64(out, traces_);
-  for (const double v : alpha_) wire::put_f64(out, v);
-  for (const double v : beta_) wire::put_f64(out, v);
-  for (const double v : prec_) wire::put_f64(out, v);
-  for (const double v : ll_sum_) wire::put_f64(out, v);
-  for (const double v : ll_sumsq_) wire::put_f64(out, v);
-}
-
-std::unique_ptr<Distinguisher> TemplateDistinguisher::deserialize(
-    std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  wire::Cursor c{bytes.subspan(offset)};
-  if (c.u8() != static_cast<std::uint8_t>(Backend::kTemplate)) return nullptr;
-  const std::uint32_t g_ = c.u32();
-  const std::uint32_t c_ = c.u32();
-  const std::uint64_t traces = c.u64();
-  if (c.fail || g_ > (1U << 24) || c_ > (1U << 12)) return nullptr;
-  std::vector<double> alpha(c_), beta(c_), prec(static_cast<std::size_t>(c_) * c_);
-  std::vector<double> sum(g_), sumsq(g_);
-  for (auto& v : alpha) v = c.f64();
-  for (auto& v : beta) v = c.f64();
-  for (auto& v : prec) v = c.f64();
-  for (auto& v : sum) v = c.f64();
-  for (auto& v : sumsq) v = c.f64();
-  if (c.fail) return nullptr;
-  auto out = std::make_unique<TemplateDistinguisher>(g_, std::move(alpha), std::move(beta),
-                                                     std::move(prec));
-  out->ll_sum_ = std::move(sum);
-  out->ll_sumsq_ = std::move(sumsq);
-  out->traces_ = static_cast<std::size_t>(traces);
-  offset += c.off;
-  return out;
 }
 
 }  // namespace fd::distinguisher

@@ -12,14 +12,11 @@
 // score_sd() its per-trace standard deviation -- the quantity the
 // calibrated confidence criterion needs (quality.cpp).
 //
-// Accumulation order is trace order, guess-major inside a trace; merge
-// is plain sum addition, so shard folds recombine exactly (the same
-// commutative-sum argument as the quality-report merge).
+// Accumulation order is trace order, guess-major inside a trace.
 
 #include <vector>
 
 #include "distinguisher/distinguisher.h"
-#include "distinguisher/types.h"
 
 namespace fd::distinguisher {
 
@@ -30,24 +27,15 @@ class TemplateDistinguisher final : public Distinguisher {
   TemplateDistinguisher(std::size_t num_guesses, std::vector<double> alpha,
                         std::vector<double> beta, std::vector<double> precision);
 
-  [[nodiscard]] std::uint8_t backend_id() const override {
-    return static_cast<std::uint8_t>(Backend::kTemplate);
-  }
   [[nodiscard]] std::size_t num_guesses() const override { return ll_sum_.size(); }
   [[nodiscard]] std::size_t num_columns() const override { return alpha_.size(); }
-  [[nodiscard]] std::size_t hyp_stride() const override { return alpha_.size(); }
   [[nodiscard]] std::size_t num_traces() const override { return traces_; }
 
   void observe(std::span<const TraceObservation> batch) override;
-  void merge(const Distinguisher& other) override;
 
   [[nodiscard]] double score(std::size_t guess) const override;
   [[nodiscard]] double score_sd(std::size_t guess) const override;
   [[nodiscard]] std::vector<std::size_t> ranking() const override;
-
-  void serialize(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] static std::unique_ptr<Distinguisher> deserialize(
-      std::span<const std::uint8_t> bytes, std::size_t& offset);
 
  private:
   std::vector<double> alpha_, beta_;
@@ -58,7 +46,7 @@ class TemplateDistinguisher final : public Distinguisher {
 };
 
 // Descending-score ranking with index-order ties -- shared by the
-// profiled backends (mirrors cpa_ranking's stable sort).
+// profiled backends (mirrors CpaEngine::ranking's stable sort).
 [[nodiscard]] std::vector<std::size_t> rank_by_score(const Distinguisher& d);
 
 }  // namespace fd::distinguisher

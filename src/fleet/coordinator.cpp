@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -258,7 +257,7 @@ class Coordinator {
 
   // Dispatches the listed components as contiguous component-range
   // shards of components_per_shard and merges every returned result by
-  // global component id. The kill/hang/bad-fold test hooks arm in the
+  // global component id. The kill/hang test hooks arm in the
   // first call only (the driver's main attack batch).
   attack::AttackBatchReport attack(std::span<const std::size_t> comps,
                                    std::vector<attack::ComponentResult>& results,
@@ -285,7 +284,6 @@ class Coordinator {
       }
       if (allow_hooks && shard == cfg_.kill_shard) spec.kill_after = cfg_.kill_after;
       if (allow_hooks && shard == cfg_.hang_shard) spec.hang_ms = cfg_.hang_ms;
-      if (allow_hooks && shard == cfg_.bad_fold_shard) spec.bad_fold = true;
       tasks.push_back(std::move(t));
     }
     out_.attack_shards += tasks.size();
@@ -616,7 +614,6 @@ class Coordinator {
       // complete, that's the scenario under test.
       spec.kill_after = 0;
       spec.hang_ms = 0;
-      spec.bad_fold = false;
     }
     if (w.remote) {
       spec.stage = true;
@@ -802,28 +799,6 @@ class Coordinator {
                                     {"chunks", fe.num_chunks}});
   }
 
-  // A kFold frame: merge the worker's partial CpaSums into the task's
-  // accumulator. merge_cpa_sums is checked in every build mode; a shape
-  // mismatch means the peer's statistics can no longer be trusted, so
-  // it takes the same reap-and-reassign path as a corrupt frame stream
-  // (handle_disconnect -> on_worker_death for local pipes).
-  void handle_fold(std::vector<Task>& tasks, WorkerProc& w, const Frame& frame) {
-    FoldFrame f;
-    if (!decode_fold(frame.payload, f)) {
-      handle_disconnect(tasks, w, "undecodable fold frame");
-      return;
-    }
-    attack::CpaSums& acc = task_folds_[f.task_id];
-    if (!attack::merge_cpa_sums(acc, f.sums)) {
-      handle_disconnect(tasks, w, "mismatched-shape fold frame");
-      return;
-    }
-    ++out_.fold_frames;
-    emit_event("fleet.fold", {{"task", f.task_id},
-                              {"worker", static_cast<std::uint64_t>(w.id)},
-                              {"traces", acc.traces}});
-  }
-
   void handle_frame(std::vector<Task>& tasks, WorkerProc& w, const Frame& frame) {
     w.last_seen = Clock::now();
     if (frame.type != FrameType::kError) w.flaps = 0;
@@ -889,9 +864,6 @@ class Coordinator {
         }
         break;
       }
-      case FrameType::kFold:
-        handle_fold(tasks, w, frame);
-        break;
       case FrameType::kError: {
         const std::string msg(reinterpret_cast<const char*>(frame.payload.data()),
                               frame.payload.size());
@@ -1139,10 +1111,6 @@ class Coordinator {
   std::uint32_t next_task_id_ = 1;
   std::string spawn_error_;
 
-  // Per-task merged fold statistics (kFold frames), keyed by task id.
-  // The first frame seeds a task's shape (merge_cpa_sums adopts into an
-  // empty accumulator); any later shape disagreement is wire corruption.
-  std::map<std::uint32_t, attack::CpaSums> task_folds_;
   std::vector<std::string> checkpoint_paths_;
 
   std::unique_ptr<CoordSink> coord_sink_;

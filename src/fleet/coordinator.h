@@ -119,12 +119,6 @@ struct FleetConfig {
   std::uint32_t kill_after = 0;
   std::size_t hang_shard = static_cast<std::size_t>(-1);
   std::uint32_t hang_ms = 0;
-  // bad_fold_shard arms TaskSpec::bad_fold: the worker sends a kFold
-  // frame whose CpaSums shape disagrees with the session after its
-  // first checkpointed batch. The coordinator must treat the
-  // mismatched-shape merge as a corrupt peer (reap + reassign), and the
-  // retry -- resumed past the hook -- completes the shard.
-  std::size_t bad_fold_shard = static_cast<std::size_t>(-1);
 };
 
 // The driver's result (stages, key, flags, per-component state as it
@@ -137,7 +131,6 @@ struct FleetResult : attack::RecoveryPipelineResult {
   std::size_t reconnects = 0;      // remote links re-established in place
   std::size_t staged_chunks = 0;   // kFileChunk frames accepted
   std::size_t attack_shards = 0;   // attack tasks dispatched (all rounds)
-  std::size_t fold_frames = 0;     // kFold frames merged into task folds
   std::uint64_t archive_scans = 0; // summed worker scan deltas
   std::size_t telemetry_lines = 0; // lines written to telemetry_path
 };

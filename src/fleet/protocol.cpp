@@ -286,7 +286,6 @@ void encode_task(std::vector<std::uint8_t>& out, const TaskSpec& spec) {
   for (const std::uint32_t comp : spec.components) put_u32(out, comp);
   put_u32(out, spec.kill_after);
   put_u32(out, spec.hang_ms);
-  out.push_back(spec.bad_fold ? 1 : 0);
   put_u64(out, spec.parent_span);
   out.push_back(spec.backend);
   out.push_back(spec.stage ? 1 : 0);
@@ -313,7 +312,6 @@ bool decode_task(std::span<const std::uint8_t> bytes, TaskSpec& out) {
   for (std::uint32_t i = 0; i < n; ++i) out.components.push_back(c.u32());
   out.kill_after = c.u32();
   out.hang_ms = c.u32();
-  out.bad_fold = c.u8() != 0;
   out.parent_span = c.u64();
   out.backend = c.u8();
   out.stage = c.u8() != 0;
@@ -413,20 +411,6 @@ bool decode_progress(std::span<const std::uint8_t> bytes, Progress& out) {
   out.total = c.u64();
   out.span = c.u64();
   return c.done();
-}
-
-void encode_fold(std::vector<std::uint8_t>& out, const FoldFrame& f) {
-  put_u32(out, f.task_id);
-  attack::serialize_cpa_sums(out, f.sums);
-}
-
-bool decode_fold(std::span<const std::uint8_t> bytes, FoldFrame& out) {
-  Cursor c{bytes, 0, false};
-  out.task_id = c.u32();
-  if (c.fail) return false;
-  std::size_t off = c.off;
-  if (!attack::deserialize_cpa_sums(bytes, off, out.sums)) return false;
-  return off == bytes.size();
 }
 
 // --- handshake + staging ---------------------------------------------------

@@ -35,11 +35,6 @@
 //   kResult     worker -> coordinator: TaskResult (capture counts, or
 //               per-component results + quality + archive-scan delta;
 //               every score as raw IEEE-754 bits -- bit-exact)
-//   kFold       either direction: a serialized CpaSums shard fold
-//               (attack/cpa_kernel.h), the transport for distributed
-//               streaming-CPA aggregation; merging deserialized folds
-//               in shard-index order equals the in-process
-//               parallel_reduce merge bit for bit
 //   kShutdown   coordinator -> worker: drain and exit 0
 //   kError      worker -> coordinator: fatal worker-side message
 //   kAuth       coordinator -> worker (TCP serve mode): session token;
@@ -63,7 +58,6 @@
 #include <vector>
 
 #include "attack/checkpoint.h"
-#include "attack/cpa_kernel.h"
 #include "attack/key_recovery.h"
 #include "attack/quality.h"
 #include "sca/faults.h"
@@ -92,13 +86,15 @@ inline constexpr std::uint32_t kFrameMagic = 0x4C464446;  // "FDFL" little-endia
 // v5: SessionConfig's attack config carries cpa_shards (the
 // StreamingScan guess-shard count -- a wall-clock knob, byte-identical
 // results at any value, but remote workers must honor it); TaskSpec
-// gains the bad_fold failure-injection hook (worker sends a
-// mismatched-shape kFold frame, the coordinator must treat it as a
-// corrupt peer and reassign).
+// gains a failure-injection byte (the worker sends a mismatched-shape
+// fold frame, the coordinator must treat it as a corrupt peer and
+// reassign).
 // v6: SessionConfig drops the single_pass byte that sat between the
 // quality config and checkpoint_every (every attack round demuxes its
 // slots in one archive scan).
-inline constexpr std::uint16_t kProtocolVersion = 6;
+// v7: frame type 8 (shard CpaSums folds, which nothing consumed) and
+// v5's failure-injection byte between hang_ms and parent_span are gone.
+inline constexpr std::uint16_t kProtocolVersion = 7;
 inline constexpr std::size_t kFrameHeaderSize = 16;
 // Largest payload a peer will accept. Generous for real traffic (an
 // n = 1024 attack shard's results are ~100 KB) yet small enough that a
@@ -113,7 +109,6 @@ enum class FrameType : std::uint16_t {
   kProgress = 5,
   kTelemetry = 6,
   kResult = 7,
-  kFold = 8,
   kShutdown = 9,
   kError = 10,
   kAuth = 11,
@@ -213,11 +208,6 @@ struct TaskSpec {
   // heartbeats and sleep before starting (heartbeat-timeout path).
   std::uint32_t kill_after = 0;
   std::uint32_t hang_ms = 0;
-  // bad_fold: after the first checkpointed batch (fresh tasks only --
-  // a resumed task skips the hook so the retry completes), send a
-  // well-formed kFold frame whose CpaSums shape disagrees with the
-  // session, exercising the coordinator's corrupt-fold reap path.
-  bool bad_fold = false;
 
   // Span id of the coordinator's JobGraph stage span that created this
   // task; the worker re-parents its task span under it so the campaign
@@ -291,14 +281,6 @@ struct Progress {
 };
 void encode_progress(std::vector<std::uint8_t>& out, const Progress& p);
 [[nodiscard]] bool decode_progress(std::span<const std::uint8_t> bytes, Progress& out);
-
-// Fold frames: task_id + one serialized CpaSums (attack/cpa_kernel.h).
-struct FoldFrame {
-  std::uint32_t task_id = 0;
-  attack::CpaSums sums;
-};
-void encode_fold(std::vector<std::uint8_t>& out, const FoldFrame& f);
-[[nodiscard]] bool decode_fold(std::span<const std::uint8_t> bytes, FoldFrame& out);
 
 // --- serve-mode handshake and archive staging ------------------------------
 

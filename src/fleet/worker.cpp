@@ -324,34 +324,6 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
       // batch, the kResult frame never goes out.
       std::raise(SIGKILL);
     }
-    if (spec.bad_fold && done_before == 0 && b == 0) {
-      // Corrupt-statistics simulation: a well-formed fold frame seeds
-      // the coordinator's per-task accumulator, then a second frame
-      // with a disagreeing CpaSums shape arrives on the same task. The
-      // coordinator must refuse the merge and reap this worker; frames
-      // are processed in stream order, so the bad fold is seen before
-      // any kResult we might still send. The hook only fires on a
-      // fresh task (done_before == 0): the reassigned attempt resumes
-      // from the checkpoint above and completes cleanly.
-      const auto send_fold = [&](std::size_t g, std::size_t ns) {
-        FoldFrame f;
-        f.task_id = spec.task_id;
-        attack::CpaSums sums;
-        attack::CpaBatchKernel kernel(g, ns, {});
-        std::vector<double> hyps(g);
-        std::vector<float> samps(ns);
-        for (std::size_t i = 0; i < g; ++i) hyps[i] = static_cast<double>(i + 1);
-        for (std::size_t i = 0; i < ns; ++i) samps[i] = static_cast<float>(i) * 0.5F;
-        kernel.add_trace(sums, hyps, samps);
-        kernel.flush(sums);
-        f.sums = std::move(sums);
-        std::vector<std::uint8_t> fold_payload;
-        encode_fold(fold_payload, f);
-        writer.send(FrameType::kFold, fold_payload);
-      };
-      send_fold(2, 2);   // seeds the task's fold shape
-      send_fold(3, 2);   // shape mismatch: must get this worker reaped
-    }
   }
 
   res.archive_scans = scans.value() - scans_before;

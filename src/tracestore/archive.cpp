@@ -107,6 +107,18 @@ RecordRef decode_record_ref(const std::uint8_t* p, std::size_t num_samples) {
 // before any buffer is sized from it.
 bool geometry_fits(const ArchiveMeta& m) { return m.samples_per_trace <= kMaxSamplesPerTrace; }
 
+// The attack sizes its per-slot vectors from num_slots, so a header
+// whose slot count is not its ring's n/2 is refused the same way.
+bool ring_fits(const ArchiveMeta& m) {
+  return m.logn >= kMinLogn && m.logn <= kMaxLogn && m.num_slots == 1U << (m.logn - 1);
+}
+
+std::string ring_error(const ArchiveMeta& m) {
+  return "ring geometry mismatch (logn " + std::to_string(m.logn) + ", num_slots " +
+         std::to_string(m.num_slots) + "; want logn " + std::to_string(kMinLogn) + ".." +
+         std::to_string(kMaxLogn) + " with num_slots = 2^(logn-1))";
+}
+
 std::vector<std::uint8_t> encode_header(const ArchiveMeta& m) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes);
@@ -129,7 +141,8 @@ std::vector<std::uint8_t> encode_header(const ArchiveMeta& m) {
 }
 
 // Parses and sanity-checks a header buffer; returns false with a reason
-// on any structural problem (bad magic, unknown version, zero geometry).
+// on any structural problem (bad magic, unknown version, zero or
+// overflowing geometry, a slot count that is not the ring's n/2).
 bool decode_header(std::span<const std::uint8_t> buf, ArchiveMeta& m, std::string& why) {
   if (buf.size() < kHeaderBytes) {
     why = "file shorter than the archive header";
@@ -168,6 +181,10 @@ bool decode_header(std::span<const std::uint8_t> buf, ArchiveMeta& m, std::strin
   if (!geometry_fits(m)) {
     why = "record geometry overflows (samples_per_trace " +
           std::to_string(m.samples_per_trace) + ")";
+    return false;
+  }
+  if (!ring_fits(m)) {
+    why = ring_error(m);
     return false;
   }
   return true;
@@ -246,11 +263,11 @@ constexpr std::uint64_t barrett_mu() {
   return mu;
 }
 
-constexpr std::uint64_t kFold4Lo = xpow_mod_p(4 * 128 + 32);  // 4x128-bit stride
-constexpr std::uint64_t kFold4Hi = xpow_mod_p(4 * 128 - 32);
-constexpr std::uint64_t kFold1Lo = xpow_mod_p(128 + 32);  // 128-bit stride
-constexpr std::uint64_t kFold1Hi = xpow_mod_p(128 - 32);
-constexpr std::uint64_t kFold64 = xpow_mod_p(64);
+constexpr std::uint64_t kCrcFold4Lo = xpow_mod_p(4 * 128 + 32);  // 4x128-bit stride
+constexpr std::uint64_t kCrcFold4Hi = xpow_mod_p(4 * 128 - 32);
+constexpr std::uint64_t kCrcFold1Lo = xpow_mod_p(128 + 32);  // 128-bit stride
+constexpr std::uint64_t kCrcFold1Hi = xpow_mod_p(128 - 32);
+constexpr std::uint64_t kCrcFold64 = xpow_mod_p(64);
 constexpr std::uint64_t kPolyFull = (std::uint64_t{kCrcPoly} << 1) | 1U;  // P, reflected, 33 bits
 constexpr std::uint64_t kMu = barrett_mu();
 
@@ -279,16 +296,16 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_pclmul(
     __m128i x3 = load(p + 48);
     p += 64;
     n -= 64;
-    const __m128i k4 = _mm_set_epi64x(static_cast<long long>(kFold4Hi),
-                                      static_cast<long long>(kFold4Lo));
+    const __m128i k4 = _mm_set_epi64x(static_cast<long long>(kCrcFold4Hi),
+                                      static_cast<long long>(kCrcFold4Lo));
     for (; n >= 64; p += 64, n -= 64) {
       x0 = _mm_xor_si128(fold_128(x0, k4), load(p));
       x1 = _mm_xor_si128(fold_128(x1, k4), load(p + 16));
       x2 = _mm_xor_si128(fold_128(x2, k4), load(p + 32));
       x3 = _mm_xor_si128(fold_128(x3, k4), load(p + 48));
     }
-    const __m128i k1 = _mm_set_epi64x(static_cast<long long>(kFold1Hi),
-                                      static_cast<long long>(kFold1Lo));
+    const __m128i k1 = _mm_set_epi64x(static_cast<long long>(kCrcFold1Hi),
+                                      static_cast<long long>(kCrcFold1Lo));
     __m128i x = _mm_xor_si128(fold_128(x0, k1), x1);
     x = _mm_xor_si128(fold_128(x, k1), x2);
     x = _mm_xor_si128(fold_128(x, k1), x3);
@@ -297,7 +314,7 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_pclmul(
     x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k1, 0x10));
     // 64 -> 32 bits ahead of the reduction: the low word moves 64 bits.
     const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
-    const __m128i k64 = _mm_set_epi64x(0, static_cast<long long>(kFold64));
+    const __m128i k64 = _mm_set_epi64x(0, static_cast<long long>(kCrcFold64));
     x = _mm_xor_si128(_mm_srli_si128(x, 4),
                       _mm_clmulepi64_si128(_mm_and_si128(x, low32), k64, 0x00));
     // Barrett: q = low32(x) * mu, then x ^= low32(q) * P.
@@ -366,6 +383,10 @@ bool ArchiveWriter::open(const std::string& path, const ArchiveMeta& meta) {
   if (!geometry_fits(meta)) {
     error_ = "record geometry overflows (samples_per_trace " +
              std::to_string(meta.samples_per_trace) + ")";
+    return false;
+  }
+  if (!ring_fits(meta)) {
+    error_ = ring_error(meta);
     return false;
   }
   file_ = std::fopen(path.c_str(), "wb");

@@ -63,6 +63,11 @@ inline constexpr std::size_t kDefaultTracesPerChunk = 64;
 // times the record size cannot overflow 64 bits.
 inline constexpr std::uint64_t kMaxSamplesPerTrace = (0xFFFFFFFFULL - 24) / 4;
 
+// Ring sizes a header may describe: the logn range falcon::Params::get
+// accepts. num_slots must be the ring's n/2 = 2^(logn-1) complex slots.
+inline constexpr std::uint32_t kMinLogn = 2;
+inline constexpr std::uint32_t kMaxLogn = 10;
+
 inline constexpr std::uint32_t kFlagConstantWeight = 1U << 0;
 inline constexpr std::uint32_t kFlagMerged = 1U << 1;
 

@@ -10,10 +10,9 @@
 //   - |r| ranking catches inverted leakage;
 //   - a foreign-layout window (samples too short for the spec's views)
 //     folds nothing and does not advance the window count;
-//   - single-pass drivers: run_cpa_streaming_multi equals per-spec
-//     run_cpa_streaming at ONE reader scan, attack_components_gated
-//     costs one archive scan per call, and the whole pipeline attack
-//     round costs exactly one archive pass;
+//   - single-pass drivers: attack_components_gated costs one archive
+//     scan per call, and the whole pipeline attack round costs exactly
+//     one archive pass;
 //   - product-hypothesis scan: a ProductModel scores every guess
 //     bit-identically to the equivalent per-cell callback at every
 //     dispatch level, over ranges and lists, sharded or not, and
@@ -359,60 +358,6 @@ TEST(CpaKernel, ForeignLayoutWindowFoldsNothingAndDoesNotCount) {
   }
 }
 
-// --- single-pass multi-component streaming ---------------------------------
-
-TEST(CpaKernel, MultiStreamingMatchesPerSpecAtOneScan) {
-  ChaCha20Prng rng(0xD340);
-  const auto kp = falcon::keygen(4, rng);
-  const auto cfg = small_config(0xD340);
-  TempFile tmp("ck_multi.fdtrace");
-  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, cfg, tmp.path).ok);
-
-  // All 2N components of the key -- every slot, Re and Im -- plus one
-  // budgeted spec, in a single demuxed pass.
-  const std::size_t hn = kp.sk.params.n >> 1;
-  std::vector<StreamingCpaSpec> specs;
-  for (std::size_t slot = 0; slot < hn; ++slot) {
-    specs.push_back(exponent_spec(slot, /*imag=*/false));
-    specs.push_back(exponent_spec(slot, /*imag=*/true));
-  }
-  specs.push_back(exponent_spec(1));
-  specs.back().max_traces = 150;
-
-  tracestore::ArchiveReader reader;
-  ASSERT_TRUE(reader.open(tmp.path)) << reader.error();
-  auto& scans = obs::MetricsRegistry::global().counter("attack.archive.scans");
-  const std::uint64_t metric_before = scans.value();
-  const std::size_t reader_before = reader.scans_started();
-
-  const std::vector<CpaEngine> engines = run_cpa_streaming_multi(reader, specs);
-
-  // The whole-key attack cost ONE archive pass, not 2N.
-  EXPECT_EQ(reader.scans_started() - reader_before, 1U);
-  if (FD_OBS_ENABLED) {
-    EXPECT_EQ(scans.value() - metric_before, 1U);
-  }
-
-  // And each engine is bit-identical to its dedicated serial pass.
-  ASSERT_EQ(engines.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const CpaEngine solo = run_cpa_streaming(reader, specs[i]);
-    ASSERT_EQ(engines[i].num_traces(), solo.num_traces()) << "spec " << i;
-    for (std::size_t g = 0; g < solo.num_guesses(); ++g) {
-      for (std::size_t c = 0; c < solo.num_samples(); ++c) {
-        EXPECT_EQ(engines[i].correlation(g, c), solo.correlation(g, c)) << "spec " << i;
-      }
-    }
-    EXPECT_EQ(engines[i].ranking(), solo.ranking()) << "spec " << i;
-  }
-
-  // The demuxed pass is attacking, not just matching: the true exponent
-  // of a Re component clears the paper's 99.99% confidence bound.
-  const unsigned truth = kp.sk.b01[2].biased_exponent();
-  const CpaEngine& eng2 = engines[4];  // slot 2, Re
-  EXPECT_GT(eng2.peak(truth - 1005), confidence_interval(0.9999, eng2.num_traces()));
-}
-
 // --- single-pass gated component fan-out -----------------------------------
 
 TEST(CpaKernel, SinglePassGatedMatchesLegacyAtOneScan) {
@@ -672,137 +617,11 @@ TEST(CpaShards, ComponentAttackShardingIsByteIdentical) {
   }
 }
 
-// --- sharded trace-stream fold (tentpole): plan-deterministic --------------
-
-TEST(CpaShards, StreamingFoldShardsDeterministicAcrossWorkerCounts) {
-  ChaCha20Prng rng(0xF01D);
-  const auto kp = falcon::keygen(4, rng);
-  const auto camp = small_config(0xF01D);
-  const auto sets = sca::run_full_campaign(kp.sk, camp);
-  const auto& set = sets[2];
-
-  const auto spec_serial = exponent_spec(2);
-  const CpaEngine serial = run_cpa_inmemory(set, spec_serial);
-
-  // fold_shards = 1 through the sharded plumbing is the legacy fold.
-  {
-    auto spec = exponent_spec(2);
-    spec.fold_shards = 1;
-    const CpaEngine same = run_cpa_inmemory(set, spec);
-    for (std::size_t g = 0; g < serial.num_guesses(); ++g) {
-      for (std::size_t c = 0; c < serial.num_samples(); ++c) {
-        EXPECT_EQ(same.correlation(g, c), serial.correlation(g, c));
-      }
-    }
-  }
-
-  exec::ThreadPool pool1(1);
-  exec::ThreadPool pool7(7);
-  for (const std::size_t shards : {2U, 7U}) {
-    // The shard plan fixes the arithmetic; the worker count must not.
-    auto spec_inline = exponent_spec(2);
-    spec_inline.fold_shards = shards;
-    const CpaEngine e_inline = run_cpa_inmemory(set, spec_inline);
-
-    auto spec_p1 = exponent_spec(2);
-    spec_p1.fold_shards = shards;
-    spec_p1.fold_pool = &pool1;
-    const CpaEngine e_p1 = run_cpa_inmemory(set, spec_p1);
-
-    auto spec_p7 = exponent_spec(2);
-    spec_p7.fold_shards = shards;
-    spec_p7.fold_pool = &pool7;
-    const CpaEngine e_p7 = run_cpa_inmemory(set, spec_p7);
-
-    ASSERT_EQ(e_inline.num_traces(), serial.num_traces());
-    for (std::size_t g = 0; g < serial.num_guesses(); ++g) {
-      for (std::size_t c = 0; c < serial.num_samples(); ++c) {
-        const double r = e_inline.correlation(g, c);
-        EXPECT_EQ(e_p1.correlation(g, c), r) << "shards=" << shards;
-        EXPECT_EQ(e_p7.correlation(g, c), r) << "shards=" << shards;
-        // The shard plan joins the statistics' identity like
-        // batch_traces: ULP-near the serial fold, same decisions.
-        EXPECT_NEAR(r, serial.correlation(g, c), 1e-10);
-      }
-    }
-    EXPECT_EQ(e_inline.ranking(), serial.ranking()) << "shards=" << shards;
-  }
-}
-
-TEST(CpaShards, StreamingFoldShardsMatchOnArchivePath) {
-  ChaCha20Prng rng(0xF01E);
-  const auto kp = falcon::keygen(4, rng);
-  const auto camp = small_config(0xF01E);
-  TempFile tmp("ck_fold_shards.fdtrace");
-  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, camp, tmp.path).ok);
-
-  tracestore::ArchiveReader reader;
-  ASSERT_TRUE(reader.open(tmp.path)) << reader.error();
-
-  const auto spec_serial = exponent_spec(1);
-  const CpaEngine serial = run_cpa_streaming(reader, spec_serial);
-
-  exec::ThreadPool pool(3);
-  auto spec = exponent_spec(1);
-  spec.fold_shards = 5;
-  spec.fold_pool = &pool;
-  const CpaEngine sharded = run_cpa_streaming(reader, spec);
-  ASSERT_EQ(sharded.num_traces(), serial.num_traces());
-  for (std::size_t g = 0; g < serial.num_guesses(); ++g) {
-    for (std::size_t c = 0; c < serial.num_samples(); ++c) {
-      EXPECT_NEAR(sharded.correlation(g, c), serial.correlation(g, c), 1e-10);
-    }
-  }
-  EXPECT_EQ(sharded.ranking(), serial.ranking());
-}
-
 // --- release-mode contract pins (satellite bugfixes) -----------------------
 //
 // The default build defines NDEBUG, so these tests exercise exactly the
 // release-mode behavior: each contract violation must be a checked
 // error, not a skipped assert followed by out-of-bounds access.
-
-CpaSums make_fold(std::size_t g, std::size_t s, std::size_t traces, std::uint64_t seed) {
-  CpaSums sums;
-  CpaBatchKernel kernel(g, s, {});
-  ChaCha20Prng rng(seed);
-  std::vector<double> hyps(g);
-  std::vector<float> samps(s);
-  for (std::size_t d = 0; d < traces; ++d) {
-    for (auto& h : hyps) h = rng.gaussian();
-    for (auto& x : samps) x = static_cast<float>(rng.gaussian());
-    kernel.add_trace(sums, hyps, samps);
-  }
-  kernel.flush(sums);
-  return sums;
-}
-
-TEST(CpaRelease, MergeShapeMismatchIsCheckedError) {
-  CpaSums dst = make_fold(4, 3, 10, 0x111);
-  const CpaSums dst_before = dst;
-  const CpaSums wrong_g = make_fold(5, 3, 10, 0x222);
-  const CpaSums wrong_s = make_fold(4, 2, 10, 0x333);
-
-  EXPECT_FALSE(merge_cpa_sums(dst, wrong_g));
-  EXPECT_FALSE(merge_cpa_sums(dst, wrong_s));
-  // dst is untouched by a refused merge.
-  EXPECT_EQ(dst.traces, dst_before.traces);
-  EXPECT_EQ(dst.sum_ht, dst_before.sum_ht);
-  EXPECT_EQ(dst.sum_h, dst_before.sum_h);
-  EXPECT_EQ(dst.sum_t, dst_before.sum_t);
-
-  // The legitimate paths still work: empty-src no-op, empty-dst adopt,
-  // matching shapes merge.
-  CpaSums empty;
-  EXPECT_TRUE(merge_cpa_sums(dst, empty));
-  EXPECT_EQ(dst.traces, dst_before.traces);
-  CpaSums adopt;
-  EXPECT_TRUE(merge_cpa_sums(adopt, dst));
-  EXPECT_EQ(adopt.traces, dst.traces);
-  const CpaSums more = make_fold(4, 3, 7, 0x444);
-  EXPECT_TRUE(merge_cpa_sums(dst, more));
-  EXPECT_EQ(dst.traces, 17U);
-}
 
 TEST(CpaRelease, AddTraceShapeMismatchThrowsInEveryBuildMode) {
   CpaSums sums;
@@ -822,51 +641,6 @@ TEST(CpaRelease, AddTraceShapeMismatchThrowsInEveryBuildMode) {
   kernel.add_trace(sums, good_h, good_t);
   kernel.flush(sums);
   EXPECT_EQ(sums.traces, 1U);
-}
-
-TEST(CpaRelease, DeserializeRejectsInconsistentHeaders) {
-  const CpaSums sums = make_fold(3, 2, 9, 0x555);
-  std::vector<std::uint8_t> bytes;
-  serialize_cpa_sums(bytes, sums);
-
-  // The clean round-trip works (and is byte-exact).
-  {
-    std::size_t off = 0;
-    CpaSums back;
-    ASSERT_TRUE(deserialize_cpa_sums(bytes, off, back));
-    EXPECT_EQ(off, bytes.size());
-    EXPECT_EQ(back.traces, sums.traces);
-    EXPECT_EQ(back.sum_ht, sums.sum_ht);
-  }
-
-  const auto poke_u64 = [&](std::size_t byte_off, std::uint64_t v) {
-    auto mutated = bytes;
-    for (int i = 0; i < 8; ++i) {
-      mutated[byte_off + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    return mutated;
-  };
-  const auto rejects = [&](const std::vector<std::uint8_t>& mutated) {
-    std::size_t off = 0;
-    CpaSums out;
-    return !deserialize_cpa_sums(mutated, off, out);
-  };
-
-  // Header layout: [0]=num_guesses [8]=num_samples [16]=traces [24]=have_ref.
-  EXPECT_TRUE(rejects(poke_u64(16, 0)));  // have_ref=1 with traces=0
-  EXPECT_TRUE(rejects(poke_u64(24, 0)));  // traces=9 with have_ref=0
-  EXPECT_TRUE(rejects(poke_u64(16, 1ULL << 41)));  // absurd trace count
-  EXPECT_TRUE(rejects(poke_u64(24, 2)));           // have_ref out of domain
-  EXPECT_TRUE(rejects(poke_u64(0, 1ULL << 21)));   // shape beyond payload bound
-
-  // A non-empty fold with an empty shape cannot come from any kernel.
-  CpaSums degenerate;
-  degenerate.traces = 5;
-  degenerate.have_ref = true;
-  std::vector<std::uint8_t> degenerate_bytes;
-  serialize_cpa_sums(degenerate_bytes, degenerate);
-  EXPECT_TRUE(rejects(degenerate_bytes));
 }
 
 #ifdef FD_ATTACK_BIN

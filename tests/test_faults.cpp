@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -514,6 +517,76 @@ TEST(ShortWindow, FourSampleArchiveIsAStructuredError) {
   ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, sets));
   ASSERT_EQ(sets[1].traces.size(), 20U);
   EXPECT_THROW((void)build_component_dataset(sets[1], true), std::invalid_argument);
+}
+
+// A FALCON-16 header patched to a slot count that is not its ring's
+// n/2. The attack sizes per-slot vectors from num_slots, so unchecked,
+// 0xFFFFFFFF throws bad_alloc and 2^22 allocates and zeroes gigabytes.
+// Reader and writer both refuse such a header, the gated attack returns
+// an error, and `fd-tracedb verify` exits 2.
+TEST(ArchiveHeader, SlotCountOtherThanHalfTheRingIsRefused) {
+  TempFile good("faults_ring_good.fdtrace");
+  const auto kp = toy_victim(4);
+  sca::CampaignConfig cfg;
+  cfg.num_traces = 12;
+  cfg.seed = 0x5107;
+  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, cfg, good.path).ok);
+  const std::vector<std::uint8_t> bytes = read_file(good.path);
+  ASSERT_GT(bytes.size(), tracestore::kHeaderBytes);
+  tracestore::ArchiveMeta good_meta;
+  {
+    tracestore::ArchiveReader reader;
+    ASSERT_TRUE(reader.open(good.path)) << reader.error();
+    good_meta = reader.meta();
+    ASSERT_EQ(good_meta.num_slots, 8U);
+  }
+
+  const auto config_for = [](const ComponentIndex&) { return ComponentAttackConfig{}; };
+  const std::vector<std::size_t> comps = {0, 1};
+  for (const std::uint32_t slots : {0xFFFFFFFFU, 1U << 22}) {
+    TempFile bad("faults_ring_bad.fdtrace");
+    std::vector<std::uint8_t> patched = bytes;
+    for (int i = 0; i < 4; ++i) {
+      patched[24 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(slots >> (8 * i));
+    }
+    {
+      std::ofstream out(bad.path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(patched.data()),
+                static_cast<std::streamsize>(patched.size()));
+    }
+
+    tracestore::ArchiveReader reader;
+    EXPECT_FALSE(reader.open(bad.path)) << "num_slots " << slots;
+    EXPECT_NE(reader.error().find("num_slots"), std::string::npos) << reader.error();
+
+    std::vector<ComponentResult> results;
+    std::vector<std::size_t> accepted;
+    std::string error;
+    EXPECT_FALSE(attack_components_gated(bad.path, QualityConfig{}, config_for, nullptr, comps,
+                                         results, accepted, nullptr, &error));
+    EXPECT_NE(error.find("num_slots"), std::string::npos) << error;
+
+#ifdef FD_TRACEDB_BIN
+    const std::string cmd =
+        std::string(FD_TRACEDB_BIN) + " verify " + bad.path + " >/dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+#endif
+
+    tracestore::ArchiveMeta meta = good_meta;
+    meta.num_slots = slots;
+    tracestore::ArchiveWriter writer;
+    EXPECT_FALSE(writer.open(bad.path + ".w", meta)) << "num_slots " << slots;
+    std::remove((bad.path + ".w").c_str());
+  }
+  // A logn outside falcon's range is refused the same way.
+  tracestore::ArchiveMeta meta = good_meta;
+  meta.logn = 11;
+  meta.num_slots = 1U << 10;
+  tracestore::ArchiveWriter writer;
+  EXPECT_FALSE(writer.open(good.path + ".w", meta));
+  std::remove((good.path + ".w").c_str());
 }
 
 TEST(Checkpoint, RoundTripsBitExactly) {

@@ -1,5 +1,5 @@
-// Fleet mode (DESIGN.md section 12): wire protocol round-trips, shard
-// fold merge/serde, and the orchestration acceptance pins:
+// Fleet mode (DESIGN.md section 12): wire protocol round-trips and the
+// orchestration acceptance pins:
 //
 //   - a fleet at 1, 2, and 4 workers recovers a BYTE-IDENTICAL key,
 //     identical per-component results/accepted sets, an identical
@@ -22,8 +22,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -33,12 +31,8 @@
 #include <vector>
 
 #include "attack/checkpoint.h"
-#include "attack/cpa_kernel.h"
 #include "attack/recovery_pipeline.h"
 #include "common/rng.h"
-#include "exec/parallel_for.h"
-#include "exec/seed_split.h"
-#include "exec/thread_pool.h"
 #include "falcon/falcon.h"
 #include "fleet/coordinator.h"
 #include "fleet/protocol.h"
@@ -196,9 +190,10 @@ TEST(FleetProtocol, BadVersionAndOversizeLengthRejected) {
 
 TEST(FleetProtocol, SessionRejectsParentLayoutWithSinglePassByte) {
   // Protocol v5 carried a single_pass byte between the quality config
-  // and the six u64 fields that end the payload; v6 has none, so a v5
-  // payload is one byte long and must not decode.
-  EXPECT_EQ(fleet::kProtocolVersion, 6U);
+  // and the six u64 fields that end the payload; v6 dropped it (and v7
+  // kept v6's session layout), so a v5 payload is one byte long and
+  // must not decode.
+  EXPECT_EQ(fleet::kProtocolVersion, 7U);
   fleet::SessionConfig s;
   std::vector<std::uint8_t> bytes;
   fleet::encode_session(bytes, s);
@@ -206,6 +201,21 @@ TEST(FleetProtocol, SessionRejectsParentLayoutWithSinglePassByte) {
   ASSERT_TRUE(fleet::decode_session(bytes, back));
   bytes.insert(bytes.end() - 6 * 8, std::uint8_t{1});
   EXPECT_FALSE(fleet::decode_session(bytes, back));
+}
+
+TEST(FleetProtocol, TaskRejectsParentLayoutWithFailureHookByte) {
+  // Protocol v6 carried a failure-injection byte between hang_ms and
+  // the 22 bytes that end a task (parent_span, backend, stage,
+  // stage_have_chunks, archive_generation); v7 has none, so a v6
+  // payload is one byte longer and must not decode.
+  fleet::TaskSpec spec;
+  spec.components = {1, 2};
+  std::vector<std::uint8_t> bytes;
+  fleet::encode_task(bytes, spec);
+  fleet::TaskSpec back;
+  ASSERT_TRUE(fleet::decode_task(bytes, back));
+  bytes.insert(bytes.end() - 22, std::uint8_t{0});
+  EXPECT_FALSE(fleet::decode_task(bytes, back));
 }
 
 // A session frame whose device config EmDeviceModel would refuse never
@@ -355,7 +365,6 @@ TEST(FleetProtocol, TaskAndResultRoundTrip) {
   spec.components = {3, 5, 9, 11};
   spec.kill_after = 2;
   spec.hang_ms = 150;
-  spec.bad_fold = true;
   spec.parent_span = 0xFEDCBA9876543210ULL;
   std::vector<std::uint8_t> bytes;
   fleet::encode_task(bytes, spec);
@@ -372,7 +381,6 @@ TEST(FleetProtocol, TaskAndResultRoundTrip) {
   EXPECT_EQ(spec_back.components, spec.components);
   EXPECT_EQ(spec_back.kill_after, spec.kill_after);
   EXPECT_EQ(spec_back.hang_ms, spec.hang_ms);
-  EXPECT_EQ(spec_back.bad_fold, spec.bad_fold);
   EXPECT_EQ(spec_back.parent_span, spec.parent_span);
 
   fleet::TaskResult res;
@@ -449,136 +457,6 @@ TEST(FleetProtocol, TaskAndResultRoundTrip) {
   EXPECT_EQ(p2.completed, 3u);
   EXPECT_EQ(p2.total, 4u);
   EXPECT_EQ(p2.span, p.span);
-}
-
-// --- shard folds: merge + wire serde ---------------------------------------
-
-constexpr std::size_t kFoldGuesses = 8;
-constexpr std::size_t kFoldSamples = 16;
-constexpr std::size_t kFoldTraces = 64;
-
-void synth_trace(std::size_t t, std::vector<double>& h, std::vector<float>& s) {
-  h.resize(kFoldGuesses);
-  s.resize(kFoldSamples);
-  for (std::size_t g = 0; g < kFoldGuesses; ++g) {
-    h[g] = static_cast<double>(exec::mix64(t * 1000 + g) % 97) * 0.25;
-  }
-  for (std::size_t j = 0; j < kFoldSamples; ++j) {
-    s[j] = static_cast<float>(
-        static_cast<double>(exec::mix64((t << 20) + j) % 1311) * 0.01 - 3.0);
-  }
-}
-
-attack::CpaSums fold_range(std::size_t begin, std::size_t end) {
-  attack::CpaSums sums;
-  attack::CpaBatchKernel kernel(kFoldGuesses, kFoldSamples);
-  std::vector<double> h;
-  std::vector<float> s;
-  for (std::size_t t = begin; t < end; ++t) {
-    synth_trace(t, h, s);
-    kernel.add_trace(sums, h, s);
-  }
-  kernel.flush(sums);
-  return sums;
-}
-
-void expect_sums_bitexact(const attack::CpaSums& a, const attack::CpaSums& b) {
-  ASSERT_EQ(a.num_guesses, b.num_guesses);
-  ASSERT_EQ(a.num_samples, b.num_samples);
-  EXPECT_EQ(a.traces, b.traces);
-  EXPECT_EQ(a.have_ref, b.have_ref);
-  const auto vec_eq = [](const std::vector<double>& x, const std::vector<double>& y,
-                         const char* what) {
-    ASSERT_EQ(x.size(), y.size()) << what;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(x[i]), std::bit_cast<std::uint64_t>(y[i]))
-          << what << "[" << i << "]";
-    }
-  };
-  vec_eq(a.ref_h, b.ref_h, "ref_h");
-  vec_eq(a.ref_t, b.ref_t, "ref_t");
-  vec_eq(a.sum_h, b.sum_h, "sum_h");
-  vec_eq(a.sum_h2, b.sum_h2, "sum_h2");
-  vec_eq(a.sum_t, b.sum_t, "sum_t");
-  vec_eq(a.sum_t2, b.sum_t2, "sum_t2");
-  vec_eq(a.sum_ht, b.sum_ht, "sum_ht");
-}
-
-TEST(FleetFold, WireRoundTripIsBitExact) {
-  const auto sums = fold_range(0, kFoldTraces);
-  std::vector<std::uint8_t> bytes;
-  attack::serialize_cpa_sums(bytes, sums);
-  attack::CpaSums back;
-  std::size_t off = 0;
-  ASSERT_TRUE(attack::deserialize_cpa_sums(bytes, off, back));
-  EXPECT_EQ(off, bytes.size());
-  expect_sums_bitexact(back, sums);
-
-  // Truncations rejected without advancing the cursor.
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{7}, bytes.size() - 1}) {
-    attack::CpaSums t;
-    std::size_t o = 0;
-    EXPECT_FALSE(
-        attack::deserialize_cpa_sums(std::span<const std::uint8_t>(bytes.data(), cut), o, t));
-    EXPECT_EQ(o, 0u);
-  }
-}
-
-TEST(FleetFold, ShardMergeEqualsParallelReduceAndWireRoundTrip) {
-  const auto plan = exec::static_chunks(kFoldTraces, 4);
-  ASSERT_EQ(plan.size(), 4u);
-
-  // In-process shard folds merged in shard-index order.
-  attack::CpaSums merged;
-  std::vector<attack::CpaSums> folds;
-  for (const auto& r : plan) folds.push_back(fold_range(r.begin, r.end));
-  for (const auto& f : folds) ASSERT_TRUE(attack::merge_cpa_sums(merged, f));
-
-  // The exec engine's reduce over the same plan must match bit for bit.
-  exec::ThreadPool pool(3);
-  const auto reduced = exec::parallel_reduce(
-      &pool, kFoldTraces, 4, attack::CpaSums{},
-      [](exec::ChunkRange r) { return fold_range(r.begin, r.end); },
-      [](attack::CpaSums acc, attack::CpaSums src) {
-        EXPECT_TRUE(attack::merge_cpa_sums(acc, src));
-        return acc;
-      });
-  expect_sums_bitexact(reduced, merged);
-
-  // ... as must folds that crossed the fleet wire.
-  std::vector<std::uint8_t> wire;
-  for (const auto& f : folds) attack::serialize_cpa_sums(wire, f);
-  attack::CpaSums from_wire;
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < folds.size(); ++i) {
-    attack::CpaSums shard;
-    ASSERT_TRUE(attack::deserialize_cpa_sums(wire, off, shard)) << "shard " << i;
-    ASSERT_TRUE(attack::merge_cpa_sums(from_wire, shard));
-  }
-  EXPECT_EQ(off, wire.size());
-  expect_sums_bitexact(from_wire, merged);
-
-  // And the merged statistics agree with the unsharded serial fold to
-  // ULP-level: same correlations up to reassociation noise.
-  const auto serial = fold_range(0, kFoldTraces);
-  ASSERT_EQ(merged.traces, serial.traces);
-  for (std::size_t g = 0; g < kFoldGuesses; ++g) {
-    for (std::size_t s = 0; s < kFoldSamples; ++s) {
-      EXPECT_NEAR(merged.correlation(g, s), serial.correlation(g, s), 1e-9)
-          << "corr(" << g << "," << s << ")";
-    }
-  }
-
-  // FoldFrame transport round-trip.
-  fleet::FoldFrame ff;
-  ff.task_id = 17;
-  ff.sums = folds[1];
-  std::vector<std::uint8_t> fb;
-  fleet::encode_fold(fb, ff);
-  fleet::FoldFrame ff2;
-  ASSERT_TRUE(fleet::decode_fold(fb, ff2));
-  EXPECT_EQ(ff2.task_id, 17u);
-  expect_sums_bitexact(ff2.sums, folds[1]);
 }
 
 // --- fleet orchestration ---------------------------------------------------
@@ -681,39 +559,6 @@ TEST(Fleet, SigkillMidShardCompletesViaReassignment) {
 
   // Same key, same per-component results: the retry resumed from the
   // dead worker's checkpoint and finished the shard bit-identically.
-  EXPECT_EQ(res.recovery.recovered_f, clean.recovery.recovered_f);
-  EXPECT_TRUE(res.recovery.f_exact);
-  EXPECT_TRUE(res.recovery.forgery_verified);
-  ASSERT_EQ(res.results.size(), clean.results.size());
-  for (std::size_t i = 0; i < res.results.size(); ++i) {
-    EXPECT_EQ(result_bytes(res.results[i]), result_bytes(clean.results[i])) << "component " << i;
-  }
-  EXPECT_EQ(res.accepted_traces, clean.accepted_traces);
-}
-
-TEST(Fleet, BadFoldFrameGetsWorkerReapedAndReassigned) {
-  TempFile clean_tmp("fleet_clean_fold.fdtrace");
-  const auto clean = fleet::run_fleet(fault_fleet(clean_tmp.path));
-  ASSERT_TRUE(clean.ok) << clean.error;
-  ASSERT_TRUE(clean.recovery.f_exact);
-
-  // Shard 0's first attempt sends a valid kFold frame (seeding the
-  // task's fold shape) and then one whose CpaSums shape disagrees. The
-  // checked merge_cpa_sums must fail, and the coordinator must treat
-  // the sender as a corrupt peer: reap, requeue, respawn. The retry
-  // (hook cleared) completes the shard bit-identically.
-  TempFile tmp("fleet_badfold.fdtrace");
-  auto fc = fault_fleet(tmp.path);
-  fc.pipeline.checkpoint_every = 1;
-  fc.bad_fold_shard = 0;
-  const auto res = fleet::run_fleet(fc);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_GE(res.worker_deaths, 1u);
-  EXPECT_GE(res.reassignments, 1u);
-  EXPECT_GT(res.workers_spawned, 2u);  // a replacement was spawned
-  // The first (shape-seeding) fold merged before the mismatch hit.
-  EXPECT_GE(res.fold_frames, 1u);
-
   EXPECT_EQ(res.recovery.recovered_f, clean.recovery.recovered_f);
   EXPECT_TRUE(res.recovery.f_exact);
   EXPECT_TRUE(res.recovery.forgery_verified);

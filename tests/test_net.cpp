@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "attack/cpa_kernel.h"
 #include "attack/recovery_pipeline.h"
 #include "common/rng.h"
 #include "exec/retry.h"
@@ -111,27 +110,6 @@ fleet::FleetConfig base_fleet(const std::string& archive, std::size_t workers) {
   return fc;
 }
 
-// A real CpaSums fold built through the batch kernel, so every vector
-// has the shape the serializer commits to.
-attack::CpaSums make_fold_sums(std::size_t guesses, std::size_t samples,
-                               std::size_t traces) {
-  attack::CpaSums sums;
-  attack::CpaBatchKernel kernel(guesses, samples, {});
-  std::vector<double> hyps(guesses);
-  std::vector<float> samps(samples);
-  for (std::size_t t = 0; t < traces; ++t) {
-    for (std::size_t i = 0; i < guesses; ++i) {
-      hyps[i] = static_cast<double>(exec::mix64(t * 131 + i) % 9);
-    }
-    for (std::size_t i = 0; i < samples; ++i) {
-      samps[i] = static_cast<float>(exec::mix64(0xF0 + t * 17 + i) % 255) * 0.125F;
-    }
-    kernel.add_trace(sums, hyps, samps);
-  }
-  kernel.flush(sums);
-  return sums;
-}
-
 // --- frame corpus ----------------------------------------------------------
 
 // A representative frame mix: empty, tiny, structured, and a payload
@@ -194,11 +172,12 @@ Corpus build_corpus() {
   add(fleet::FrameType::kResult, p);
 
   p.clear();
-  fleet::FoldFrame fold;
-  fold.task_id = 11;
-  fold.sums = make_fold_sums(5, 7, 3);
-  fleet::encode_fold(p, fold);
-  add(fleet::FrameType::kFold, p);
+  fleet::Progress prog;
+  prog.task_id = 11;
+  prog.completed = 3;
+  prog.total = 8;
+  fleet::encode_progress(p, prog);
+  add(fleet::FrameType::kProgress, p);
   return c;
 }
 
@@ -304,67 +283,6 @@ TEST(NetProtocol, LengthLiesAreBoundedAndLatched) {
   ASSERT_TRUE(dec2.next(f));
   EXPECT_EQ(f.payload, big);
   EXPECT_FALSE(dec2.corrupt());
-}
-
-TEST(NetProtocol, FoldPayloadMutationIsRejectedOrCanonical) {
-  // The frame CRC catches wire damage; this pins the layer BELOW it:
-  // decode_fold on an already-delivered payload whose bytes are hostile.
-  // Every mutation must either be rejected or decode to a fold whose
-  // header is self-consistent and whose re-encoding reproduces the
-  // accepted bytes exactly (no silent canonicalization).
-  fleet::FoldFrame fold;
-  fold.task_id = 77;
-  fold.sums = make_fold_sums(6, 4, 9);
-  std::vector<std::uint8_t> payload;
-  fleet::encode_fold(payload, fold);
-
-  fleet::FoldFrame clean;
-  ASSERT_TRUE(fleet::decode_fold(payload, clean));
-  ASSERT_EQ(clean.sums.traces, 9u);
-
-  std::size_t accepted = 0;
-  for (std::uint64_t trial = 0; trial < 512; ++trial) {
-    auto bytes = payload;
-    const std::size_t flips = 1 + exec::mix64(0xF01D + trial) % 4;
-    for (std::size_t k = 0; k < flips; ++k) {
-      const std::uint64_t d = exec::mix64(trial * 16 + k);
-      bytes[d % bytes.size()] ^= static_cast<std::uint8_t>(1 + (d >> 32) % 255);
-    }
-    // Seeded truncation rides along: a cut prefix must never decode.
-    if (trial % 7 == 0) bytes.resize(exec::mix64(0x7C + trial) % bytes.size());
-
-    fleet::FoldFrame out;
-    if (!fleet::decode_fold(bytes, out)) continue;
-    ++accepted;
-    // Accepted folds obey the header-consistency contract...
-    EXPECT_EQ(out.sums.have_ref, out.sums.traces != 0) << "trial " << trial;
-    if (out.sums.traces != 0) {
-      EXPECT_GT(out.sums.num_guesses, 0u) << "trial " << trial;
-      EXPECT_GT(out.sums.num_samples, 0u) << "trial " << trial;
-    }
-    EXPECT_LE(out.sums.traces, 1ULL << 40) << "trial " << trial;
-    EXPECT_EQ(out.sums.sum_h.size(), out.sums.num_guesses);
-    EXPECT_EQ(out.sums.sum_t.size(), out.sums.num_samples);
-    EXPECT_EQ(out.sums.sum_ht.size(), out.sums.num_guesses * out.sums.num_samples);
-    // ...and round-trip byte-exact (the serialization is canonical, so
-    // a mutated-but-accepted payload IS the encoding of its decode).
-    std::vector<std::uint8_t> back;
-    fleet::encode_fold(back, out);
-    EXPECT_EQ(back, bytes) << "trial " << trial;
-    // Merging into an empty accumulator adopts cleanly; merging into a
-    // differently-shaped one must fail checked, never corrupt.
-    attack::CpaSums empty;
-    EXPECT_TRUE(attack::merge_cpa_sums(empty, out.sums)) << "trial " << trial;
-    if (out.sums.traces != 0 && (out.sums.num_guesses != clean.sums.num_guesses ||
-                                 out.sums.num_samples != clean.sums.num_samples)) {
-      attack::CpaSums dst = clean.sums;
-      EXPECT_FALSE(attack::merge_cpa_sums(dst, out.sums)) << "trial " << trial;
-      EXPECT_EQ(dst.traces, clean.sums.traces) << "trial " << trial;
-    }
-  }
-  // Most payload bytes are f64 sum data, so plenty of mutations decode;
-  // the point is that every single one was rejected-or-canonical.
-  EXPECT_GT(accepted, 0u);
 }
 
 TEST(NetProtocol, AuthAndFileFramesRoundTrip) {
