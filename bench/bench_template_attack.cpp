@@ -5,7 +5,6 @@
 // coefficient with a sweep of trace counts:
 //
 //   cpa        the paper's Pearson staging (attack_component)
-//   tmpl-pt    per-point Gaussian templates (attack/template_attack.h)
 //   template   pooled-covariance joint templates (src/distinguisher)
 //   lr         learned logistic-regression heads (src/distinguisher)
 //
@@ -13,9 +12,9 @@
 // {"ev":"mtd"} row, so fd-report renders this bench and bench_mtd as
 // one scenario x backend traces-to-disclosure matrix.
 
+#include <cmath>
 #include <cstdio>
 
-#include "attack/template_attack.h"
 #include "bench_harness.h"
 #include "bench_util.h"
 #include "distinguisher/component_scorer.h"
@@ -48,16 +47,17 @@ int main(int argc, char** argv) {
         0x7E41 + static_cast<std::uint64_t>(i));
     clone_dss.push_back(attack::build_component_dataset(clone_set, false));
   }
-  const auto profile = attack::profile_device_multi(clone_dss, clone_secrets);
-  const auto pooled = distinguisher::make_template_scorer(clone_dss, clone_secrets);
+  const distinguisher::TemplateScorer pooled(
+      distinguisher::profile_pooled(clone_dss, clone_secrets));
   const auto lr =
       distinguisher::make_lr_scorer(clone_dss, clone_secrets, distinguisher::BackendSelection{});
   harness.report("profile_clone", params, timer.ms());
   timer.reset();
+  constexpr std::size_t kProdLL = sca::window::kOffProdLL;
+  const auto& profile = pooled.profile();
   std::printf("profiled on a clone device: alpha=%.3f beta=%.3f sigma=%.3f (ProdLL)\n\n",
-              profile.points[sca::window::kOffProdLL].alpha,
-              profile.points[sca::window::kOffProdLL].beta,
-              profile.points[sca::window::kOffProdLL].sigma);
+              profile.alpha[kProdLL], profile.beta[kProdLL],
+              std::sqrt(profile.cov[kProdLL * distinguisher::PooledProfile::kDim + kProdLL]));
 
   // Victim rig: the paper's coefficient.
   const fpr::Fpr secret = fpr::Fpr::from_bits(kPaperCoefficient);
@@ -81,34 +81,30 @@ int main(int argc, char** argv) {
                   ok[2] ? "OK" : "-", ok[3] ? "OK" : "-");
   };
 
-  std::printf("%-8s | %-14s | %-14s | %-14s | %-14s\n", "traces", "cpa", "tmpl-pt",
-              "template", "lr");
-  std::printf("%-8s | %-14s | %-14s | %-14s | %-14s\n", "", "sign exp x0 x1",
-              "sign exp x0 x1", "sign exp x0 x1", "sign exp x0 x1");
-  std::size_t full_cpa = 0, full_pt = 0, full_pool = 0, full_lr = 0;
+  std::printf("%-8s | %-14s | %-14s | %-14s\n", "traces", "cpa", "template", "lr");
+  std::printf("%-8s | %-14s | %-14s | %-14s\n", "", "sign exp x0 x1", "sign exp x0 x1",
+              "sign exp x0 x1");
+  std::size_t full_cpa = 0, full_pool = 0, full_lr = 0;
   for (const std::size_t d : {250UL, 500UL, 1000UL, 2000UL, 4000UL, 8000UL, 12000UL}) {
     const auto ds = attack::build_component_dataset(victim_set, false, d);
 
-    bool c_ok[4], p_ok[4], t_ok[4], l_ok[4];
+    bool c_ok[4], t_ok[4], l_ok[4];
     const bool c_full = ok4(attack::attack_component(ds, cac), c_ok);
-    const bool p_full = ok4(attack::template_attack_component(ds, profile, cac), p_ok);
-    const bool t_full = ok4(pooled->attack(ds, cac), t_ok);
+    const bool t_full = ok4(pooled.attack(ds, cac), t_ok);
     const bool l_full = ok4(lr->attack(ds, cac), l_ok);
 
-    char cb[20], pb[20], tb[20], lb[20];
+    char cb[20], tb[20], lb[20];
     cell(c_ok, cb, sizeof cb);
-    cell(p_ok, pb, sizeof pb);
     cell(t_ok, tb, sizeof tb);
     cell(l_ok, lb, sizeof lb);
-    std::printf("%-8zu | %-14s | %-14s | %-14s | %-14s\n", d, cb, pb, tb, lb);
+    std::printf("%-8zu | %-14s | %-14s | %-14s\n", d, cb, tb, lb);
     if (full_cpa == 0 && c_full) full_cpa = d;
-    if (full_pt == 0 && p_full) full_pt = d;
     if (full_pool == 0 && t_full) full_pool = d;
     if (full_lr == 0 && l_full) full_lr = d;
   }
 
-  std::printf("\nfull coefficient first recovered: cpa %zu, tmpl-pt %zu, template %zu, lr %zu\n",
-              full_cpa, full_pt, full_pool, full_lr);
+  std::printf("\nfull coefficient first recovered: cpa %zu, template %zu, lr %zu\n", full_cpa,
+              full_pool, full_lr);
   std::printf("(the paper: 'it is possible to extend our attack by template ...\n"
               " profiling techniques'. Measured: the profiled backends resolve the\n"
               " exponent without the Pearson alias repair and the pooled joint\n"

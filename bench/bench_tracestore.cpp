@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
   std::remove("bench_tracestore_merged.fdtrace");
 
   // Exponent-phase CPA on one slot, in memory.
+  constexpr std::size_t kCpaSlot = 1;
   attack::StreamingCpaSpec spec;
-  spec.slot = 1;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   const auto sets = sca::run_full_campaign(kp.sk, cfg);
   const double recapture_s = seconds_since(t0);
   t0 = Clock::now();
-  const auto inmem = attack::run_cpa_inmemory(sets[spec.slot], spec);
+  const auto inmem = attack::run_cpa_inmemory(sets[kCpaSlot], spec);
   const double cpa_mem_s = seconds_since(t0);
 
   std::printf("CPA in-memory  %8.3f s  (+%.3f s to re-run the victim; top guess %u)\n",
@@ -172,8 +172,9 @@ int main(int argc, char** argv) {
     // synthesis (and the appends), above the gate's 1 ms floor.
     harness.report("capture_query_logn9", params9, cap9_s * 1e3, 1e3 / query_ms, "queries/s");
 
-    // The victim alone under the capture recorder: kQueries signings
-    // with every window recorded, no synthesis, no archive.
+    // The victim alone under the capture recorder: kQueries runs of the
+    // capture signer (falcon::sign_capture, stopping after the recorded
+    // windows), no synthesis, no archive.
     {
       sca::LastWindowRecorder recorder(kp9.sk.params.n >> 1);
       ChaCha20Prng victim_rng(0xA2C41E);
@@ -181,10 +182,11 @@ int main(int argc, char** argv) {
       for (std::size_t q = 0; q < kQueries; ++q) {
         recorder.start_run();
         fpr::ScopedLeakageSink scope(&recorder);
-        (void)falcon::sign(kp9.sk, "sign probe " + std::to_string(q), victim_rng);
+        (void)falcon::sign_capture(kp9.sk, "sign probe " + std::to_string(q), victim_rng,
+                                   cfg9.masked);
       }
       const double sign_ms = seconds_since(t0) * 1e3;
-      std::printf("sign/query     %8.3f ms (logn=%u, %zu queries, recorder armed)\n",
+      std::printf("sign/query     %8.3f ms (logn=%u, %zu queries, capture signer)\n",
                   sign_ms / kQueries, kCaptureLogn, kQueries);
       harness.report("sign_query", params9, sign_ms, kQueries * 1e3 / sign_ms, "queries/s");
     }

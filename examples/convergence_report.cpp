@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
         // accumulate -- the Fig. 4 e-h curve shape. Candidates are the
         // truth's shift-family plus random fillers.
         attack::StreamingCpaSpec spec;
-        spec.slot = slot;
         spec.imag_part = imag;
         spec.sample_offsets = {sca::window::kOffAccZ1a};
         spec.guesses = attack::MantissaCandidates::adversarial(

@@ -27,8 +27,8 @@ namespace fd::attack {
 // inside each fpr_mul block, and how a guess predicts leakage from the
 // trace's known operand.
 struct StreamingCpaSpec {
-  std::size_t slot = 0;    // the slot of the TraceSet the caller folds
-  bool imag_part = false;  // attack Im FFT(-row)[slot] instead of Re
+  bool imag_part = false;  // Im FFT(-row)[slot] instead of Re; the slot is
+                           // the one of the TraceSet folded
   // Offsets within one fpr_mul block (sca::window::kOff*); each offset
   // contributes one sample column per view (both views are folded in,
   // like the in-memory extend-and-prune scans).

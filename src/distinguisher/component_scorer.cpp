@@ -6,7 +6,6 @@
 #include <initializer_list>
 #include <vector>
 
-#include "attack/template_attack.h"
 #include "common/popcount.h"
 #include "common/rng.h"
 #include "falcon/keygen.h"
@@ -399,8 +398,7 @@ std::shared_ptr<const attack::ComponentScorer> make_lr_scorer(
       const auto& ds = dss[i];
       for (unsigned v = 0; v < 2; ++v) {
         for (std::size_t t = 0; t < ds.num_traces; ++t) {
-          const double h =
-              attack::template_predicted_hw(off, secrets[i].bits(), ds.views[v].known[t]);
+          const double h = template_predicted_hw(off, secrets[i].bits(), ds.views[v].known[t]);
           if (h < 0.0) continue;
           xs.push_back(ds.views[v].samples[off][t]);
           ts.push_back(h);

@@ -8,7 +8,7 @@
 //   - TemplateDistinguisher (template_backend.h): pooled-covariance
 //     Gaussian templates -- joint log-likelihood over all of a phase's
 //     sample columns under one residual covariance fitted on profiling
-//     data (the multi-sample generalization of template_attack.cpp);
+//     data by profile_pooled (pooled_profile.h);
 //   - LrDistinguisher (lr_backend.h): logistic-regression heads trained
 //     on known-value profiling events, scored batch-tiled through the
 //     same lanes4 reduction primitives as the CPA kernel.
@@ -25,9 +25,11 @@
 
 namespace fd::distinguisher {
 
-// One streamed trace observation. `hypotheses` is guess-major with
-// num_columns() values per guess: one prediction per (guess, column).
-// `samples` is the num_columns() measured values of this trace.
+// One streamed trace observation over the C sample columns a backend
+// was built for (C = the template's alpha size, or the LR head count).
+// `hypotheses` is guess-major with C values per guess: one prediction
+// per (guess, column). `samples` holds at least C measured values of
+// this trace; the first C are read.
 struct TraceObservation {
   std::span<const double> hypotheses;
   std::span<const float> samples;
@@ -38,11 +40,12 @@ class Distinguisher {
   virtual ~Distinguisher();
 
   [[nodiscard]] virtual std::size_t num_guesses() const = 0;
-  [[nodiscard]] virtual std::size_t num_columns() const = 0;
   [[nodiscard]] virtual std::size_t num_traces() const = 0;
 
   // Folds a batch of observations in order. Observations must outlive
-  // the call only.
+  // the call only. An observation whose hypotheses are not
+  // num_guesses() x C values, or whose samples are fewer than C, throws
+  // std::invalid_argument before anything of the batch is folded.
   virtual void observe(std::span<const TraceObservation> batch) = 0;
 
   // Higher is better. The template backend returns the mean per-trace
@@ -53,6 +56,13 @@ class Distinguisher {
   [[nodiscard]] virtual double score_sd(std::size_t guess) const = 0;
   // Guess indices by descending score; ties keep index order.
   [[nodiscard]] virtual std::vector<std::size_t> ranking() const = 0;
+
+ protected:
+  // Throws std::invalid_argument, naming `backend`, unless every
+  // observation of `batch` has num_guesses() x `columns` hypotheses and
+  // at least `columns` samples.
+  void check_batch(std::span<const TraceObservation> batch, std::size_t columns,
+                   const char* backend) const;
 };
 
 }  // namespace fd::distinguisher

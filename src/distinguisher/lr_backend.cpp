@@ -1,8 +1,8 @@
 #include "distinguisher/lr_backend.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "attack/cpa_kernel.h"
 #include "distinguisher/template_backend.h"
@@ -11,7 +11,9 @@ namespace fd::distinguisher {
 
 LrHead train_lr_head(std::span<const double> samples, std::span<const double> targets,
                      double max_hw, const BackendSelection& sel) {
-  assert(samples.size() == targets.size());
+  if (samples.size() != targets.size()) {
+    throw std::invalid_argument("train_lr_head: needs one target per sample");
+  }
   LrHead head;
   head.max_hw = max_hw;
   const std::size_t n = samples.size();
@@ -71,8 +73,8 @@ LrDistinguisher::LrDistinguisher(std::size_t num_guesses, std::vector<LrHead> he
 void LrDistinguisher::observe(std::span<const TraceObservation> batch) {
   const std::size_t c_ = heads_.size();
   const std::size_t g_ = sum_.size();
+  check_batch(batch, c_, "LrDistinguisher");
   for (const TraceObservation& obs : batch) {
-    assert(obs.hypotheses.size() == g_ * c_ && obs.samples.size() >= c_);
     // Guess-independent part of every contribution: the centered
     // logit, computed once per trace.
     for (std::size_t c = 0; c < c_; ++c) {

@@ -55,7 +55,8 @@ struct LrHead {
 };
 
 // Deterministic full-batch GD fit of one head. `samples`/`targets` are
-// the column's profiling pairs (targets already normalized to [0, 1]).
+// the column's profiling pairs (targets already normalized to [0, 1]);
+// spans of different lengths throw std::invalid_argument.
 [[nodiscard]] LrHead train_lr_head(std::span<const double> samples,
                                    std::span<const double> targets, double max_hw,
                                    const BackendSelection& sel);
@@ -66,7 +67,6 @@ class LrDistinguisher final : public Distinguisher {
                   std::size_t batch_traces);
 
   [[nodiscard]] std::size_t num_guesses() const override { return sum_.size(); }
-  [[nodiscard]] std::size_t num_columns() const override { return heads_.size(); }
   [[nodiscard]] std::size_t num_traces() const override { return traces_; }
 
   void observe(std::span<const TraceObservation> batch) override;

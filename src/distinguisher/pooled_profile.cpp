@@ -2,19 +2,54 @@
 
 #include <cmath>
 
-#include "attack/template_attack.h"
+#include "common/popcount.h"
 
 namespace fd::distinguisher {
 
 namespace ww = sca::window;
 using attack::ComponentDataset;
+using attack::KnownOperand;
+using fpr::Fpr;
+
+double template_predicted_hw(std::size_t offset, std::uint64_t bits, const KnownOperand& k) {
+  const Fpr cand = Fpr::from_bits(bits);
+  const KnownOperand s = KnownOperand::from(cand);
+  switch (offset) {
+    case ww::kOffSign:
+      return attack::hyp_sign(cand.sign(), k);
+    case ww::kOffExpX:
+      return popcount64(cand.biased_exponent());
+    case ww::kOffExpSum:
+      return attack::hyp_exponent(cand.biased_exponent(), k);
+    case ww::kOffXLo:
+      return popcount64(s.y0);
+    case ww::kOffXHi:
+      return popcount64(s.y1);
+    case ww::kOffProdLL:
+      return attack::hyp_low_mul_ll(s.y0, k);
+    case ww::kOffProdLH:
+      return attack::hyp_low_mul_lh(s.y0, k);
+    case ww::kOffAccZ1a:
+      return attack::hyp_low_add_z1a(s.y0, k);
+    case ww::kOffProdHL:
+      return attack::hyp_high_mul_hl(s.y1, k);
+    case ww::kOffProdHH:
+      return attack::hyp_high_mul_hh(s.y1, k);
+    case ww::kOffAccZ1b:
+      return attack::hyp_high_add_z1b(s.y1, s.y0, k);
+    case ww::kOffAccZu:
+      return attack::hyp_high_add_zu(s.y1, s.y0, k);
+    default:
+      return -1.0;
+  }
+}
 
 PooledProfile profile_pooled(std::span<const ComponentDataset> dss,
                              std::span<const fpr::Fpr> known_secrets, double ridge) {
   constexpr std::size_t kDim = PooledProfile::kDim;
   PooledProfile prof;
 
-  // Per-offset linear fits, exactly as profile_device_multi.
+  // Per-offset least-squares fits of sample against predicted weight.
   for (std::size_t off = 0; off < kDim; ++off) {
     double sh = 0.0, sh2 = 0.0, st = 0.0, sht = 0.0;
     std::size_t count = 0;
@@ -22,8 +57,8 @@ PooledProfile profile_pooled(std::span<const ComponentDataset> dss,
       const auto& ds = dss[i];
       for (unsigned v = 0; v < 2; ++v) {
         for (std::size_t t = 0; t < ds.num_traces; ++t) {
-          const double h = attack::template_predicted_hw(off, known_secrets[i].bits(),
-                                                         ds.views[v].known[t]);
+          const double h =
+              template_predicted_hw(off, known_secrets[i].bits(), ds.views[v].known[t]);
           if (h < 0.0) continue;
           const double s = ds.views[v].samples[off][t];
           sh += h;
@@ -56,8 +91,8 @@ PooledProfile profile_pooled(std::span<const ComponentDataset> dss,
             resid[off] = 0.0;
             continue;
           }
-          const double h = attack::template_predicted_hw(off, known_secrets[i].bits(),
-                                                         ds.views[v].known[t]);
+          const double h =
+              template_predicted_hw(off, known_secrets[i].bits(), ds.views[v].known[t]);
           resid[off] = h < 0.0 ? 0.0
                                : ds.views[v].samples[off][t] -
                                      (prof.alpha[off] * h + prof.beta[off]);

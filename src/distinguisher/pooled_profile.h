@@ -1,18 +1,18 @@
 #pragma once
-// Pooled-covariance device profiling (the multi-sample generalization
-// of attack/template_attack.h).
+// Pooled-covariance device profiling: the one template profiler.
 //
-// profile_device_multi fits an independent per-point sigma, which
-// throws away the covariance structure the device actually has: the 17
-// events of one fpr_mul block share amplifier noise, so their residuals
-// correlate, and a joint Gaussian over a phase's columns separates
-// candidates a product of marginals cannot. This profiler keeps the
-// per-offset linear fits (alpha, beta against predicted Hamming
-// weight) and additionally pools the full 17 x 17 residual covariance
-// across every profiling trace, view, and known component, with a
-// ridge term on the diagonal so small profiling campaigns stay
-// invertible. Offsets without a usable fit are marked unmodeled and
-// excluded from scoring.
+// The adversary characterizes a clone device running keys they chose
+// (the template setting the paper's Section V.A names as the extension
+// of its non-profiled CPA). Per event offset of one fpr_mul block the
+// profiler fits a linear gain and offset (alpha, beta) against the
+// predicted Hamming weight, and it pools the full 17 x 17 residual
+// covariance across every profiling trace, view, and known component,
+// with a ridge term on the diagonal so small profiling campaigns stay
+// invertible. The 17 events of one block share amplifier noise, so
+// their residuals correlate, and a joint Gaussian over a phase's
+// columns separates candidates a product of per-point marginals cannot.
+// Offsets without a usable fit are marked unmodeled and excluded from
+// scoring. sqrt(cov[off][off]) is the per-point residual sigma.
 //
 // phase_precision() extracts the covariance SUBMATRIX of a phase's
 // offsets and inverts THAT (deterministic Cholesky) -- the marginal
@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -39,6 +40,13 @@ struct PooledProfile {
   std::array<double, kDim * kDim> cov{};
   std::size_t pooled_traces = 0;  // residual rows the pool averaged over
 };
+
+// Predicted Hamming weight of the event at `offset` of one mul block,
+// for a full 64-bit candidate secret against a known operand; -1 for
+// offsets the model does not cover (pure-known events, the result
+// store). Shared by profile_pooled and make_lr_scorer's training pairs.
+[[nodiscard]] double template_predicted_hw(std::size_t offset, std::uint64_t bits,
+                                           const attack::KnownOperand& k);
 
 // Fits the profile from datasets whose secret components the adversary
 // knows (their own key on the clone device). `ridge` is added to every

@@ -1,8 +1,8 @@
 #include "distinguisher/template_backend.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace fd::distinguisher {
 
@@ -27,15 +27,17 @@ TemplateDistinguisher::TemplateDistinguisher(std::size_t num_guesses,
       ll_sum_(num_guesses, 0.0),
       ll_sumsq_(num_guesses, 0.0),
       resid_(alpha_.size()) {
-  assert(beta_.size() == alpha_.size());
-  assert(prec_.size() == alpha_.size() * alpha_.size());
+  if (beta_.size() != alpha_.size() || prec_.size() != alpha_.size() * alpha_.size()) {
+    throw std::invalid_argument(
+        "TemplateDistinguisher: beta needs one value per alpha column and precision C x C");
+  }
 }
 
 void TemplateDistinguisher::observe(std::span<const TraceObservation> batch) {
   const std::size_t c_ = alpha_.size();
   const std::size_t g_ = ll_sum_.size();
+  check_batch(batch, c_, "TemplateDistinguisher");
   for (const TraceObservation& obs : batch) {
-    assert(obs.hypotheses.size() == g_ * c_ && obs.samples.size() >= c_);
     for (std::size_t g = 0; g < g_; ++g) {
       const double* h = obs.hypotheses.data() + g * c_;
       for (std::size_t c = 0; c < c_; ++c) {

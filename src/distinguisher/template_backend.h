@@ -23,12 +23,12 @@ namespace fd::distinguisher {
 class TemplateDistinguisher final : public Distinguisher {
  public:
   // alpha/beta: per-column linear fits; precision: row-major C x C
-  // phase precision.
+  // phase precision. Any other size of beta or precision throws
+  // std::invalid_argument.
   TemplateDistinguisher(std::size_t num_guesses, std::vector<double> alpha,
                         std::vector<double> beta, std::vector<double> precision);
 
   [[nodiscard]] std::size_t num_guesses() const override { return ll_sum_.size(); }
-  [[nodiscard]] std::size_t num_columns() const override { return alpha_.size(); }
   [[nodiscard]] std::size_t num_traces() const override { return traces_; }
 
   void observe(std::span<const TraceObservation> batch) override;

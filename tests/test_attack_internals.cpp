@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "attack/extend_prune.h"
-#include "attack/template_attack.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
@@ -278,18 +277,6 @@ TEST(Assemble, FieldPacking) {
   EXPECT_EQ(assemble_bits(true, 0, 1U << 27, 0), 0x8000000000000000ULL);
   EXPECT_EQ(assemble_bits(false, 1023, (1U << 27) | 1U, 1),
             0x3FF0000002000001ULL);
-}
-
-TEST(TemplateLikelihood, TruncationConsistent) {
-  const auto set = small_campaign(2.0, 0xAA07, 100);
-  const auto ds = build_component_dataset(set, false);
-  ChaCha20Prng rng(0xAA07);
-  const auto kp = falcon::keygen(4, rng);  // same seed -> same key as rig
-  const auto prof = profile_device(ds, kp.sk.b01[0]);
-  const double full = template_log_likelihood(ds, prof, kp.sk.b01[0].bits());
-  const double half = template_log_likelihood(ds, prof, kp.sk.b01[0].bits(), 50);
-  EXPECT_LT(full, 0.0);
-  EXPECT_GT(half, full);  // fewer traces, fewer (negative) terms
 }
 
 }  // namespace

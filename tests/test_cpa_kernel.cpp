@@ -66,10 +66,8 @@ sca::CampaignConfig small_config(std::uint64_t seed) {
   return cfg;
 }
 
-StreamingCpaSpec exponent_spec(std::size_t slot, bool imag = false) {
+StreamingCpaSpec exponent_spec() {
   StreamingCpaSpec spec;
-  spec.slot = slot;
-  spec.imag_part = imag;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const KnownOperand& k) {
@@ -337,7 +335,7 @@ TEST(CpaKernel, ForeignLayoutWindowFoldsNothingAndDoesNotCount) {
     ct.trace.samples.assign(4, 0.0f);  // no room for any fpr_mul view
     set.traces.push_back(ct);
   }
-  const auto spec = exponent_spec(0);
+  const auto spec = exponent_spec();
   auto& windows = obs::MetricsRegistry::global().counter("attack.cpa.windows");
 
   const std::uint64_t before = windows.value();

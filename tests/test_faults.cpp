@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "attack/quality.h"
 #include "attack/recovery_pipeline.h"
 #include "common/rng.h"
+#include "distinguisher/lr_backend.h"
+#include "distinguisher/template_backend.h"
 #include "exec/seed_split.h"
 #include "exec/thread_pool.h"
 #include "falcon/falcon.h"
@@ -587,6 +591,42 @@ TEST(ArchiveHeader, SlotCountOtherThanHalfTheRingIsRefused) {
   tracestore::ArchiveWriter writer;
   EXPECT_FALSE(writer.open(good.path + ".w", meta));
   std::remove((good.path + ".w").c_str());
+}
+
+// The profiled backends' shape contracts hold in NDEBUG builds: a
+// mismatched template beta or precision, an observation with the wrong
+// hypothesis count or too few samples, and unpaired LR training data
+// each throw std::invalid_argument instead of reading out of bounds. A
+// batch with one bad observation folds none of its good ones.
+TEST(ProfiledBackends, ShapeMismatchIsCheckedError) {
+  namespace dg = distinguisher;
+  const std::vector<double> alpha = {1.0, 0.8};
+  const std::vector<double> prec = {2.0, 0.1, 0.1, 1.5};
+  EXPECT_THROW(dg::TemplateDistinguisher(3, alpha, {0.1}, prec), std::invalid_argument);
+  EXPECT_THROW(dg::TemplateDistinguisher(3, alpha, {0.1, 0.0}, {2.0, 1.5}),
+               std::invalid_argument);
+
+  dg::TemplateDistinguisher tmpl(3, alpha, {0.1, 0.0}, prec);
+  dg::LrDistinguisher lr(3, std::vector<dg::LrHead>(2), 4);
+  const std::vector<double> hyps(3 * 2, 1.0);
+  const std::vector<float> samples = {1.0f, 2.0f};
+  const dg::TraceObservation good{hyps, samples};
+  const dg::TraceObservation short_hyps{std::span<const double>(hyps).first(5), samples};
+  const dg::TraceObservation short_samples{hyps, std::span<const float>(samples).first(1)};
+  for (dg::Distinguisher* d : std::initializer_list<dg::Distinguisher*>{&tmpl, &lr}) {
+    EXPECT_THROW(d->observe({&short_hyps, 1}), std::invalid_argument);
+    EXPECT_THROW(d->observe({&short_samples, 1}), std::invalid_argument);
+    const dg::TraceObservation mixed[] = {good, short_samples};
+    EXPECT_THROW(d->observe(mixed), std::invalid_argument);
+    EXPECT_EQ(d->num_traces(), 0U);
+    d->observe({&good, 1});
+    EXPECT_EQ(d->num_traces(), 1U);
+  }
+
+  const std::vector<double> xs = {1.0, 2.0, 3.0};
+  const std::vector<double> ts = {0.5, 0.25};
+  EXPECT_THROW((void)dg::train_lr_head(xs, ts, 4.0, dg::BackendSelection{}),
+               std::invalid_argument);
 }
 
 TEST(Checkpoint, RoundTripsBitExactly) {

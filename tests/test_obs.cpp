@@ -544,7 +544,6 @@ sca::CampaignConfig mini_config(std::uint64_t seed) {
 
 attack::StreamingCpaSpec snapshot_spec(const falcon::SecretKey& sk, std::size_t slot) {
   attack::StreamingCpaSpec spec;
-  spec.slot = slot;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {

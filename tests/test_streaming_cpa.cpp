@@ -38,9 +38,8 @@ sca::CampaignConfig small_config(std::uint64_t seed) {
   return cfg;
 }
 
-StreamingCpaSpec exponent_spec(std::size_t slot) {
+StreamingCpaSpec exponent_spec() {
   StreamingCpaSpec spec;
-  spec.slot = slot;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const KnownOperand& k) {
@@ -140,19 +139,19 @@ TEST(StreamingCpa, StreamedComponentAttackMatchesInMemory) {
 
 // A spec the fold cannot run is rejected in every build mode.
 TEST(StreamingCpa, RejectsSpecWithoutGuesses) {
-  auto spec = exponent_spec(0);
+  auto spec = exponent_spec();
   spec.guesses.clear();
   EXPECT_THROW((void)run_cpa_inmemory(sca::TraceSet{}, spec), std::invalid_argument);
 }
 
 TEST(StreamingCpa, RejectsSpecWithoutSampleOffsets) {
-  auto spec = exponent_spec(0);
+  auto spec = exponent_spec();
   spec.sample_offsets.clear();
   EXPECT_THROW((void)run_cpa_inmemory(sca::TraceSet{}, spec), std::invalid_argument);
 }
 
 TEST(StreamingCpa, RejectsSpecWithoutModel) {
-  auto spec = exponent_spec(0);
+  auto spec = exponent_spec();
   spec.model = nullptr;
   EXPECT_THROW((void)run_cpa_inmemory(sca::TraceSet{}, spec), std::invalid_argument);
 }
@@ -230,7 +229,7 @@ TEST(StreamingCpa, MergedShardsMatchConcatenatedInMemoryCampaigns) {
   // paper's 99.99% confidence bound (exact resolution of its alias tie
   // class is key recovery's job).
   const std::size_t slot = 1;
-  const CpaEngine eng = run_cpa_inmemory(loaded[slot], exponent_spec(slot));
+  const CpaEngine eng = run_cpa_inmemory(loaded[slot], exponent_spec());
   const unsigned truth = kp.sk.b01[slot].biased_exponent();
   EXPECT_GT(eng.peak(truth - 1005), confidence_interval(0.9999, eng.num_traces()));
 }
