@@ -9,6 +9,10 @@
 
 #include "common/shake256.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace fd {
 
 namespace {
@@ -142,7 +146,7 @@ void blocks16_portable(const std::uint32_t key[8], std::uint32_t counter,
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-// The same lane program at 8 and 16 lanes per vector register.
+// The same lane program at 8 lanes per vector register.
 __attribute__((target("avx2"))) void blocks16_avx2(const std::uint32_t key[8],
                                                    std::uint32_t counter,
                                                    const std::uint32_t nonce[3],
@@ -150,12 +154,81 @@ __attribute__((target("avx2"))) void blocks16_avx2(const std::uint32_t key[8],
   chacha_blocks<kBodyBlocks>(key, counter, nonce, out);
 }
 
-__attribute__((target("avx512f,avx512vl"))) void blocks16_avx512(const std::uint32_t key[8],
-                                                                 std::uint32_t counter,
-                                                                 const std::uint32_t nonce[3],
-                                                                 std::uint8_t* out) {
-  chacha_blocks<kBodyBlocks>(key, counter, nonce, out);
+// GCC 12's avx512fintrin.h self-initializes the pass-through operand of
+// its unmasked intrinsics, which -Wuninitialized flags at every use.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+__attribute__((target("avx512f"))) [[gnu::always_inline]] inline void quarter_round_x16(
+    __m512i& a, __m512i& b, __m512i& c, __m512i& d) {
+  a = _mm512_add_epi32(a, b); d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+  c = _mm512_add_epi32(c, d); b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+  a = _mm512_add_epi32(a, b); d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+  c = _mm512_add_epi32(c, d); b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
 }
+
+// One block per 32-bit lane, written for the register file: the 16
+// state words live in 16 zmm registers for all 20 rounds, and the 16x16
+// output words are transposed in registers (32-bit, then 64-bit
+// unpacks, then two 128-bit lane shuffles), so each block leaves in one
+// 64-byte store.
+__attribute__((target("avx512f"))) void blocks16_avx512(const std::uint32_t key[8],
+                                                        std::uint32_t counter,
+                                                        const std::uint32_t nonce[3],
+                                                        std::uint8_t* out) {
+  const std::uint32_t s[16] = {kSigma[0], kSigma[1], kSigma[2], kSigma[3],
+                               key[0],    key[1],    key[2],    key[3],
+                               key[4],    key[5],    key[6],    key[7],
+                               0,         nonce[0],  nonce[1],  nonce[2]};
+  __m512i in[16];
+  for (int w = 0; w < 16; ++w) in[w] = _mm512_set1_epi32(static_cast<int>(s[w]));
+  in[12] = _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(counter)),
+                            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                              14, 15));
+  __m512i x[16];
+  for (int w = 0; w < 16; ++w) x[w] = in[w];
+  for (int i = 0; i < 10; ++i) {
+    quarter_round_x16(x[0], x[4], x[8], x[12]);
+    quarter_round_x16(x[1], x[5], x[9], x[13]);
+    quarter_round_x16(x[2], x[6], x[10], x[14]);
+    quarter_round_x16(x[3], x[7], x[11], x[15]);
+    quarter_round_x16(x[0], x[5], x[10], x[15]);
+    quarter_round_x16(x[1], x[6], x[11], x[12]);
+    quarter_round_x16(x[2], x[7], x[8], x[13]);
+    quarter_round_x16(x[3], x[4], x[9], x[14]);
+  }
+  for (int w = 0; w < 16; ++w) x[w] = _mm512_add_epi32(x[w], in[w]);
+  // After the unpacks, q[g][r] holds, in its 128-bit lane k, words
+  // 4g .. 4g+3 of block 4k + r.
+  __m512i q[4][4];
+  for (int g = 0; g < 4; ++g) {
+    const __m512i t0 = _mm512_unpacklo_epi32(x[4 * g], x[4 * g + 1]);
+    const __m512i t1 = _mm512_unpackhi_epi32(x[4 * g], x[4 * g + 1]);
+    const __m512i t2 = _mm512_unpacklo_epi32(x[4 * g + 2], x[4 * g + 3]);
+    const __m512i t3 = _mm512_unpackhi_epi32(x[4 * g + 2], x[4 * g + 3]);
+    q[g][0] = _mm512_unpacklo_epi64(t0, t2);
+    q[g][1] = _mm512_unpackhi_epi64(t0, t2);
+    q[g][2] = _mm512_unpacklo_epi64(t1, t3);
+    q[g][3] = _mm512_unpackhi_epi64(t1, t3);
+  }
+  for (int r = 0; r < 4; ++r) {
+    const __m512i lo01 = _mm512_shuffle_i32x4(q[0][r], q[1][r], 0x44);  // lanes 0, 1
+    const __m512i lo23 = _mm512_shuffle_i32x4(q[2][r], q[3][r], 0x44);
+    const __m512i hi01 = _mm512_shuffle_i32x4(q[0][r], q[1][r], 0xEE);  // lanes 2, 3
+    const __m512i hi23 = _mm512_shuffle_i32x4(q[2][r], q[3][r], 0xEE);
+    _mm512_storeu_si512(out + 64 * (r + 0), _mm512_shuffle_i32x4(lo01, lo23, 0x88));
+    _mm512_storeu_si512(out + 64 * (r + 4), _mm512_shuffle_i32x4(lo01, lo23, 0xDD));
+    _mm512_storeu_si512(out + 64 * (r + 8), _mm512_shuffle_i32x4(hi01, hi23, 0x88));
+    _mm512_storeu_si512(out + 64 * (r + 12), _mm512_shuffle_i32x4(hi01, hi23, 0xDD));
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 std::vector<detail::ChaChaBody> supported_chacha_bodies() {
@@ -163,9 +236,7 @@ std::vector<detail::ChaChaBody> supported_chacha_bodies() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) bodies.push_back({"avx2", blocks16_avx2});
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl")) {
-    bodies.push_back({"avx512", blocks16_avx512});
-  }
+  if (__builtin_cpu_supports("avx512f")) bodies.push_back({"avx512", blocks16_avx512});
 #endif
   return bodies;
 }

@@ -47,4 +47,28 @@ struct Tables {
 // over with a fresh word).
 void fill_normals(RandomSource& rng, std::span<double> out);
 
+// Adds float(sigma * z) to each out[j], where z are the unit normals
+// fill_normals would draw from `rng` for out.size() values: the device's
+// noise pass, with no double buffer between the ziggurat and the window.
+void add_scaled_normals(RandomSource& rng, double sigma, std::span<float> out);
+
+namespace detail {
+
+// One fast-pass body, instantiated for both outputs above. The body is
+// picked once per process from what the CPU supports (AVX-512, else
+// portable); the reject finishing is shared, so every body draws the
+// same words and writes the same values.
+struct NormalsBody {
+  const char* name;
+  void (*fill)(RandomSource& rng, std::span<double> out);
+  void (*add_scaled)(RandomSource& rng, double sigma, std::span<float> out);
+};
+
+// The portable body first, then every SIMD body this CPU runs; the last
+// entry is the one fill_normals and add_scaled_normals use. Exposed so
+// tests can hold each body to the portable one.
+[[nodiscard]] std::span<const NormalsBody> normals_bodies();
+
+}  // namespace detail
+
 }  // namespace fd

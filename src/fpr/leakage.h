@@ -82,7 +82,10 @@ struct LeakageEvent {
 class LeakageSink {
  public:
   virtual ~LeakageSink() = default;
-  virtual void on_event(const LeakageEvent& ev) = 0;
+  // By value: the 16-byte event travels in two registers. Built in memory
+  // by leak() and reloaded whole by reference, it would cost a
+  // store-forwarding stall per event (DESIGN.md section 27).
+  virtual void on_event(LeakageEvent ev) = 0;
 
   [[nodiscard]] bool windowed() const { return windowed_; }
   [[nodiscard]] bool window_open() const { return window_open_; }

@@ -138,7 +138,7 @@ class QueryCapture {
     return signing;
   }
 
-  [[nodiscard]] const std::vector<fpr::LeakageEvent>& window(std::size_t slot) const {
+  [[nodiscard]] std::span<const fpr::LeakageEvent> window(std::size_t slot) const {
     return recorder_.window(slot);
   }
   [[nodiscard]] Fpr known_re(std::size_t slot) const { return known_[slot]; }

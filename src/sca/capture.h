@@ -13,9 +13,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fpr/leakage.h"
+#include "sca/device.h"
 
 namespace fd::sca {
 
@@ -27,7 +29,7 @@ class EventWindowRecorder final : public fpr::LeakageSink {
   explicit EventWindowRecorder(std::uint64_t slot, unsigned occurrence = 0)
       : LeakageSink(Windowed{}), slot_(slot), want_occurrence_(occurrence) {}
 
-  void on_event(const fpr::LeakageEvent& ev) override {
+  void on_event(fpr::LeakageEvent ev) override {
     if (ev.tag == fpr::LeakageTag::kTriggerBegin) {
       if (ev.value == slot_ && seen_occurrences_++ == want_occurrence_) {
         armed_ = true;
@@ -76,45 +78,95 @@ class EventWindowRecorder final : public fpr::LeakageSink {
 // picks the share, and the window kept is the F-row's.) Windowed:
 // the window is open exactly while `recording_` is set, so data events
 // it would drop never reach it.
+//
+// Every recorded window goes onto one tape, reused across runs, as an
+// (offset, length) pair per slot; a re-triggered slot's new window is
+// appended and the old one left unread. The tape is sized for one
+// window of window::kEventsPerWindow events per slot and grows whenever
+// a run needs more, so no window is ever cut short.
 class LastWindowRecorder final : public fpr::LeakageSink {
  public:
   explicit LastWindowRecorder(std::size_t num_slots, unsigned row = 0)
-      : LeakageSink(Windowed{}), row_(row), windows_(num_slots), occurrence_(num_slots, 0) {}
+      : LeakageSink(Windowed{}),
+        row_(row),
+        tape_(num_slots * window::kEventsPerWindow),
+        spans_(num_slots),
+        occurrence_(num_slots, 0) {}
+  // The write cursor points into the tape.
+  LastWindowRecorder(const LastWindowRecorder&) = delete;
+  LastWindowRecorder& operator=(const LastWindowRecorder&) = delete;
 
-  void on_event(const fpr::LeakageEvent& ev) override {
+  void on_event(fpr::LeakageEvent ev) override {
     if (ev.tag == fpr::LeakageTag::kTriggerBegin) {
       const std::size_t slot = static_cast<std::size_t>(ev.value);
-      if (slot < windows_.size()) {
+      if (slot < spans_.size()) {
+        close_window();
         recording_ = (occurrence_[slot]++ % 2) == row_;
         if (recording_) {
           current_ = slot;
-          windows_[slot].clear();
+          spans_[slot] = {used(), 0};
         }
         set_window_open(recording_);
       }
       return;
     }
     if (ev.tag == fpr::LeakageTag::kTriggerEnd) {
-      recording_ = false;
+      close_window();
       set_window_open(false);
       return;
     }
-    if (recording_) windows_[current_].push_back(ev);
+    if (recording_) {
+      if (next_ == end_) grow();
+      // Field by field: no 16-byte reload of a freshly stored event.
+      next_->tag = ev.tag;
+      next_->value = ev.value;
+      ++next_;
+    }
   }
 
-  [[nodiscard]] const std::vector<fpr::LeakageEvent>& window(std::size_t slot) const {
-    return windows_[slot];
+  // The slot's last recorded window of this run (empty if it has none);
+  // valid until the next event or start_run().
+  [[nodiscard]] std::span<const fpr::LeakageEvent> window(std::size_t slot) const {
+    const Span w = spans_[slot];
+    const std::size_t len = recording_ && slot == current_ ? used() - w.offset : w.length;
+    return {tape_.data() + w.offset, len};
   }
 
+  // Forgets every window and trigger count of the previous run.
   void start_run() {
     std::fill(occurrence_.begin(), occurrence_.end(), 0U);
+    std::fill(spans_.begin(), spans_.end(), Span{});
+    next_ = tape_.data();
     recording_ = false;
     set_window_open(false);
   }
 
  private:
+  struct Span {
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
+
+  // Events on the tape this run.
+  [[nodiscard]] std::size_t used() const { return static_cast<std::size_t>(next_ - tape_.data()); }
+
+  void close_window() {
+    if (recording_) spans_[current_].length = used() - spans_[current_].offset;
+    recording_ = false;
+  }
+
+  void grow() {
+    const std::size_t n = used();
+    tape_.resize(2 * tape_.size() + window::kEventsPerWindow);
+    next_ = tape_.data() + n;
+    end_ = tape_.data() + tape_.size();
+  }
+
   unsigned row_;
-  std::vector<std::vector<fpr::LeakageEvent>> windows_;
+  std::vector<fpr::LeakageEvent> tape_;
+  fpr::LeakageEvent* next_ = tape_.data();  // the tape's first free event
+  fpr::LeakageEvent* end_ = tape_.data() + tape_.size();
+  std::vector<Span> spans_;
   std::vector<unsigned> occurrence_;
   std::size_t current_ = 0;
   bool recording_ = false;
@@ -124,7 +176,7 @@ class LastWindowRecorder final : public fpr::LeakageSink {
 // by whole-algorithm inspection); ungated.
 class FullRecorder final : public fpr::LeakageSink {
  public:
-  void on_event(const fpr::LeakageEvent& ev) override { events_.push_back(ev); }
+  void on_event(fpr::LeakageEvent ev) override { events_.push_back(ev); }
   [[nodiscard]] const std::vector<fpr::LeakageEvent>& events() const { return events_; }
   void clear() { events_.clear(); }
 

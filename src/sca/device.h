@@ -16,8 +16,10 @@
 //  - jitter_max:      random misalignment per trace;
 //  - extra noise:     noise amplification.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -41,7 +43,7 @@ inline constexpr std::size_t kEventsPerWindow = 4 * kEventsPerMul + 2 * kEventsP
 
 // Most samples one synthesized window may have (kEventsPerWindow ·
 // samples_per_event + jitter_max). Real captures use a few hundred; at
-// 2^20 a window's float samples and double noise stay near 12 MiB.
+// 2^20 a window's float samples stay at 4 MiB.
 inline constexpr std::uint64_t kMaxSamples = std::uint64_t{1} << 20;
 static_assert(kMaxSamples <= tracestore::kMaxSamplesPerTrace);
 
@@ -117,26 +119,26 @@ class EmDeviceModel {
 
   // Synthesizes one noisy trace from a captured event window into `out`,
   // reusing its capacity: the jitter uniform is drawn first, then the
-  // window's unit normals in one fill_normals call.
-  void synthesize_into(const std::vector<fpr::LeakageEvent>& events, std::vector<float>& out) {
+  // window's float(alpha * HW) amplitudes (zero in the jitter margin) are
+  // written, and one noise pass adds float(noise_sigma * z) to each
+  // sample, z the unit normals one fill_normals call would draw.
+  void synthesize_into(std::span<const fpr::LeakageEvent> events, std::vector<float>& out) {
     const unsigned spe = config_.samples_per_event;
     const std::size_t jitter =
         config_.jitter_max == 0 ? 0 : noise_rng_.uniform(config_.jitter_max + 1);
-    out.assign(events.size() * spe + config_.jitter_max, 0.0F);
+    const std::size_t body = events.size() * spe;
+    out.resize(body + config_.jitter_max);
+    float* dst = out.data();
+    std::fill_n(dst, jitter, 0.0F);
     for (std::size_t i = 0; i < events.size(); ++i) {
       const int hw = config_.constant_weight ? 32 : popcount64(events[i].value);
-      for (unsigned s = 0; s < spe; ++s) {
-        out[i * spe + s + jitter] = static_cast<float>(config_.alpha * hw);
-      }
+      std::fill_n(dst + jitter + i * spe, spe, static_cast<float>(config_.alpha * hw));
     }
-    noise_.resize(out.size());
-    fill_normals(noise_rng_, noise_);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] += static_cast<float>(config_.noise_sigma * noise_[i]);
-    }
+    std::fill(dst + jitter + body, dst + out.size(), 0.0F);
+    add_scaled_normals(noise_rng_, config_.noise_sigma, out);
   }
 
-  [[nodiscard]] Trace synthesize(const std::vector<fpr::LeakageEvent>& events) {
+  [[nodiscard]] Trace synthesize(std::span<const fpr::LeakageEvent> events) {
     Trace t;
     synthesize_into(events, t.samples);
     return t;
@@ -145,7 +147,6 @@ class EmDeviceModel {
  private:
   DeviceConfig config_;
   ChaCha20Prng noise_rng_;
-  std::vector<double> noise_;  // one trace's unit normals, reused
 };
 
 }  // namespace fd::sca

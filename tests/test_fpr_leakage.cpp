@@ -14,7 +14,7 @@ namespace {
 
 class Recorder final : public LeakageSink {
  public:
-  void on_event(const LeakageEvent& ev) override { events.push_back(ev); }
+  void on_event(LeakageEvent ev) override { events.push_back(ev); }
   std::vector<LeakageEvent> events;
 
   [[nodiscard]] const LeakageEvent* find(LeakageTag tag) const {
@@ -128,7 +128,7 @@ TEST(FprLeakage, ZeroMulShortCircuitsAfterSign) {
 class WindowedCounter final : public LeakageSink {
  public:
   WindowedCounter() : LeakageSink(Windowed{}) {}
-  void on_event(const LeakageEvent& ev) override {
+  void on_event(LeakageEvent ev) override {
     if (ev.tag == LeakageTag::kTriggerBegin) {
       ++markers;
       set_window_open(true);

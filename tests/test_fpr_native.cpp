@@ -249,14 +249,14 @@ TEST(FprNative, EdgeOperandsMatchEmulation) {
 
 class Recorder final : public LeakageSink {
  public:
-  void on_event(const LeakageEvent& ev) override { events.push_back(ev); }
+  void on_event(LeakageEvent ev) override { events.push_back(ev); }
   std::vector<LeakageEvent> events;
 };
 
 class WindowedRecorder final : public LeakageSink {
  public:
   WindowedRecorder() : LeakageSink(Windowed{}) {}
-  void on_event(const LeakageEvent& ev) override { events.push_back(ev); }
+  void on_event(LeakageEvent ev) override { events.push_back(ev); }
   void open(bool o) { set_window_open(o); }
   std::vector<LeakageEvent> events;
 };

@@ -8,6 +8,9 @@
 #include <cmath>
 #include <numbers>
 #include <iterator>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hex.h"
@@ -164,6 +167,23 @@ TEST(ChaCha20, EveryBodyMatchesBlockReference) {
       }
     }
   }
+  // 1000 random key / counter / nonce triples per body.
+  for (const auto& body : bodies) {
+    ChaCha20Prng triples(std::uint64_t{0xB0D1E7});
+    for (int t = 0; t < 1000; ++t) {
+      for (std::uint32_t& k : key) k = static_cast<std::uint32_t>(triples.next_u64());
+      for (std::uint32_t& n : nonce) n = static_cast<std::uint32_t>(triples.next_u64());
+      const auto counter = static_cast<std::uint32_t>(triples.next_u64());
+      std::uint8_t got[16 * 64];
+      body.blocks16(key, counter, nonce, got);
+      for (std::uint32_t b = 0; b < 16; ++b) {
+        std::uint8_t want[64];
+        ChaCha20Prng::block(key, counter + b, nonce, want);
+        ASSERT_TRUE(std::equal(want, want + 64, got + 64 * b))
+            << body.name << " triple " << t << " block " << b;
+      }
+    }
+  }
   // Fills that straddle the 1 KiB refill buffer, through the dispatched
   // body, against the per-block stream.
   ChaCha20Prng fast(std::uint64_t{0xB0D1E6});
@@ -285,6 +305,201 @@ TEST(Normal, FillsSplitAtBlockBoundariesDrawTheSameValues) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i])) << i;
   }
   EXPECT_EQ(whole.next_u64(), split.next_u64());
+}
+
+// --- the ziggurat's fast-pass bodies ---------------------------------------
+//
+// Every body (portable, then each SIMD body this CPU runs) must draw the
+// same words and write the same values, for both outputs: unit normals,
+// and float(sigma * z) added to a float window.
+
+// Hands out `words` as little-endian bytes, then a ChaCha20 stream.
+class ScriptedSource final : public RandomSource {
+ public:
+  explicit ScriptedSource(std::vector<std::uint64_t> words)
+      : words_(std::move(words)), tail_(std::uint64_t{0x5C41}) {}
+  void fill(std::span<std::uint8_t> out) override {
+    for (std::uint8_t& b : out) {
+      b = pos_ < 8 * words_.size() ? static_cast<std::uint8_t>(words_[pos_ / 8] >> (8 * (pos_ % 8)))
+                                   : tail_.next_u8();
+      ++pos_;
+    }
+  }
+  [[nodiscard]] std::size_t words_drawn() const { return pos_ / 8; }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  ChaCha20Prng tail_;
+  std::size_t pos_ = 0;
+};
+
+// A keystream word for layer `layer`, sign bit `sign` and 53-bit
+// abscissa `m`; bits 9 and 10, which no draw reads, are set.
+std::uint64_t ziggurat_word(unsigned layer, unsigned sign, std::uint64_t m) {
+  return m << 11 | 0x600 | std::uint64_t{sign} << 8 | layer;
+}
+
+// An abscissa in the middle of layer i's wedge (between k[i] and 2^53).
+std::uint64_t wedge_m(unsigned layer) {
+  return (ziggurat::tables().k[layer] + (std::uint64_t{1} << 53)) / 2;
+}
+
+// The window the device starts from: amplitudes of either sign, zeros
+// of both signs.
+std::vector<float> window_base(std::size_t n) {
+  std::vector<float> base(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    base[j] = j % 5 == 0 ? (j % 2 == 0 ? 0.0F : -0.0F) : static_cast<float>(j % 17) * -1.25F;
+  }
+  return base;
+}
+
+constexpr double kNoiseSigma = 12.0;
+
+struct PassResult {
+  std::vector<double> normals;
+  std::vector<float> window;
+  std::size_t words = 0;  // words the normals fill drew
+};
+
+// One fill of n values through `body`, both outputs, from `script`.
+PassResult run_body(const detail::NormalsBody& body, const std::vector<std::uint64_t>& script,
+                    std::size_t n) {
+  PassResult r;
+  r.normals.resize(n);
+  ScriptedSource a(script);
+  body.fill(a, r.normals);
+  r.words = a.words_drawn();
+  r.window = window_base(n);
+  ScriptedSource b(script);
+  body.add_scaled(b, kNoiseSigma, r.window);
+  EXPECT_EQ(b.words_drawn(), r.words) << body.name;
+  return r;
+}
+
+// Runs every body on `script` and holds it to the portable one bit for
+// bit; the window output must also equal base + float(sigma * z) over
+// the portable normals. Returns the portable result.
+PassResult expect_bodies_agree(const std::vector<std::uint64_t>& script, std::size_t n,
+                               const std::string& where) {
+  const auto bodies = detail::normals_bodies();
+  EXPECT_STREQ(bodies.front().name, "portable");
+  const PassResult want = run_body(bodies.front(), script, n);
+  const std::vector<float> base = window_base(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(want.window[j]),
+              std::bit_cast<std::uint32_t>(base[j] + static_cast<float>(kNoiseSigma * want.normals[j])))
+        << where << " value " << j;
+  }
+  for (const auto& body : bodies.subspan(1)) {
+    const PassResult got = run_body(body, script, n);
+    EXPECT_EQ(got.words, want.words) << where << " " << body.name;
+    for (std::size_t j = 0; j < n; ++j) {
+      const bool same = std::bit_cast<std::uint64_t>(got.normals[j]) ==
+                            std::bit_cast<std::uint64_t>(want.normals[j]) &&
+                        std::bit_cast<std::uint32_t>(got.window[j]) ==
+                            std::bit_cast<std::uint32_t>(want.window[j]);
+      if (!same) {
+        ADD_FAILURE() << where << " " << body.name << " differs at value " << j << ": "
+                      << got.normals[j] << " / " << got.window[j] << " vs "
+                      << want.normals[j] << " / " << want.window[j];
+        break;
+      }
+    }
+  }
+  return want;
+}
+
+// The fast-path value of word u: sign * m * x[i] / 2^53.
+double fast_value(std::uint64_t u) {
+  const auto& t = ziggurat::tables();
+  const double z = static_cast<double>(u >> 11) * t.w[u & 0xFF];
+  return (u & 0x100) != 0 ? -z : z;
+}
+
+TEST(Normal, EveryFastPassBodyMatchesPortable) {
+  const auto& t = ziggurat::tables();
+  const std::uint64_t all_ones = ~std::uint64_t{0};
+
+  // Every layer and sign on both sides of the fast-path edge, 64 layers
+  // per one-block fill: m = k[i] - 1 is a hit, m = k[i] a miss (layer 255
+  // has k = 0: all misses).
+  for (unsigned first = 0; first < ziggurat::kLayers; first += 64) {
+    std::vector<std::uint64_t> script;
+    std::vector<std::size_t> hits;
+    for (unsigned i = first; i < first + 64; ++i) {
+      for (unsigned sign = 0; sign < 2; ++sign) {
+        if (t.k[i] > 0) {
+          hits.push_back(script.size());
+          script.push_back(ziggurat_word(i, sign, t.k[i] - 1));
+        }
+        script.push_back(ziggurat_word(i, sign, t.k[i]));
+      }
+    }
+    const std::string where = "edge, layers from " + std::to_string(first);
+    const PassResult r = expect_bodies_agree(script, script.size(), where);
+    for (const std::size_t j : hits) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(r.normals[j]),
+                std::bit_cast<std::uint64_t>(fast_value(script[j])))
+          << where << " hit " << j;
+    }
+  }
+
+  // The wedge, accepted (height word 0 lies under f) and rejected (height
+  // word 2^64 - 1 lies above it; the draw restarts from the next word, here
+  // a hit at m = 0).
+  {
+    const std::uint64_t restart = ziggurat_word(5, 1, 0);
+    const std::vector<std::uint64_t> script = {
+        ziggurat_word(1, 0, wedge_m(1)),  ziggurat_word(100, 1, wedge_m(100)),
+        ziggurat_word(255, 0, wedge_m(255)),
+        0,                                 // slot 0: accepted
+        all_ones, restart,                 // slot 1: rejected, restarted
+        0};                                // slot 2: accepted
+    const PassResult r = expect_bodies_agree(script, 3, "wedge");
+    EXPECT_EQ(r.words, script.size());
+    EXPECT_EQ(r.normals[0], fast_value(script[0]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.normals[1]),
+              std::bit_cast<std::uint64_t>(fast_value(restart)));
+    EXPECT_EQ(r.normals[2], fast_value(script[2]));
+  }
+
+  // The layer-0 tail: one try rejected (a ~ 10, b = 0), one accepted
+  // (a = 0), two words each; the draw is then r itself.
+  {
+    const std::vector<std::uint64_t> script = {ziggurat_word(0, 1, t.k[0]), ziggurat_word(0, 0, t.k[0] + 1),
+                                               0,        all_ones,  // draw 0, rejected
+                                               all_ones, 0,         // draw 0, accepted
+                                               all_ones, 7};        // draw 1, accepted
+    const PassResult r = expect_bodies_agree(script, 2, "tail");
+    EXPECT_EQ(r.words, script.size());
+    EXPECT_EQ(r.normals[0], -ziggurat::kR);
+    EXPECT_EQ(r.normals[1], ziggurat::kR);
+  }
+
+  // A block where every word misses, finished from the stream after it.
+  {
+    std::vector<std::uint64_t> script;
+    for (unsigned i = 0; i < ziggurat::kLayers; ++i) {
+      script.push_back(ziggurat_word(i, i % 2, i == 0 ? t.k[0] : wedge_m(i)));
+    }
+    const PassResult r = expect_bodies_agree(script, script.size(), "all misses");
+    EXPECT_GT(r.words, script.size());
+  }
+}
+
+TEST(Normal, EveryBodyMatchesPortableAtBlockLengths1To256) {
+  // Random words at every block length 1 .. 256 (the SIMD body's masked
+  // tail at each length that is not a multiple of 8), and past one block.
+  ChaCha20Prng material(std::uint64_t{0x2168});
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 256; ++n) lengths.push_back(n);
+  for (const std::size_t n : {257, 263, 300, 512, 517}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    std::vector<std::uint64_t> script(n + 64);
+    for (std::uint64_t& w : script) w = material.next_u64();
+    (void)expect_bodies_agree(script, n, "length " + std::to_string(n));
+  }
 }
 
 }  // namespace

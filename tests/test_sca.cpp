@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/ziggurat.h"
 #include "exec/seed_split.h"
 #include "falcon/falcon.h"
 #include "falcon/masked_sign.h"
@@ -129,6 +132,80 @@ TEST(EmDeviceModel, SynthesizeIntoMatchesSynthesize) {
     const Trace want = fresh.synthesize(window);
     reused.synthesize_into(window, out);
     ASSERT_EQ(out, want.samples) << "window " << i;
+  }
+}
+
+// The synthesis written out the long way: amplitudes float(alpha * HW)
+// into a zeroed window, the window's unit normals in one fill_normals
+// call into a double buffer, then float(noise_sigma * z) added sample by
+// sample. The device's one-pass synthesis must equal it bit for bit.
+class ReferenceSynthesis {
+ public:
+  ReferenceSynthesis(const DeviceConfig& cfg, std::uint64_t seed) : cfg_(cfg), rng_(seed) {}
+
+  std::vector<float> synthesize(const std::vector<LeakageEvent>& events) {
+    const unsigned spe = cfg_.samples_per_event;
+    const std::size_t jitter = cfg_.jitter_max == 0 ? 0 : rng_.uniform(cfg_.jitter_max + 1);
+    std::vector<float> out(events.size() * spe + cfg_.jitter_max, 0.0F);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const int hw = cfg_.constant_weight ? 32 : std::popcount(events[i].value);
+      for (unsigned s = 0; s < spe; ++s) {
+        out[i * spe + s + jitter] = static_cast<float>(cfg_.alpha * hw);
+      }
+    }
+    std::vector<double> z(out.size());
+    fill_normals(rng_, z);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] += static_cast<float>(cfg_.noise_sigma * z[i]);
+    }
+    return out;
+  }
+
+ private:
+  DeviceConfig cfg_;
+  ChaCha20Prng rng_;
+};
+
+TEST(EmDeviceModel, SynthesizeIntoMatchesScalarReference) {
+  struct Case {
+    double alpha, sigma;
+    unsigned spe, jitter;
+    bool constant_weight;
+  };
+  const Case cases[] = {
+      {1.0, 12.0, 1, 0, false},  {1.0, 2.0, 2, 0, false},   {0.75, 3.0, 2, 5, false},
+      {1.0, 12.0, 1, 0, true},   {-1.5, 0.5, 3, 4, true},   {-2.0, 1e-3, 1, 7, false},
+      {1.0, 0.0, 2, 3, false}};
+  for (const Case& c : cases) {
+    DeviceConfig cfg;
+    cfg.alpha = c.alpha;
+    cfg.noise_sigma = c.sigma;
+    cfg.samples_per_event = c.spe;
+    cfg.jitter_max = c.jitter;
+    cfg.constant_weight = c.constant_weight;
+    EmDeviceModel device(cfg, 0x5E1F);
+    ReferenceSynthesis ref(cfg, 0x5E1F);
+    std::vector<float> out;
+    // Real window lengths, an empty window, and one longer than a
+    // ziggurat block; values with every Hamming weight 0 .. 64.
+    std::uint64_t v = 0;
+    for (const std::size_t events : {window::kEventsPerWindow, std::size_t{1}, std::size_t{0},
+                                     std::size_t{300}, window::kEventsPerWindow}) {
+      std::vector<LeakageEvent> w(events);
+      for (LeakageEvent& ev : w) {
+        const unsigned ones = static_cast<unsigned>(v++ % 65);
+        ev = {LeakageTag::kMulProdLL, ones == 0 ? 0 : ~std::uint64_t{0} >> (64 - ones)};
+      }
+      device.synthesize_into(w, out);
+      const std::vector<float> want = ref.synthesize(w);
+      ASSERT_EQ(out.size(), want.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]), std::bit_cast<std::uint32_t>(want[i]))
+            << "alpha " << c.alpha << " spe " << c.spe << " jitter " << c.jitter
+            << " constant_weight " << c.constant_weight << " window of " << events
+            << " sample " << i;
+      }
+    }
   }
 }
 
@@ -256,8 +333,8 @@ TEST(Campaign, FullCampaignCoversAllSlots) {
 
 // --- gated capture: a windowed recorder sees what an ungated one keeps ---
 
-void expect_same_events(const std::vector<LeakageEvent>& got,
-                        const std::vector<LeakageEvent>& want, const std::string& where) {
+void expect_same_events(std::span<const LeakageEvent> got,
+                        std::span<const LeakageEvent> want, const std::string& where) {
   ASSERT_EQ(got.size(), want.size()) << where;
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].tag, want[i].tag) << where << " event " << i;
@@ -466,6 +543,139 @@ TEST(Sign, BytesPinnedToParent) {
   EXPECT_EQ(d512.events, 8U * 256 * window::kEventsPerWindow);
   EXPECT_EQ(d512.sigs, 0xE0CA16422171A061ULL);
   EXPECT_EQ(d512.windows, 0xAFC7BF538182167EULL);
+}
+
+// --- the recorder tape -------------------------------------------------------
+
+void drive_window(LastWindowRecorder& rec, std::uint64_t slot, std::uint64_t first,
+                  std::size_t events) {
+  rec.on_event({LeakageTag::kTriggerBegin, slot});
+  for (std::size_t i = 0; i < events; ++i) rec.on_event({LeakageTag::kMulProdLL, first + i});
+  rec.on_event({LeakageTag::kTriggerEnd, slot});
+}
+
+void expect_window(const LastWindowRecorder& rec, std::size_t slot, std::uint64_t first,
+                   std::size_t events) {
+  const auto w = rec.window(slot);
+  ASSERT_EQ(w.size(), events) << "slot " << slot;
+  for (std::size_t i = 0; i < events; ++i) {
+    ASSERT_EQ(w[i].tag, LeakageTag::kMulProdLL) << "slot " << slot << " event " << i;
+    ASSERT_EQ(w[i].value, first + i) << "slot " << slot << " event " << i;
+  }
+}
+
+TEST(LastWindowRecorder, LongWindowComesBackWhole) {
+  // The tape starts at kEventsPerWindow events per slot; a 300-event
+  // window after two full ones grows it, and moves no earlier window.
+  LastWindowRecorder rec(3);
+  rec.start_run();
+  drive_window(rec, 0, 1000, window::kEventsPerWindow);
+  drive_window(rec, 1, 2000, window::kEventsPerWindow);
+  drive_window(rec, 2, 3000, 300);
+  expect_window(rec, 0, 1000, window::kEventsPerWindow);
+  expect_window(rec, 1, 2000, window::kEventsPerWindow);
+  expect_window(rec, 2, 3000, 300);
+}
+
+TEST(LastWindowRecorder, RetriggeredSlotKeepsOnlyItsLastWindow) {
+  // The full signer's salt retry: the slot's row-0 window comes twice
+  // (with a row-1 occurrence between), and only the second is kept.
+  LastWindowRecorder rec(2, /*row=*/0);
+  rec.start_run();
+  drive_window(rec, 0, 100, 5);  // occurrence 0: row 0
+  drive_window(rec, 1, 200, 4);
+  drive_window(rec, 0, 300, 6);  // occurrence 1: row 1, not recorded
+  drive_window(rec, 0, 400, 3);  // occurrence 2: row 0 again
+  expect_window(rec, 0, 400, 3);
+  expect_window(rec, 1, 200, 4);
+}
+
+TEST(LastWindowRecorder, StartRunClearsTheTape) {
+  LastWindowRecorder rec(2);
+  rec.start_run();
+  drive_window(rec, 0, 10, 7);
+  drive_window(rec, 1, 20, 8);
+  rec.start_run();
+  EXPECT_TRUE(rec.window(0).empty());
+  EXPECT_TRUE(rec.window(1).empty());
+  drive_window(rec, 1, 30, 2);
+  EXPECT_TRUE(rec.window(0).empty());
+  expect_window(rec, 1, 30, 2);
+}
+
+// The recorder as it was before the tape: one vector per slot, cleared
+// when its row's occurrence begins.
+class PerSlotRecorder final : public fpr::LeakageSink {
+ public:
+  PerSlotRecorder(std::size_t num_slots, unsigned row)
+      : LeakageSink(Windowed{}), row_(row), windows_(num_slots), occurrence_(num_slots, 0) {}
+  void on_event(LeakageEvent ev) override {
+    if (ev.tag == LeakageTag::kTriggerBegin) {
+      const auto slot = static_cast<std::size_t>(ev.value);
+      if (slot < windows_.size()) {
+        recording_ = (occurrence_[slot]++ % 2) == row_;
+        if (recording_) {
+          current_ = slot;
+          windows_[slot].clear();
+        }
+        set_window_open(recording_);
+      }
+      return;
+    }
+    if (ev.tag == LeakageTag::kTriggerEnd) {
+      recording_ = false;
+      set_window_open(false);
+      return;
+    }
+    if (recording_) windows_[current_].push_back(ev);
+  }
+  [[nodiscard]] const std::vector<LeakageEvent>& window(std::size_t slot) const {
+    return windows_[slot];
+  }
+
+ private:
+  unsigned row_;
+  std::vector<std::vector<LeakageEvent>> windows_;
+  std::vector<unsigned> occurrence_;
+  std::size_t current_ = 0;
+  bool recording_ = false;
+};
+
+TEST(LastWindowRecorder, FullSignerWindowsMatchPerSlotRecorder) {
+  // One tape recorder reused over every query, against a fresh per-slot
+  // recorder per query, under the full signer (both rows, and whatever
+  // salt retries the fixed seeds hit).
+  for (const unsigned logn : {4U, 9U}) {
+    ChaCha20Prng krng("victim key seed");
+    const auto kp = falcon::keygen(logn, krng);
+    const std::size_t hn = kp.sk.params.n >> 1;
+    const std::size_t queries = logn == 4 ? 48 : 4;
+    for (unsigned row = 0; row < 2; ++row) {
+      LastWindowRecorder tape(hn, row);
+      for (std::size_t q = 0; q < queries; ++q) {
+        const std::string msg = "tape-" + std::to_string(q);
+        const std::uint64_t seed = 0x7A9E + 2 * q + row;
+        PerSlotRecorder want(hn, row);
+        {
+          ChaCha20Prng rng(seed);
+          fpr::ScopedLeakageSink scope(&want);
+          (void)falcon::sign(kp.sk, msg, rng);
+        }
+        tape.start_run();
+        {
+          ChaCha20Prng rng(seed);
+          fpr::ScopedLeakageSink scope(&tape);
+          (void)falcon::sign(kp.sk, msg, rng);
+        }
+        const std::string where = "logn " + std::to_string(logn) + " row " +
+                                  std::to_string(row) + " query " + std::to_string(q);
+        for (std::size_t s = 0; s < hn; ++s) {
+          ASSERT_EQ(tape.window(s).size(), window::kEventsPerWindow) << where;
+          expect_same_events(tape.window(s), want.window(s), where + " slot " + std::to_string(s));
+        }
+      }
+    }
+  }
 }
 
 TEST(GatedCapture, RecordersAreWindowedFullRecorderIsNot) {

@@ -14,7 +14,7 @@ namespace {
 
 class Recorder final : public fpr::LeakageSink {
  public:
-  void on_event(const fpr::LeakageEvent& ev) override { events.push_back(ev); }
+  void on_event(fpr::LeakageEvent ev) override { events.push_back(ev); }
   std::vector<fpr::LeakageEvent> events;
 };
 
